@@ -11,7 +11,9 @@ from .dynamics import (
     SwarmState,
     cbo_memory_step,
     cbo_step,
+    consensus_of,
     initial_state,
+    lockstep,
     pso_memory_step,
     pso_step,
     run,
@@ -21,6 +23,7 @@ from .experiments import (
     LimitStudyConfig,
     StudyResult,
     compare_distributions,
+    compare_ladder,
     laplace_sweep,
     optimize,
     zero_inertia_study,
@@ -61,6 +64,8 @@ __all__ = [
     "cbo_memory_step",
     "cbo_step",
     "compare_distributions",
+    "compare_ladder",
+    "consensus_of",
     "consensus_point",
     "default_bins",
     "empirical_moments",
@@ -70,6 +75,7 @@ __all__ = [
     "kl_histogram",
     "laplace_sweep",
     "laplace_value",
+    "lockstep",
     "make_objective",
     "optimize",
     "paired_msq_gap",

@@ -20,7 +20,7 @@ from .config import ConfigError, load_config, require_keys
 from .dynamics import MemoryParams, NonFiniteStateError, Params, run
 from .experiments import (
     LimitStudyConfig,
-    compare_distributions,
+    compare_ladder,
     laplace_sweep,
     zero_inertia_study,
 )
@@ -189,11 +189,9 @@ def _cmd_compare(cfg: dict, args) -> None:
         require_keys(cfg, ("m",), "compare")
         m_values = [cfg["m"]]
 
-    tables = []
-    for m in m_values:
-        p = _params_from({**cfg, "m": m}, "pso")
-        tables.append(compare_distributions(
-            p, obj, seed, snapshot_times=args.snapshot_times, init=cfg["init"]))
+    p = _params_from({**cfg, "m": m_values[0]}, "pso")
+    tables = compare_ladder(p, obj, seed, m_values,
+                            snapshot_times=args.snapshot_times, init=cfg["init"])
 
     comments = ["experiment=compare"]
 

@@ -26,18 +26,19 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def consensus_point(points, obj, alpha: float) -> np.ndarray:
+def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     """Softmax-weighted average of ``points`` with weights exp(-alpha E).
 
     ``obj`` is a batch-callable cost (an ``Objective`` or any map from
-    ``(n, dim)`` to ``(n,)``).  The result is clamped into the coordinatewise
-    hull of the points, so convex-hull membership holds exactly instead of up
-    to a rounding ulp.
+    ``(n, dim)`` to ``(n,)``).  A caller that already holds ``obj(points)``
+    passes it as ``costs`` and the objective is not evaluated again.  The
+    result is clamped into the coordinatewise hull of the points, so
+    convex-hull membership holds exactly instead of up to a rounding ulp.
     """
     pts = _as_points(points)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    vals = _costs(pts, obj)
+    vals = _costs(pts, obj) if costs is None else costs
     weights = np.exp(-alpha * (vals - vals.min()))
     avg = (weights[:, None] * pts).sum(axis=0) / weights.sum()
     return np.clip(avg, pts.min(axis=0), pts.max(axis=0))

@@ -20,12 +20,18 @@ shared by all particles.  The noise coupling ``(Xa - X) th`` is componentwise
 (anisotropic/diagonal).  With matching tapes, ``pso`` and ``cbo`` consume
 identical noise at matching ``(i, n, k)``, which is what makes their pathwise
 gap measure the small-inertia coupling distance.
+
+``lockstep`` is the one stepping loop: it advances any number of states that
+share a tape replicate and a time grid together, drawing each tape block once
+per step and computing each state's consensus once per step.  ``run`` is
+``lockstep`` over a single state plus per-step recording.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import sqrt
+from dataclasses import dataclass, field, fields
+from math import isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +78,14 @@ class Params:
     memory: MemoryParams | None = None
 
     def __post_init__(self):
+        scalars = [(name, getattr(self, name)) for name in
+                   ("m", "lam", "sigma", "alpha", "dt", "t_end")]
+        if self.memory is not None:
+            scalars += [(f"memory.{f.name}", getattr(self.memory, f.name))
+                        for f in fields(self.memory)]
+        for name, value in scalars:
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.m <= 1.0:
             raise ValueError(f"inertia m must be in (0, 1], got {self.m}")
         if self.dt <= 0.0:
@@ -117,11 +131,35 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def pso_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmState:
-    """One semi-implicit step of the second-order scheme (velocity first)."""
+class Consensus(NamedTuple):
+    """A state's consensus point and the costs of the cloud it weights.
+
+    The cloud is the positions, or the local bests for the memory schemes.
+    """
+
+    point: np.ndarray
+    costs: np.ndarray
+
+
+def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
+    """The consensus the next step of ``state`` uses."""
+    cloud = state.x if state.y is None else state.y
+    costs = np.asarray(obj(cloud), dtype=np.float64)
+    return Consensus(consensus_point(cloud, obj, p.alpha, costs=costs), costs)
+
+
+def pso_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+             cons: Consensus | None = None) -> SwarmState:
+    """One semi-implicit step of the second-order scheme (velocity first).
+
+    ``cons`` is the pre-step ``consensus_of(state, p, obj)`` when the caller
+    already holds it; every stepper computes it otherwise.
+    """
     _require(state.v is not None and state.y is None,
              "pso_step needs velocities and no local bests")
-    xa = consensus_point(state.x, obj, p.alpha)
+    if cons is None:
+        cons = consensus_of(state, p, obj)
+    xa = cons.point
     theta = tape.theta_block(r, n, 1)
     denom = p.m + p.gamma * p.dt
     drift = xa - state.x
@@ -134,14 +172,17 @@ def pso_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmSt
     return out
 
 
-def cbo_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmState:
+def cbo_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+             cons: Consensus | None = None) -> SwarmState:
     """One Euler-Maruyama step of the first-order scheme.
 
     Consumes the same tape indices (channel 1) as ``pso_step``.
     """
     _require(state.v is None and state.y is None,
              "cbo_step takes positions only")
-    xa = consensus_point(state.x, obj, p.alpha)
+    if cons is None:
+        cons = consensus_of(state, p, obj)
+    xa = cons.point
     theta = tape.theta_block(r, n, 1)
     drift = xa - state.x
     x_new = state.x + p.dt * p.lam * drift + sqrt(p.dt) * p.sigma * drift * theta
@@ -150,17 +191,21 @@ def cbo_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmSt
     return out
 
 
-def _cost_gap_weight(obj, x_new: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
-    return np.tanh(beta * (np.asarray(obj(x_new)) - np.asarray(obj(y))))[:, None]
+def _cost_gap_weight(obj, x_new: np.ndarray, y_costs: np.ndarray,
+                     beta: float) -> np.ndarray:
+    return np.tanh(beta * (np.asarray(obj(x_new)) - y_costs))[:, None]
 
 
-def pso_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmState:
+def pso_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+                    cons: Consensus | None = None) -> SwarmState:
     """Second-order step with local bests; consensus is over the Y cloud."""
     _require(state.v is not None and state.y is not None,
              "pso_memory_step needs velocities and local bests")
     _require(p.memory is not None, "pso_memory_step needs memory params")
     mem = p.memory
-    ya = consensus_point(state.y, obj, p.alpha)
+    if cons is None:
+        cons = consensus_of(state, p, obj)
+    ya, y_costs = cons
     th1 = tape.theta_block(r, n, 1)
     th2 = tape.theta_block(r, n, 2)
     denom = p.m + p.gamma * p.dt
@@ -173,19 +218,22 @@ def pso_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> 
         + (mem.sigma2 * sqrt(p.dt) / denom) * to_global * th2
     x_new = state.x + p.dt * v_new
     y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-        * _cost_gap_weight(obj, x_new, state.y, mem.beta)
+        * _cost_gap_weight(obj, x_new, y_costs, mem.beta)
     out = SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new)
     out.check_finite(n)
     return out
 
 
-def cbo_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> SwarmState:
+def cbo_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+                    cons: Consensus | None = None) -> SwarmState:
     """First-order step with local bests; same tape channels as ``pso_mem``."""
     _require(state.v is None and state.y is not None,
              "cbo_memory_step takes positions and local bests, no velocities")
     _require(p.memory is not None, "cbo_memory_step needs memory params")
     mem = p.memory
-    ya = consensus_point(state.y, obj, p.alpha)
+    if cons is None:
+        cons = consensus_of(state, p, obj)
+    ya, y_costs = cons
     th1 = tape.theta_block(r, n, 1)
     th2 = tape.theta_block(r, n, 2)
     to_local = state.y - state.x
@@ -194,7 +242,7 @@ def cbo_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int) -> 
         + mem.sigma1 * sqrt(p.dt) * to_local * th1 \
         + mem.sigma2 * sqrt(p.dt) * to_global * th2
     y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-        * _cost_gap_weight(obj, x_new, state.y, mem.beta)
+        * _cost_gap_weight(obj, x_new, y_costs, mem.beta)
     out = SwarmState(t=state.t + p.dt, x=x_new, y=y_new)
     out.check_finite(n)
     return out
@@ -248,30 +296,82 @@ def initial_state(scheme: str, x0: np.ndarray, v0: np.ndarray | None = None,
     return SwarmState(t=0.0, x=x0, v=v, y=y)
 
 
+class _StepTape:
+    """One step's view of a tape: each ``(r, n, ch)`` block is drawn once and
+    the same array goes to every state that asks for it.
+
+    Sharing is exact because a block is a pure function of its index.
+    """
+
+    def __init__(self, tape):
+        self._tape = tape
+        self._blocks = {}
+
+    def theta_block(self, r: int, n: int, ch: int = 1) -> np.ndarray:
+        key = (r, n, ch)
+        if key not in self._blocks:
+            self._blocks[key] = self._tape.theta_block(r, n, ch)
+        return self._blocks[key]
+
+
+def lockstep(runs, obj, tape, r: int, observe=None
+             ) -> tuple[list[SwarmState], list[np.ndarray]]:
+    """Advance several states on replicate ``r`` of one tape together.
+
+    ``runs`` lists ``(scheme, params, initial state)`` triples that share the
+    time grid (``dt`` and the step count).  Per step, each tape block is
+    drawn once and handed to every state, and each state's consensus is
+    computed once: the step that follows consumes it and ``observe(n,
+    states, points)`` receives its point, at ``n = 0`` for the initial states
+    and at ``n + 1`` after step ``n``.  Each state keeps its own arrays and
+    the arithmetic of a run on its own, so its bits do not depend on which
+    other states share the call.  Returns the final states and their
+    consensus points.  Non-finite states abort with the offending step index.
+    """
+    for scheme, _, _ in runs:
+        if scheme not in _STEPPERS:
+            raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
+    params = [p for _, p, _ in runs]
+    n_steps = params[0].n_steps
+    if n_steps < 1:
+        raise ValueError("t_end / dt must give at least one step")
+    if any(q.dt != params[0].dt or q.n_steps != n_steps for q in params):
+        raise ValueError("lockstep states must share dt and the step count")
+    states = [state for _, _, state in runs]
+    for p, state in zip(params, states):
+        state.check_finite(-1)
+        if state.x.shape != (p.n_particles, p.dim):
+            raise ValueError(
+                f"x0 shape {state.x.shape} does not match params "
+                f"({p.n_particles}, {p.dim})"
+            )
+
+    cons = [consensus_of(s, p, obj) for s, p in zip(states, params)]
+    if observe is not None:
+        observe(0, states, [c.point for c in cons])
+    for n in range(n_steps):
+        step_tape = _StepTape(tape)
+        states = [_STEPPERS[scheme](s, p, obj, step_tape, r, n, c)
+                  for (scheme, p, _), s, c in zip(runs, states, cons)]
+        cons = [consensus_of(s, p, obj) for s, p in zip(states, params)]
+        if observe is not None:
+            observe(n + 1, states, [c.point for c in cons])
+    return states, [c.point for c in cons]
+
+
 def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
         v0: np.ndarray | None = None, y0: np.ndarray | None = None,
         snapshot_every: int | None = None) -> RunRecord:
     """Iterate a scheme for floor(t_end / dt) steps, recording diagnostics.
 
     Moments and the consensus point are recorded at every step (including the
-    initial cloud).  Position snapshots are kept every ``snapshot_every`` steps
-    (always including step 0 and the final step); ``None`` disables them.
+    initial cloud); the recorded consensus is the one the next step uses.
+    Position snapshots are kept every ``snapshot_every`` steps (always
+    including step 0 and the final step); ``None`` disables them.
     Non-finite states abort with the offending step index.
     """
-    if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
-    stepper = _STEPPERS[scheme]
-    n_steps = p.n_steps
-    if n_steps < 1:
-        raise ValueError("t_end / dt must give at least one step")
-
     state = initial_state(scheme, x0, v0, y0)
-    state.check_finite(-1)
-    if state.x.shape != (p.n_particles, p.dim):
-        raise ValueError(
-            f"x0 shape {state.x.shape} does not match params "
-            f"({p.n_particles}, {p.dim})"
-        )
+    n_steps = p.n_steps
 
     take_snapshot = (lambda n: False) if snapshot_every is None else \
         (lambda n: n % snapshot_every == 0 or n == n_steps)
@@ -288,11 +388,10 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
     snap_x: list[np.ndarray] = []
     snap_y: list[np.ndarray] = []
 
-    cloud_for_consensus = "y" if scheme in ("pso_mem", "cbo_mem") else "x"
-
-    def record(n: int, s: SwarmState) -> None:
+    def record(n: int, states: list[SwarmState], points: list[np.ndarray]) -> None:
+        (s,), (point,) = states, points
         times[n] = s.t
-        cons[n] = consensus_point(getattr(s, cloud_for_consensus), obj, p.alpha)
+        cons[n] = point
         x_m2[n], x_m4[n] = empirical_moments(s.x)
         if v_m2 is not None:
             v_m2[n], v_m4[n] = empirical_moments(s.v)
@@ -304,10 +403,7 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
             if s.y is not None:
                 snap_y.append(s.y.copy())
 
-    record(0, state)
-    for n in range(n_steps):
-        state = stepper(state, p, obj, tape, r, n)
-        record(n + 1, state)
+    (final,), _ = lockstep([(scheme, p, state)], obj, tape, r, observe=record)
 
     return RunRecord(
         scheme=scheme,
@@ -324,5 +420,5 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
         snapshot_steps=np.array(snap_steps, dtype=int),
         snapshot_x=np.array(snap_x) if snap_x else None,
         snapshot_y=np.array(snap_y) if snap_y else None,
-        final=state,
+        final=final,
     )

@@ -4,11 +4,22 @@
   first-order one on a ladder of inertia values, with shared initial clouds
   and shared noise tapes, and fits the log-log rate of the sup-in-time paired
   mean-square gap.
-* ``compare_distributions`` emits per-time W2 / KL between the coupled clouds.
+* ``compare_ladder``        emits per-time W2 / KL between each PSO(m) cloud of
+  an inertia ladder and the coupled CBO cloud; ``compare_distributions`` is
+  its single-``m`` form.
 * ``optimize``              runs one scheme to its horizon and reports the
   final consensus point and mean particle speed.
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
+
+The coupled drivers make one ``dynamics.lockstep`` call per replicate: the
+first-order reference and one second-order state per inertia value advance
+together, one step at a time.  The reference does not depend on ``m``, so it
+is computed once per replicate, and each noise-tape block is drawn once per
+step and serves every rung.  A reducer called after every step updates the
+running sup of the paired gap and the per-step W2 / KL, so no snapshots are
+stored.  Every state keeps its own arrays and the arithmetic of a solo run,
+which keeps the results bit-identical to pairs of ``run`` calls.
 
 All drivers are deterministic functions of their seeds; replicate cells are
 independent and may be evaluated by a worker pool without changing a single
@@ -23,7 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consensus import laplace_value
-from .dynamics import Params, RunRecord, run
+# ``run`` is not called here; the benchmark's tracer (perfbench/tracing.py)
+# wraps it under this module's name
+from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
 from .noise import NoiseTape, initial_positions
 
@@ -79,25 +92,15 @@ class StudyResult:
     scheme_pair: str
 
 
-def _gap_series(first: RunRecord, second: RunRecord, joint: bool) -> np.ndarray:
-    steps = first.snapshot_steps
-    gaps = np.empty(len(steps))
-    for idx in range(len(steps)):
-        g = paired_msq_gap(first.snapshot_x[idx], second.snapshot_x[idx])
-        if joint:
-            g += paired_msq_gap(first.snapshot_y[idx], second.snapshot_y[idx])
-        gaps[idx] = g
-    return gaps
-
-
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int,
                        workers: int = 1) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
-    For each replicate the first-order reference run is computed once (it does
-    not depend on the inertia) and every ladder point reuses it together with
-    the identical tape and initial cloud.  The rate is the least-squares slope
-    of ``ln(mean gap)`` against ``ln m`` over all ladder points.
+    Each replicate is one ``lockstep`` call: the first-order reference (it
+    does not depend on the inertia) and one second-order state per ladder
+    point start from the same initial cloud and consume the same tape blocks.
+    The rate is the least-squares slope of ``ln(mean gap)`` against ``ln m``
+    over all ladder points.
     """
     base = cfg.base
     memory = cfg.scheme_pair == "memory"
@@ -108,6 +111,7 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int,
     reps = cfg.replicates
     track_dist = base.dim == 1 and not memory
     bins = default_bins(base.n_particles) if track_dist else None
+    rungs = [replace(base, m=m) for m in cfg.m_ladder]
 
     tape = NoiseTape(seed, reps, base.n_particles, n_steps, base.dim,
                      channels=2 if memory else 1)
@@ -119,22 +123,30 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int,
 
     def replicate_cell(r: int):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
-        ref = run(first_order, base, obj, tape, r, x0, y0=None, snapshot_every=1)
-        g_row = np.empty(n_m)
+        runs = [(first_order, base, initial_state(first_order, x0))]
+        runs += [(second_order, p_m, initial_state(second_order, x0, v0=cfg.v0))
+                 for p_m in rungs]
+        run_times = np.empty(n_steps + 1)
+        g_row = np.full(n_m, -np.inf)
         w2_rows = np.empty((n_m, n_steps + 1)) if track_dist else None
         kl_rows = np.empty((n_m, n_steps + 1)) if track_dist else None
-        for j, m in enumerate(cfg.m_ladder):
-            p_m = replace(base, m=m)
-            rec = run(second_order, p_m, obj, tape, r, x0, v0=cfg.v0,
-                      snapshot_every=1)
-            g_row[j] = _gap_series(rec, ref, joint=memory).max()
-            if track_dist:
-                for t in range(n_steps + 1):
-                    a = rec.snapshot_x[t][:, 0]
-                    b = ref.snapshot_x[t][:, 0]
-                    w2_rows[j, t] = wasserstein2_1d(a, b)
-                    kl_rows[j, t] = kl_histogram(a, b, bins)
-        return ref.times, g_row, w2_rows, kl_rows
+
+        def reduce(n, states, _points):
+            ref = states[0]
+            run_times[n] = ref.t
+            for j, s in enumerate(states[1:]):
+                g = paired_msq_gap(s.x, ref.x)
+                if memory:
+                    g += paired_msq_gap(s.y, ref.y)
+                g_row[j] = max(g_row[j], g)
+                if track_dist:
+                    a = s.x[:, 0]
+                    b = ref.x[:, 0]
+                    w2_rows[j, n] = wasserstein2_1d(a, b)
+                    kl_rows[j, n] = kl_histogram(a, b, bins)
+
+        lockstep(runs, obj, tape, r, observe=reduce)
+        return run_times, g_row, w2_rows, kl_rows
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -195,6 +207,57 @@ class CompareTable:
     seed: int
 
 
+def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
+                   init: tuple = ("gaussian", 0.0, 1.0),
+                   bins: int | None = None) -> list[CompareTable]:
+    """Couple PSO(m) for every ``m`` in ``m_values`` against one CBO run.
+
+    All runs share the tape and the initial cloud, and ``p`` supplies every
+    constant but ``m``.  Returns one table per ``m``, in order, each bit-equal
+    to ``compare_distributions`` at that ``m``.  Requires ``dim == 1`` (the
+    exact order-statistics W2).  ``snapshot_times`` defaults to every step;
+    values are matched to the nearest step.
+    """
+    if p.dim != 1:
+        raise ValueError("compare_distributions requires dim == 1")
+    rungs = [replace(p, m=m) for m in m_values]
+    n_steps = p.n_steps
+    tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
+    x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
+
+    if snapshot_times is None:
+        steps = np.arange(n_steps + 1)
+    else:
+        steps = np.unique([
+            min(n_steps, max(0, round(t / p.dt))) for t in snapshot_times
+        ]).astype(int)
+    slot = {int(n): k for k, n in enumerate(steps)}
+    if bins is None:
+        bins = default_bins(p.n_particles)
+
+    times = np.empty(len(steps))
+    w2 = np.empty((len(rungs), len(steps)))
+    kl = np.empty((len(rungs), len(steps)))
+
+    def reduce(n, states, _points):
+        k = slot.get(n)
+        if k is None:
+            return
+        ref = states[0]
+        times[k] = states[1].t
+        for j, s in enumerate(states[1:]):
+            a = s.x[:, 0]
+            b = ref.x[:, 0]
+            w2[j, k] = wasserstein2_1d(a, b)
+            kl[j, k] = kl_histogram(a, b, bins)
+
+    runs = [("cbo", p, initial_state("cbo", x0))]
+    runs += [("pso", p_m, initial_state("pso", x0)) for p_m in rungs]
+    lockstep(runs, obj, tape, 0, observe=reduce)
+    return [CompareTable(times=times, w2=w2[j], kl=kl[j], m=p_m.m, bins=bins,
+                         seed=seed) for j, p_m in enumerate(rungs)]
+
+
 def compare_distributions(p: Params, obj, seed: int, snapshot_times=None,
                           init: tuple = ("gaussian", 0.0, 1.0),
                           bins: int | None = None) -> CompareTable:
@@ -203,32 +266,7 @@ def compare_distributions(p: Params, obj, seed: int, snapshot_times=None,
     Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
     defaults to every step; values are matched to the nearest step.
     """
-    if p.dim != 1:
-        raise ValueError("compare_distributions requires dim == 1")
-    n_steps = p.n_steps
-    tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
-    x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
-    pso_rec = run("pso", p, obj, tape, 0, x0, snapshot_every=1)
-    cbo_rec = run("cbo", p, obj, tape, 0, x0, snapshot_every=1)
-
-    if snapshot_times is None:
-        steps = np.arange(n_steps + 1)
-    else:
-        steps = np.unique([
-            min(n_steps, max(0, round(t / p.dt))) for t in snapshot_times
-        ]).astype(int)
-    if bins is None:
-        bins = default_bins(p.n_particles)
-
-    w2 = np.empty(len(steps))
-    kl = np.empty(len(steps))
-    for out_idx, t in enumerate(steps):
-        a = pso_rec.snapshot_x[t][:, 0]
-        b = cbo_rec.snapshot_x[t][:, 0]
-        w2[out_idx] = wasserstein2_1d(a, b)
-        kl[out_idx] = kl_histogram(a, b, bins)
-    return CompareTable(times=pso_rec.times[steps], w2=w2, kl=kl, m=p.m,
-                        bins=bins, seed=seed)
+    return compare_ladder(p, obj, seed, (p.m,), snapshot_times, init, bins)[0]
 
 
 def optimize(scheme: str, p: Params, obj, seed: int, t_end: float | None = None,
@@ -243,13 +281,13 @@ def optimize(scheme: str, p: Params, obj, seed: int, t_end: float | None = None,
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
-    rec = run(scheme, p, obj, tape, 0, x0)
-    final = rec.final
+    (final,), (point,) = lockstep([(scheme, p, initial_state(scheme, x0))],
+                                  obj, tape, 0)
     if final.v is not None:
         mean_speed = float(np.mean(np.linalg.norm(final.v, axis=1)))
     else:
         mean_speed = 0.0
-    return rec.consensus[-1], mean_speed
+    return point, mean_speed
 
 
 def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:

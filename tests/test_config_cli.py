@@ -237,3 +237,16 @@ def test_cli_memory_run_executes(tmp_path):
     header = next(l for l in out.read_text().splitlines()
                   if not l.startswith("#"))
     assert header == "t,cons_1,x_m2,x_m4,v_m2,v_m4,y_m2,y_m4"
+
+
+@pytest.mark.parametrize("key, raw, field", [("T", "inf", "t_end"),
+                                             ("dt", "nan", "dt")])
+def test_cli_non_finite_value_exits_2_naming_the_field(tmp_path, capsys,
+                                                       key, raw, field):
+    cfg = write_cfg(tmp_path, "\n".join(
+        f"{key} = {raw}" if line.startswith(f"{key} =") else line
+        for line in BASE_CFG.splitlines()) + "\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: config: {field} must be finite, got {raw}"]

@@ -11,8 +11,10 @@ from swarmlimit import (
     ackley,
     cbo_memory_step,
     cbo_step,
+    consensus_of,
     initial_positions,
     initial_state,
+    lockstep,
     pso_memory_step,
     pso_step,
     run,
@@ -336,3 +338,53 @@ def test_fourth_moment_uniformly_bounded_across_inertia_ladder():
         rec = run("pso", p, obj, tape_for(p, seed=2024), 0,
                   initial_positions([2024, 0], 1000, 1))
         assert rec.x_m4.max() < FOURTH_MOMENT_CAP
+
+
+@pytest.mark.parametrize("field", ["m", "lam", "sigma", "alpha", "dt", "t_end"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        plain_params(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["lam1", "lam2", "sigma1", "sigma2", "nu", "beta"])
+def test_params_reject_non_finite_memory_values_by_name(field):
+    with pytest.raises(ValueError, match=rf"^memory\.{field} must be finite"):
+        memory_params(**{field: np.nan})
+
+
+def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
+    # the semi-implicit update is asymptotic-preserving: from V = 0 with the
+    # same cloud, tape and consensus, X'_pso - X = (X'_cbo - X) dt / (m + (1-m) dt),
+    # so the position gap is (X'_cbo - X) c / (1 + c) with c = m (1 - dt) / dt
+    dt = 0.1
+    obj = ackley(1)
+    base = plain_params(lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0, dt=dt,
+                        n_particles=50)
+    tape = tape_for(base, seed=17)
+    x0 = initial_positions([17, 0], 50, 1)
+    cbo_out = cbo_step(initial_state("cbo", x0), base, obj, tape, 0, 0)
+    cons = consensus_of(initial_state("cbo", x0), base, obj)
+    increment = np.max(np.abs(cbo_out.x - x0))
+    assert increment > 0.0
+
+    m_values = 1e-2 * 2.0 ** -np.arange(11)  # 1e-2 down to ~1e-5
+    gaps = []
+    for m in m_values:
+        p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
+                         dt=dt, n_particles=50)
+        pso_out = pso_step(initial_state("pso", x0), p, obj, tape, 0, 0, cons)
+        gap = np.max(np.abs(pso_out.x - cbo_out.x))
+        assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
+        gaps.append(gap)
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((ratios > 1.9) & (ratios < 2.1))
+
+
+def test_lockstep_rejects_states_on_different_time_grids():
+    p = plain_params()
+    x0 = np.array([[0.0], [1.0]])
+    runs = [("cbo", p, initial_state("cbo", x0)),
+            ("pso", plain_params(dt=0.02), initial_state("pso", x0))]
+    with pytest.raises(ValueError, match="share dt"):
+        lockstep(runs, linear_cost(), tape_for(p), 0)

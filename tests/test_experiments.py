@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import swarmlimit.experiments as experiments
 from swarmlimit import (
     LimitStudyConfig,
     MemoryParams,
@@ -9,15 +13,20 @@ from swarmlimit import (
     Params,
     ackley,
     compare_distributions,
+    compare_ladder,
+    default_bins,
     initial_positions,
+    kl_histogram,
     laplace_sweep,
     optimize,
+    paired_msq_gap,
     run,
     sphere,
+    wasserstein2_1d,
     zero_inertia_study,
 )
 
-from conftest import linear_cost
+from conftest import RecordingTape, linear_cost
 
 
 def study_base(**kw):
@@ -192,3 +201,114 @@ def test_laplace_sweep_validation():
         laplace_sweep(pts, linear_cost(), (1.0, 0.5))
     with pytest.raises(ValueError):
         laplace_sweep(pts, linear_cost(), (-1.0, 2.0))
+
+
+class CountingTape(RecordingTape):
+    """RecordingTape that also counts how often each block is drawn."""
+
+    def __init__(self, tape):
+        super().__init__(tape)
+        self.draws = Counter()
+
+    def theta_block(self, r, n, ch=1):
+        self.draws[(r, n, ch)] += 1
+        return super().theta_block(r, n, ch)
+
+
+def counting_objective(obj):
+    calls = []
+
+    def evaluate(x):
+        calls.append(len(x))
+        return obj.eval(x)
+
+    counted = Objective(name=obj.name, dim=obj.dim, eval=evaluate,
+                        minimizer=obj.minimizer, lower_bound=obj.lower_bound,
+                        upper_bound=obj.upper_bound,
+                        lipschitz_l=obj.lipschitz_l, test_box=obj.test_box)
+    return counted, calls
+
+
+def study_from_run_pairs(cfg, obj, seed):
+    """sup gaps and mean W2 / KL from snapshot-keeping ``run`` pairs."""
+    base = cfg.base
+    memory = cfg.scheme_pair == "memory"
+    tape = NoiseTape(seed, cfg.replicates, base.n_particles, base.n_steps,
+                     base.dim, channels=2 if memory else 1)
+    n_m, n_t = len(cfg.m_ladder), base.n_steps + 1
+    sup = np.empty((n_m, cfg.replicates))
+    w2 = np.zeros((n_m, n_t))
+    kl = np.zeros((n_m, n_t))
+    bins = default_bins(base.n_particles)
+    for r in range(cfg.replicates):
+        x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
+        ref = run("cbo_mem" if memory else "cbo", base, obj, tape, r, x0,
+                  snapshot_every=1)
+        for j, m in enumerate(cfg.m_ladder):
+            rec = run("pso_mem" if memory else "pso", replace(base, m=m), obj,
+                      tape, r, x0, snapshot_every=1)
+            gaps = []
+            for t in range(n_t):
+                g = paired_msq_gap(rec.snapshot_x[t], ref.snapshot_x[t])
+                if memory:
+                    g += paired_msq_gap(rec.snapshot_y[t], ref.snapshot_y[t])
+                gaps.append(g)
+                a, b = rec.snapshot_x[t][:, 0], ref.snapshot_x[t][:, 0]
+                w2[j, t] += wasserstein2_1d(a, b)
+                kl[j, t] += kl_histogram(a, b, bins)
+            sup[j, r] = np.max(gaps)
+    return sup, w2 / cfg.replicates, kl / cfg.replicates
+
+
+@pytest.mark.parametrize("pair", ["plain", "memory"])
+def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
+        pair, monkeypatch):
+    memory = pair == "memory"
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0) if memory else None
+    base = study_base(n_particles=50, t_end=0.2, memory=mem,
+                      lam=0.0 if memory else 1.0)
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=2, base=base,
+                           scheme_pair=pair)
+    obj, calls = counting_objective(ackley(1))
+    tapes = []
+
+    def counting_tape(*args, **kwargs):
+        tapes.append(CountingTape(NoiseTape(*args, **kwargs)))
+        return tapes[-1]
+
+    monkeypatch.setattr(experiments, "NoiseTape", counting_tape)
+    res = zero_inertia_study(cfg, obj, seed=13)
+    monkeypatch.undo()
+
+    sup, w2, kl = study_from_run_pairs(cfg, ackley(1), seed=13)
+    assert np.array_equal(res.sup_gaps, sup)
+    if memory:
+        assert res.w2_mean is None and res.kl_mean is None
+    else:
+        assert np.array_equal(res.w2_mean, w2)
+        assert np.array_equal(res.kl_mean, kl)
+
+    channels = 2 if memory else 1
+    (tape,) = tapes
+    assert len(tape.draws) == cfg.replicates * base.n_steps * channels
+    assert set(tape.draws.values()) == {1}
+    # one consensus per state per time point; the memory pair adds one
+    # evaluation of the new positions per step for the local-best update
+    n_states = len(cfg.m_ladder) + 1
+    per_state = base.n_steps + 1 + (base.n_steps if memory else 0)
+    assert len(calls) == cfg.replicates * n_states * per_state
+
+
+def test_compare_ladder_matches_single_m_tables():
+    p = study_base(t_end=0.2, n_particles=80)
+    obj = ackley(1)
+    tables = compare_ladder(p, obj, seed=6, m_values=(0.8, 0.1),
+                            snapshot_times=[0.0, 0.1, 0.2])
+    for table, m in zip(tables, (0.8, 0.1)):
+        single = compare_distributions(replace(p, m=m), obj, seed=6,
+                                       snapshot_times=[0.0, 0.1, 0.2])
+        assert table.m == m
+        assert np.array_equal(table.times, single.times)
+        assert np.array_equal(table.w2, single.w2)
+        assert np.array_equal(table.kl, single.kl)
