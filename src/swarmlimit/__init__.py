@@ -9,14 +9,11 @@ from .dynamics import (
     Params,
     RunRecord,
     SwarmState,
-    cbo_memory_step,
-    cbo_step,
     consensus_of,
     initial_state,
     lockstep,
-    pso_memory_step,
-    pso_step,
     run,
+    step,
 )
 from .experiments import (
     CompareTable,
@@ -61,8 +58,6 @@ __all__ = [
     "SwarmState",
     "ackley",
     "c_alpha",
-    "cbo_memory_step",
-    "cbo_step",
     "compare_distributions",
     "compare_ladder",
     "consensus_of",
@@ -79,11 +74,10 @@ __all__ = [
     "make_objective",
     "optimize",
     "paired_msq_gap",
-    "pso_memory_step",
-    "pso_step",
     "rastrigin",
     "run",
     "sphere",
+    "step",
     "wasserstein2_1d",
     "zero_inertia_study",
 ]

@@ -1,6 +1,7 @@
 """Time stepping for the coupled swarm dynamics.
 
-Four schemes over an ``(n_particles, dim)`` cloud:
+Four schemes over an ``(n_particles, dim)`` cloud, all advanced by one
+``step``:
 
 * ``pso``      second-order dynamics, semi-implicit in the friction term:
                    V' = [m V + lam dt (Xa - X) + sigma sqrt(dt) (Xa - X) th]
@@ -13,6 +14,14 @@ Four schemes over an ``(n_particles, dim)`` cloud:
                relaxes toward the new position weighted by a tanh of the cost
                gap.
 * ``cbo_mem``  the corresponding first-order system.
+
+With ``gamma = 1 - m`` the semi-implicit step is asymptotic-preserving: at
+``m -> 0`` the denominator tends to ``dt`` and ``dt V'`` to the first-order
+increment, so ``pso`` becomes ``cbo`` (and ``pso_mem`` becomes ``cbo_mem``)
+at the discrete level.  ``step`` is written in that form: the first-order
+update is the second-order one with the denominator 1 and the positions in
+place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
+bests) selects the branch.
 
 ``Xa`` is the softmax consensus of the current positions (of the local bests
 for the memory variants), computed once per step from the pre-step cloud and
@@ -126,11 +135,6 @@ class SwarmState:
                 raise NonFiniteStateError(step, f"{name} contains NaN/Inf")
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
 class Consensus(NamedTuple):
     """A state's consensus point and the costs of the cloud it weights.
 
@@ -148,112 +152,60 @@ def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
     return Consensus(consensus_point(cloud, obj, p.alpha, costs=costs), costs)
 
 
-def pso_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
-             cons: Consensus | None = None) -> SwarmState:
-    """One semi-implicit step of the second-order scheme (velocity first).
+def step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+         cons: Consensus | None = None) -> SwarmState:
+    """One step of the scheme the state's arrays select.
 
-    ``cons`` is the pre-step ``consensus_of(state, p, obj)`` when the caller
-    already holds it; every stepper computes it otherwise.
+    Velocities select the semi-implicit second-order update and local bests
+    the memory variant.  ``cons`` is the pre-step ``consensus_of(state, p,
+    obj)`` when the caller already holds it; it is computed otherwise.  The
+    update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
+    right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
+    returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
+    returns ``V' = acc``, ``X' = X + dt V'``.
     """
-    _require(state.v is not None and state.y is None,
-             "pso_step needs velocities and no local bests")
     if cons is None:
         cons = consensus_of(state, p, obj)
-    xa = cons.point
-    theta = tape.theta_block(r, n, 1)
-    denom = p.m + p.gamma * p.dt
-    drift = xa - state.x
-    v_new = (p.m / denom) * state.v \
-        + (p.lam * p.dt / denom) * drift \
-        + (p.sigma * sqrt(p.dt) / denom) * drift * theta
-    x_new = state.x + p.dt * v_new
-    out = SwarmState(t=state.t + p.dt, x=x_new, v=v_new)
-    out.check_finite(n)
-    return out
-
-
-def cbo_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
-             cons: Consensus | None = None) -> SwarmState:
-    """One Euler-Maruyama step of the first-order scheme.
-
-    Consumes the same tape indices (channel 1) as ``pso_step``.
-    """
-    _require(state.v is None and state.y is None,
-             "cbo_step takes positions only")
-    if cons is None:
-        cons = consensus_of(state, p, obj)
-    xa = cons.point
-    theta = tape.theta_block(r, n, 1)
-    drift = xa - state.x
-    x_new = state.x + p.dt * p.lam * drift + sqrt(p.dt) * p.sigma * drift * theta
-    out = SwarmState(t=state.t + p.dt, x=x_new)
-    out.check_finite(n)
-    return out
-
-
-def _cost_gap_weight(obj, x_new: np.ndarray, y_costs: np.ndarray,
-                     beta: float) -> np.ndarray:
-    return np.tanh(beta * (np.asarray(obj(x_new)) - y_costs))[:, None]
-
-
-def pso_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
-                    cons: Consensus | None = None) -> SwarmState:
-    """Second-order step with local bests; consensus is over the Y cloud."""
-    _require(state.v is not None and state.y is not None,
-             "pso_memory_step needs velocities and local bests")
-    _require(p.memory is not None, "pso_memory_step needs memory params")
-    mem = p.memory
-    if cons is None:
-        cons = consensus_of(state, p, obj)
-    ya, y_costs = cons
-    th1 = tape.theta_block(r, n, 1)
-    th2 = tape.theta_block(r, n, 2)
-    denom = p.m + p.gamma * p.dt
-    to_local = state.y - state.x
-    to_global = ya - state.x
-    v_new = (p.m / denom) * state.v \
-        + (mem.lam1 * p.dt / denom) * to_local \
-        + (mem.lam2 * p.dt / denom) * to_global \
-        + (mem.sigma1 * sqrt(p.dt) / denom) * to_local * th1 \
-        + (mem.sigma2 * sqrt(p.dt) / denom) * to_global * th2
-    x_new = state.x + p.dt * v_new
-    y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-        * _cost_gap_weight(obj, x_new, y_costs, mem.beta)
+    sqrt_dt = sqrt(p.dt)
+    to_global = cons.point - state.x
+    if state.y is None:
+        terms = [(p.lam * p.dt, to_global, None),
+                 (p.sigma * sqrt_dt, to_global, tape.theta_block(r, n, 1))]
+    else:
+        mem = p.memory
+        if mem is None:
+            raise ValueError("a state with local bests needs memory params")
+        to_local = state.y - state.x
+        terms = [(mem.lam1 * p.dt, to_local, None),
+                 (mem.lam2 * p.dt, to_global, None),
+                 (mem.sigma1 * sqrt_dt, to_local, tape.theta_block(r, n, 1)),
+                 (mem.sigma2 * sqrt_dt, to_global, tape.theta_block(r, n, 2))]
+    if state.v is None:
+        denom, acc = 1.0, state.x
+    else:
+        denom = p.m + p.gamma * p.dt
+        acc = (p.m / denom) * state.v
+    for coef, vec, theta in terms:
+        term = (coef / denom) * vec
+        acc = acc + (term if theta is None else term * theta)
+    if state.v is None:
+        x_new, v_new = acc, None
+    else:
+        x_new, v_new = state.x + p.dt * acc, acc
+    y_new = None
+    if state.y is not None:
+        # local bests relax toward the new positions, weighted by the cost gap
+        gap = np.asarray(obj(x_new)) - cons.costs
+        y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
+            * np.tanh(mem.beta * gap)[:, None]
     out = SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new)
     out.check_finite(n)
     return out
 
 
-def cbo_memory_step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
-                    cons: Consensus | None = None) -> SwarmState:
-    """First-order step with local bests; same tape channels as ``pso_mem``."""
-    _require(state.v is None and state.y is not None,
-             "cbo_memory_step takes positions and local bests, no velocities")
-    _require(p.memory is not None, "cbo_memory_step needs memory params")
-    mem = p.memory
-    if cons is None:
-        cons = consensus_of(state, p, obj)
-    ya, y_costs = cons
-    th1 = tape.theta_block(r, n, 1)
-    th2 = tape.theta_block(r, n, 2)
-    to_local = state.y - state.x
-    to_global = ya - state.x
-    x_new = state.x + mem.lam1 * p.dt * to_local + mem.lam2 * p.dt * to_global \
-        + mem.sigma1 * sqrt(p.dt) * to_local * th1 \
-        + mem.sigma2 * sqrt(p.dt) * to_global * th2
-    y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-        * _cost_gap_weight(obj, x_new, y_costs, mem.beta)
-    out = SwarmState(t=state.t + p.dt, x=x_new, y=y_new)
-    out.check_finite(n)
-    return out
-
-
-_STEPPERS = {
-    "pso": pso_step,
-    "cbo": cbo_step,
-    "pso_mem": pso_memory_step,
-    "cbo_mem": cbo_memory_step,
-}
+# one entry per scheme, all the same ``step``: ``lockstep`` looks the step up
+# here on every call, so a tracer can wrap it from outside the package
+_STEPPERS = dict.fromkeys(SCHEMES, step)
 
 
 @dataclass
@@ -277,12 +229,16 @@ class RunRecord:
     final: SwarmState | None = None
 
 
+def _arrays_of(scheme: str) -> tuple[bool, bool]:
+    """Whether a state of ``scheme`` carries velocities and local bests."""
+    return scheme.startswith("pso"), scheme.endswith("_mem")
+
+
 def initial_state(scheme: str, x0: np.ndarray, v0: np.ndarray | None = None,
                   y0: np.ndarray | None = None) -> SwarmState:
     """Assemble the scheme-appropriate state; V0 = 0 and Y0 = X0 by default."""
     x0 = np.array(x0, dtype=np.float64)
-    has_v = scheme in ("pso", "pso_mem")
-    has_y = scheme in ("pso_mem", "cbo_mem")
+    has_v, has_y = _arrays_of(scheme)
     v = None
     y = None
     if has_v:
@@ -328,9 +284,12 @@ def lockstep(runs, obj, tape, r: int, observe=None
     other states share the call.  Returns the final states and their
     consensus points.  Non-finite states abort with the offending step index.
     """
-    for scheme, _, _ in runs:
+    for scheme, _, state in runs:
         if scheme not in _STEPPERS:
             raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
+        if (state.v is not None, state.y is not None) != _arrays_of(scheme):
+            raise ValueError(f"state arrays do not match scheme {scheme!r} "
+                             "(velocities for pso*, local bests for *_mem)")
     params = [p for _, p, _ in runs]
     n_steps = params[0].n_steps
     if n_steps < 1:

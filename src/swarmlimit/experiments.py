@@ -21,14 +21,14 @@ running sup of the paired gap and the per-step W2 / KL, so no snapshots are
 stored.  Every state keeps its own arrays and the arithmetic of a solo run,
 which keeps the results bit-identical to pairs of ``run`` calls.
 
-All drivers are deterministic functions of their seeds; replicate cells are
-independent and may be evaluated by a worker pool without changing a single
-bit of the output (aggregation is a fixed-order fold over preallocated slots).
+All drivers are deterministic functions of their seeds.  A replicate's
+result depends only on ``(seed, r)``, so the replicates of a study can be
+split across calls without changing a bit; per-time averages are a fold over
+``r = 0, ..., R-1`` in that order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +53,6 @@ class LimitStudyConfig:
     replicates: int = 20
     scheme_pair: str = "plain"  # "plain" or "memory"
     init: tuple = ("gaussian", 0.0, 1.0)
-    v0: np.ndarray | None = None  # zeros unless configured
 
     def __post_init__(self):
         ladder = tuple(float(m) for m in self.m_ladder)
@@ -92,8 +91,7 @@ class StudyResult:
     scheme_pair: str
 
 
-def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int,
-                       workers: int = 1) -> StudyResult:
+def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
     Each replicate is one ``lockstep`` call: the first-order reference (it
@@ -116,50 +114,32 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int,
     tape = NoiseTape(seed, reps, base.n_particles, n_steps, base.dim,
                      channels=2 if memory else 1)
 
-    sup_gaps = np.empty((n_m, reps))
+    sup_gaps = np.full((n_m, reps), -np.inf)
     w2 = np.zeros((n_m, n_steps + 1)) if track_dist else None
     kl = np.zeros((n_m, n_steps + 1)) if track_dist else None
-    times = np.empty(0)
+    times = np.empty(n_steps + 1)
 
-    def replicate_cell(r: int):
+    for r in range(reps):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
         runs = [(first_order, base, initial_state(first_order, x0))]
-        runs += [(second_order, p_m, initial_state(second_order, x0, v0=cfg.v0))
+        runs += [(second_order, p_m, initial_state(second_order, x0))
                  for p_m in rungs]
-        run_times = np.empty(n_steps + 1)
-        g_row = np.full(n_m, -np.inf)
-        w2_rows = np.empty((n_m, n_steps + 1)) if track_dist else None
-        kl_rows = np.empty((n_m, n_steps + 1)) if track_dist else None
 
         def reduce(n, states, _points):
             ref = states[0]
-            run_times[n] = ref.t
+            times[n] = ref.t
             for j, s in enumerate(states[1:]):
                 g = paired_msq_gap(s.x, ref.x)
                 if memory:
                     g += paired_msq_gap(s.y, ref.y)
-                g_row[j] = max(g_row[j], g)
+                sup_gaps[j, r] = max(sup_gaps[j, r], g)
                 if track_dist:
                     a = s.x[:, 0]
                     b = ref.x[:, 0]
-                    w2_rows[j, n] = wasserstein2_1d(a, b)
-                    kl_rows[j, n] = kl_histogram(a, b, bins)
+                    w2[j, n] += wasserstein2_1d(a, b)
+                    kl[j, n] += kl_histogram(a, b, bins)
 
         lockstep(runs, obj, tape, r, observe=reduce)
-        return run_times, g_row, w2_rows, kl_rows
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(replicate_cell, range(reps)))
-    else:
-        cells = [replicate_cell(r) for r in range(reps)]
-
-    for r, (run_times, g_row, w2_rows, kl_rows) in enumerate(cells):
-        times = run_times
-        sup_gaps[:, r] = g_row
-        if track_dist:
-            w2 += w2_rows
-            kl += kl_rows
     if track_dist:
         w2 /= reps
         kl /= reps
@@ -208,8 +188,7 @@ class CompareTable:
 
 
 def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
-                   init: tuple = ("gaussian", 0.0, 1.0),
-                   bins: int | None = None) -> list[CompareTable]:
+                   init: tuple = ("gaussian", 0.0, 1.0)) -> list[CompareTable]:
     """Couple PSO(m) for every ``m`` in ``m_values`` against one CBO run.
 
     All runs share the tape and the initial cloud, and ``p`` supplies every
@@ -219,7 +198,7 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     values are matched to the nearest step.
     """
     if p.dim != 1:
-        raise ValueError("compare_distributions requires dim == 1")
+        raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
     rungs = [replace(p, m=m) for m in m_values]
     n_steps = p.n_steps
     tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
@@ -232,8 +211,7 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
             min(n_steps, max(0, round(t / p.dt))) for t in snapshot_times
         ]).astype(int)
     slot = {int(n): k for k, n in enumerate(steps)}
-    if bins is None:
-        bins = default_bins(p.n_particles)
+    bins = default_bins(p.n_particles)
 
     times = np.empty(len(steps))
     w2 = np.empty((len(rungs), len(steps)))
@@ -259,25 +237,22 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
 
 
 def compare_distributions(p: Params, obj, seed: int, snapshot_times=None,
-                          init: tuple = ("gaussian", 0.0, 1.0),
-                          bins: int | None = None) -> CompareTable:
+                          init: tuple = ("gaussian", 0.0, 1.0)) -> CompareTable:
     """Couple one PSO(m) run against CBO and compare clouds at snapshot times.
 
     Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
     defaults to every step; values are matched to the nearest step.
     """
-    return compare_ladder(p, obj, seed, (p.m,), snapshot_times, init, bins)[0]
+    return compare_ladder(p, obj, seed, (p.m,), snapshot_times, init)[0]
 
 
-def optimize(scheme: str, p: Params, obj, seed: int, t_end: float | None = None,
+def optimize(scheme: str, p: Params, obj, seed: int,
              init: tuple = ("gaussian", 0.0, 1.0)) -> tuple[np.ndarray, float]:
     """Run one scheme to its horizon; return (final consensus, mean speed).
 
     Mean speed is the particle-average Euclidean velocity norm, identically 0
     for the first-order schemes.
     """
-    if t_end is not None:
-        p = replace(p, t_end=t_end)
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)

@@ -47,6 +47,12 @@ class NoiseTape:
     1-based, with channel 1 carrying the local noise and channel 2 the
     consensus-drift noise of the memory schemes (two independent Wiener
     processes).  Plain PSO/CBO only ever touch channel 1.
+
+    The hash key is the row-major linear index over that layout, so the
+    sizes enter it: ``steps`` is part of the index of every particle except
+    particle 0 on replicate 0.  Two tapes that differ only in ``steps`` agree
+    on that one particle and differ everywhere else, even at step 0, so a
+    longer horizon does not extend a shorter one.
     """
 
     seed: int
@@ -105,6 +111,9 @@ class NoiseTape:
         return _standard_normals(self._seed64(), idx)
 
 
+_DIST_PARAMS = {"gaussian": ("mean", "var"), "uniform": ("a", "b")}
+
+
 def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np.ndarray:
     """Draw a deterministic i.i.d. initial cloud of shape ``(n, dim)``.
 
@@ -117,6 +126,9 @@ def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np
     if dim < 1:
         raise ValueError("dim must be >= 1")
     kind = dist[0]
+    for name, value in zip(_DIST_PARAMS.get(kind, ()), dist[1:]):
+        if not np.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value}")
     entropy = [s & _U64_MASK for s in seed] if np.iterable(seed) else seed & _U64_MASK
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     if kind == "gaussian":

@@ -79,6 +79,8 @@ def _prepare_shift(dim: int, shift) -> np.ndarray:
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     if shift.shape != (dim,):
         raise ValueError(f"shift must have shape ({dim},), got {shift.shape}")
+    if not np.all(np.isfinite(shift)):
+        raise ValueError(f"shift must be finite, got {tuple(shift.tolist())}")
     return shift
 
 

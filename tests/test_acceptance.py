@@ -5,6 +5,7 @@ report.  Tolerances are fixed here, not tuned at runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from mpmath import mp
@@ -17,16 +18,14 @@ from swarmlimit import (
     SwarmState,
     ackley,
     c_alpha,
-    cbo_memory_step,
-    cbo_step,
     compare_distributions,
     consensus_point,
     initial_positions,
     laplace_sweep,
     optimize,
     paired_msq_gap,
-    pso_step,
     run,
+    step,
     wasserstein2_1d,
     zero_inertia_study,
 )
@@ -184,16 +183,18 @@ def test_criterion_5_invariant_suites():
             failures.append("fourth-moment cap")
             break
 
-    # bit determinism across worker counts
+    # bit determinism across replicate splits and repeats
     cfg = LimitStudyConfig(
         m_ladder=(0.2, 0.05), replicates=4,
         base=Params(m=0.2, lam=1.0, sigma=SIGMA, alpha=ALPHA, dt=DT,
                     t_end=0.2, n_particles=100, dim=1))
-    serial = zero_inertia_study(cfg, obj1, seed=777, workers=1)
-    threaded = zero_inertia_study(cfg, obj1, seed=777, workers=4)
-    if not (np.array_equal(serial.sup_gaps, threaded.sup_gaps)
-            and np.array_equal(serial.w2_mean, threaded.w2_mean)):
-        failures.append("worker determinism")
+    full = zero_inertia_study(cfg, obj1, seed=777)
+    head = zero_inertia_study(replace(cfg, replicates=2), obj1, seed=777)
+    repeat = zero_inertia_study(cfg, obj1, seed=777)
+    if not (np.array_equal(head.sup_gaps, full.sup_gaps[:, :2])
+            and np.array_equal(full.sup_gaps, repeat.sup_gaps)
+            and np.array_equal(full.w2_mean, repeat.w2_mean)):
+        failures.append("replicate-split determinism")
 
     report(
         "5 invariant suites",
@@ -212,7 +213,7 @@ def test_criterion_6_scheme_oracles():
     p = Params(m=0.5, lam=1.0, sigma=0.0, alpha=0.0, dt=0.01, t_end=1.0,
                n_particles=2, dim=1)
     tape = NoiseTape(0, 1, 2, p.n_steps, 1, channels=2)
-    out = pso_step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]]),
+    out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]]),
                               v=np.zeros((2, 1))), p, obj, tape, 0, 0)
     den = mp.mpf("0.5") + mp.mpf("0.5") * mp.mpf("0.01")
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
@@ -222,7 +223,7 @@ def test_criterion_6_scheme_oracles():
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
 
     # Euler-Maruyama two-particle step, sigma = 0
-    out = cbo_step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]])), p, obj,
+    out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]])), p, obj,
                    tape, 0, 0)
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         x_exp = x + mp.mpf("0.01") * (mp.mpf("0.5") - x)
@@ -233,7 +234,7 @@ def test_criterion_6_scheme_oracles():
                 n_particles=1, dim=1,
                 memory=MemoryParams(lam1=1.0, lam2=0.0, sigma1=0.0,
                                     sigma2=0.0, nu=0.5, beta=30.0))
-    out = cbo_memory_step(SwarmState(t=0.0, x=np.array([[0.0]]),
+    out = step(SwarmState(t=0.0, x=np.array([[0.0]]),
                                      y=np.array([[1.0]])), pm, obj, tape, 0, 0)
     x_exp = mp.mpf("0.01")
     y_exp = 1 + mp.mpf("0.005") * (x_exp - 1) * mp.tanh(30 * (x_exp - 1))

@@ -250,3 +250,25 @@ def test_cli_non_finite_value_exits_2_naming_the_field(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: config: {field} must be finite, got {raw}"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("dim = 1", "dim = 1\nshift = nan"), "shift must be finite, got (nan,)"),
+    (("init = gaussian,0,1", "init = gaussian,0,nan"),
+     "gaussian var must be finite, got nan"),
+    (("init = gaussian,0,1", "init = uniform,0,inf"),
+     "uniform b must be finite, got inf"),
+])
+def test_cli_non_finite_shift_or_init_exits_2(tmp_path, capsys, edit, message):
+    cfg = write_cfg(tmp_path, BASE_CFG.replace(*edit))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+
+
+def test_cli_compare_rejects_dim_2_naming_compare(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("dim = 1", "dim = 2"))
+    code = main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: compare requires dim == 1, got dim = 2"]

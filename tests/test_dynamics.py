@@ -9,15 +9,12 @@ from swarmlimit import (
     Params,
     SwarmState,
     ackley,
-    cbo_memory_step,
-    cbo_step,
     consensus_of,
     initial_positions,
     initial_state,
     lockstep,
-    pso_memory_step,
-    pso_step,
     run,
+    step,
 )
 
 from conftest import RecordingTape, linear_cost
@@ -73,14 +70,18 @@ def test_params_validation():
 def test_step_preconditions():
     p = plain_params()
     tape = tape_for(p)
-    with_v = SwarmState(t=0.0, x=np.zeros((2, 1)), v=np.zeros((2, 1)))
-    without_v = SwarmState(t=0.0, x=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        cbo_step(with_v, p, linear_cost(), tape, 0, 0)
-    with pytest.raises(ValueError):
-        pso_step(without_v, p, linear_cost(), tape, 0, 0)
-    with pytest.raises(ValueError):
-        pso_memory_step(with_v, p, linear_cost(), tape, 0, 0)
+    obj = linear_cost()
+    x0 = np.zeros((2, 1))
+    with_v = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((2, 1)))
+    without_v = SwarmState(t=0.0, x=x0.copy())
+    with_y = SwarmState(t=0.0, x=x0.copy(), y=x0.copy())
+    for scheme, state in (("cbo", with_v), ("pso", without_v),
+                          ("pso_mem", with_v), ("cbo", with_y)):
+        with pytest.raises(ValueError, match="do not match scheme"):
+            lockstep([(scheme, p, state)], obj, tape, 0)
+    # a memory state needs the memory constants
+    with pytest.raises(ValueError, match="memory params"):
+        run("cbo_mem", p, obj, tape_for(p, channels=2), 0, x0)
 
 
 def test_pso_singleton_velocity_decays_geometrically():
@@ -88,7 +89,7 @@ def test_pso_singleton_velocity_decays_geometrically():
     tape = tape_for(p)
     state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]))
     factor = p.m / (p.m + p.gamma * p.dt)
-    out = pso_step(state, p, ackley(1), tape, 0, 0)
+    out = step(state, p, ackley(1), tape, 0, 0)
     # consensus of a singleton is the particle itself: drift and noise vanish
     assert out.v[0, 0] == factor * 1.0
     assert out.x[0, 0] == 0.4 + p.dt * out.v[0, 0]
@@ -99,7 +100,7 @@ def test_pso_frozen_dynamics_is_identity_on_positions():
     tape = tape_for(p)
     x = np.array([[0.1], [0.9]])
     state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)))
-    out = pso_step(state, p, linear_cost(), tape, 0, 0)
+    out = step(state, p, linear_cost(), tape, 0, 0)
     assert np.array_equal(out.x, x)
     assert np.array_equal(out.v, np.zeros((2, 1)))
     assert out.t == p.dt
@@ -114,7 +115,7 @@ def test_pso_step_matches_hand_oracle():
 
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)))
-    out = pso_step(state, p, linear_cost(), tape_for(p), 0, 0)
+    out = step(state, p, linear_cost(), tape_for(p), 0, 0)
     assert out.v[:, 0] == pytest.approx(PSO_V_NEW, rel=1e-12)
     assert out.x[:, 0] == pytest.approx(PSO_X_NEW, rel=1e-12)
 
@@ -122,7 +123,7 @@ def test_pso_step_matches_hand_oracle():
 def test_cbo_step_matches_hand_oracle():
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
-    out = cbo_step(state, p, linear_cost(), tape_for(p), 0, 0)
+    out = step(state, p, linear_cost(), tape_for(p), 0, 0)
     assert out.x[:, 0] == pytest.approx(CBO_X_NEW, rel=1e-12)
 
 
@@ -132,21 +133,21 @@ def test_cbo_fixed_point_when_collapsed():
     x = np.full((5, 1), 1.25)
     state = SwarmState(t=0.0, x=x.copy())
     for n in range(10):
-        state = cbo_step(state, p, ackley(1), tape, 0, n)
+        state = step(state, p, ackley(1), tape, 0, n)
     assert np.array_equal(state.x, x)
 
 
 def test_cbo_null_dynamics_is_identity():
     p = plain_params(sigma=0.0, lam=0.0)
     x = np.array([[0.3], [0.7]])
-    out = cbo_step(SwarmState(t=0.0, x=x.copy()), p, linear_cost(), tape_for(p), 0, 0)
+    out = step(SwarmState(t=0.0, x=x.copy()), p, linear_cost(), tape_for(p), 0, 0)
     assert np.array_equal(out.x, x)
 
 
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
     state = initial_state("pso_mem", np.array([[0.2], [0.8]]))
-    out = pso_memory_step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
     assert np.array_equal(out.y, state.y)
     assert np.array_equal(out.x, state.x)
@@ -159,7 +160,7 @@ def test_memory_nu_zero_freezes_local_bests():
                           y0=np.array([[0.0], [1.0]]))
     y0 = state.y.copy()
     for n in range(5):
-        state = pso_memory_step(state, p, linear_cost(), tape, 0, n)
+        state = step(state, p, linear_cost(), tape, 0, n)
     assert np.array_equal(state.y, y0)
 
 
@@ -170,7 +171,7 @@ def test_memory_singleton_reduces_to_combined_drift():
     tape = tape_for(p, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.2]]), v=np.array([[0.1]]),
                        y=np.array([[0.9]]))
-    out = pso_memory_step(state, p, linear_cost(), tape, 0, 0)
+    out = step(state, p, linear_cost(), tape, 0, 0)
     den = p.m + p.gamma * p.dt
     v_expected = (p.m / den) * 0.1 + ((0.7 + 0.5) * p.dt / den) * (0.9 - 0.2)
     assert out.v[0, 0] == pytest.approx(v_expected, rel=1e-15)
@@ -186,8 +187,8 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     mem_state = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((4, 1)), y=x0.copy())
     plain_state = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((4, 1)))
     obj = linear_cost()
-    out_mem = pso_memory_step(mem_state, pm, obj, tape_for(pm, channels=2), 0, 0)
-    out_plain = pso_step(plain_state, pp, obj, tape_for(pp), 0, 0)
+    out_mem = step(mem_state, pm, obj, tape_for(pm, channels=2), 0, 0)
+    out_plain = step(plain_state, pp, obj, tape_for(pp), 0, 0)
     assert out_mem.x[:, 0] == pytest.approx(out_plain.x[:, 0], abs=1e-15)
     assert out_mem.v[:, 0] == pytest.approx(out_plain.v[:, 0], abs=1e-15)
 
@@ -201,7 +202,7 @@ def test_cbo_memory_step_matches_hand_oracle():
 
     p = memory_params(lam1=1.0, lam2=0.0, nu=0.5, beta=30.0, n_particles=1)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
-    out = cbo_memory_step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
     assert out.x[0, 0] == pytest.approx(CBOMEM_X_NEW, rel=1e-12)
     assert out.y[0, 0] == pytest.approx(CBOMEM_Y_NEW, rel=1e-12)
 
@@ -212,7 +213,7 @@ def test_cbo_memory_fixed_point():
     x = np.full((2, 1), 0.5)
     state = SwarmState(t=0.0, x=x.copy(), y=x.copy())
     for n in range(5):
-        state = cbo_memory_step(state, p, ackley(1), tape, 0, n)
+        state = step(state, p, ackley(1), tape, 0, n)
     assert np.array_equal(state.x, x)
     assert np.array_equal(state.y, x)
 
@@ -224,7 +225,7 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     x0 = np.array([[0.0], [1.0]])
     y0 = np.array([[0.25], [0.75]])
     state = SwarmState(t=0.0, x=x0.copy(), y=y0.copy())
-    out = cbo_memory_step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
     ya = 0.5  # plain mean of the frozen local bests at alpha = 0
     expected = x0 + p.dt * 1.0 * (ya - x0)
     assert np.array_equal(out.x, expected)
@@ -363,7 +364,7 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
                         n_particles=50)
     tape = tape_for(base, seed=17)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = cbo_step(initial_state("cbo", x0), base, obj, tape, 0, 0)
+    cbo_out = step(initial_state("cbo", x0), base, obj, tape, 0, 0)
     cons = consensus_of(initial_state("cbo", x0), base, obj)
     increment = np.max(np.abs(cbo_out.x - x0))
     assert increment > 0.0
@@ -373,7 +374,7 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     for m in m_values:
         p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                          dt=dt, n_particles=50)
-        pso_out = pso_step(initial_state("pso", x0), p, obj, tape, 0, 0, cons)
+        pso_out = step(initial_state("pso", x0), p, obj, tape, 0, 0, cons)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
         gaps.append(gap)

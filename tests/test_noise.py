@@ -86,3 +86,13 @@ def test_initial_positions_validation():
         initial_positions(0, 10, 1, ("poisson", 1.0, 2.0))
     with pytest.raises(ValueError):
         initial_positions(0, 0, 1, ("gaussian", 0.0, 1.0))
+
+
+def test_block_depends_on_the_step_count_except_particle_0_of_replicate_0():
+    # the linear index nests steps inside particles, so the horizon enters
+    # every particle's index but the first one's on replicate 0
+    short = NoiseTape(seed=8, replicates=1, particles=6, steps=100, dim=2)
+    long = NoiseTape(seed=8, replicates=1, particles=6, steps=200, dim=2)
+    a, b = short.theta_block(0, 0), long.theta_block(0, 0)
+    assert np.array_equal(a[0], b[0])
+    assert np.all(a[1:] != b[1:])
