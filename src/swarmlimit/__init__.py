@@ -36,8 +36,6 @@ from .noise import NoiseTape, initial_positions
 from .objectives import (
     Objective,
     ackley,
-    c_alpha,
-    estimate_weighted_lipschitz,
     make_objective,
     rastrigin,
     sphere,
@@ -57,14 +55,12 @@ __all__ = [
     "StudyResult",
     "SwarmState",
     "ackley",
-    "c_alpha",
     "compare_distributions",
     "compare_ladder",
     "consensus_of",
     "consensus_point",
     "default_bins",
     "empirical_moments",
-    "estimate_weighted_lipschitz",
     "initial_positions",
     "initial_state",
     "kl_histogram",

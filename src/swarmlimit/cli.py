@@ -5,8 +5,11 @@ output is UTF-8 CSV starting with a ``# schema=v1`` comment line followed by
 deterministic metadata comments; floats are printed with 17 significant
 digits so that equal-seed invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 bad configuration, 3 numerical abort, 4 I/O failure.
-Errors print one machine-parsable line ``error: <category>: <detail>``.
+Every subcommand takes ``--config``, ``--seed`` and ``--out``; ``limit-study``
+adds ``--replicates`` and ``--m-ladder``, ``compare`` adds ``--m-ladder`` and
+``--snapshot-times``.  Exit codes: 0 success, 2 bad configuration or command
+line, 3 numerical abort, 4 I/O failure.  Errors print one machine-parsable
+line ``error: <category>: <detail>``.
 """
 
 from __future__ import annotations
@@ -226,8 +229,15 @@ def _parse_floats_arg(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swarmlimit",
         description="Coupled swarm dynamics experiments",
     )
@@ -238,17 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         cmd.add_argument("--out", default=None, help="override out_path")
-        cmd.add_argument("--replicates", type=int, default=None)
-        cmd.add_argument("--m-ladder", type=_parse_floats_arg, default=None,
-                         metavar="a,b,c")
-        cmd.add_argument("--snapshot-times", type=_parse_floats_arg, default=None,
-                         metavar="t1,t2,...")
+        if name == "limit-study":
+            cmd.add_argument("--replicates", type=int, default=None)
+        if name in ("limit-study", "compare"):
+            cmd.add_argument("--m-ladder", type=_parse_floats_arg, default=None,
+                             metavar="a,b,c")
+        if name == "compare":
+            cmd.add_argument("--snapshot-times", type=_parse_floats_arg,
+                             default=None, metavar="t1,t2,...")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError) as exc:

@@ -38,7 +38,7 @@ per step and computing each state's consensus once per step.  ``run`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -210,7 +210,7 @@ _STEPPERS = dict.fromkeys(SCHEMES, step)
 
 @dataclass
 class RunRecord:
-    """Per-step diagnostics plus optional position snapshots of one run."""
+    """Per-step diagnostics and the final state of one run."""
 
     scheme: str
     n_steps: int
@@ -223,9 +223,6 @@ class RunRecord:
     v_m4: np.ndarray | None = None
     y_m2: np.ndarray | None = None
     y_m4: np.ndarray | None = None
-    snapshot_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    snapshot_x: np.ndarray | None = None   # (n_snapshots, n_particles, dim)
-    snapshot_y: np.ndarray | None = None
     final: SwarmState | None = None
 
 
@@ -234,22 +231,12 @@ def _arrays_of(scheme: str) -> tuple[bool, bool]:
     return scheme.startswith("pso"), scheme.endswith("_mem")
 
 
-def initial_state(scheme: str, x0: np.ndarray, v0: np.ndarray | None = None,
-                  y0: np.ndarray | None = None) -> SwarmState:
-    """Assemble the scheme-appropriate state; V0 = 0 and Y0 = X0 by default."""
+def initial_state(scheme: str, x0: np.ndarray) -> SwarmState:
+    """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0."""
     x0 = np.array(x0, dtype=np.float64)
     has_v, has_y = _arrays_of(scheme)
-    v = None
-    y = None
-    if has_v:
-        v = np.zeros_like(x0) if v0 is None else np.array(v0, dtype=np.float64)
-    elif v0 is not None:
-        raise ValueError(f"{scheme} carries no velocities")
-    if has_y:
-        y = x0.copy() if y0 is None else np.array(y0, dtype=np.float64)
-    elif y0 is not None:
-        raise ValueError(f"{scheme} carries no local bests")
-    return SwarmState(t=0.0, x=x0, v=v, y=y)
+    return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if has_v else None,
+                      y=x0.copy() if has_y else None)
 
 
 class _StepTape:
@@ -318,22 +305,16 @@ def lockstep(runs, obj, tape, r: int, observe=None
     return states, [c.point for c in cons]
 
 
-def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
-        v0: np.ndarray | None = None, y0: np.ndarray | None = None,
-        snapshot_every: int | None = None) -> RunRecord:
-    """Iterate a scheme for floor(t_end / dt) steps, recording diagnostics.
+def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
+    """Iterate a scheme from rest at ``x0`` for floor(t_end / dt) steps,
+    recording diagnostics.
 
     Moments and the consensus point are recorded at every step (including the
     initial cloud); the recorded consensus is the one the next step uses.
-    Position snapshots are kept every ``snapshot_every`` steps (always
-    including step 0 and the final step); ``None`` disables them.
     Non-finite states abort with the offending step index.
     """
-    state = initial_state(scheme, x0, v0, y0)
+    state = initial_state(scheme, x0)
     n_steps = p.n_steps
-
-    take_snapshot = (lambda n: False) if snapshot_every is None else \
-        (lambda n: n % snapshot_every == 0 or n == n_steps)
 
     times = np.empty(n_steps + 1)
     cons = np.empty((n_steps + 1, p.dim))
@@ -343,9 +324,6 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
     v_m4 = np.empty(n_steps + 1) if state.v is not None else None
     y_m2 = np.empty(n_steps + 1) if state.y is not None else None
     y_m4 = np.empty(n_steps + 1) if state.y is not None else None
-    snap_steps: list[int] = []
-    snap_x: list[np.ndarray] = []
-    snap_y: list[np.ndarray] = []
 
     def record(n: int, states: list[SwarmState], points: list[np.ndarray]) -> None:
         (s,), (point,) = states, points
@@ -356,11 +334,6 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
             v_m2[n], v_m4[n] = empirical_moments(s.v)
         if y_m2 is not None:
             y_m2[n], y_m4[n] = empirical_moments(s.y)
-        if take_snapshot(n):
-            snap_steps.append(n)
-            snap_x.append(s.x.copy())
-            if s.y is not None:
-                snap_y.append(s.y.copy())
 
     (final,), _ = lockstep([(scheme, p, state)], obj, tape, r, observe=record)
 
@@ -376,8 +349,5 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray,
         v_m4=v_m4,
         y_m2=y_m2,
         y_m4=y_m4,
-        snapshot_steps=np.array(snap_steps, dtype=int),
-        snapshot_x=np.array(snap_x) if snap_x else None,
-        snapshot_y=np.array(snap_y) if snap_y else None,
         final=final,
     )

@@ -195,7 +195,7 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     constant but ``m``.  Returns one table per ``m``, in order, each bit-equal
     to ``compare_distributions`` at that ``m``.  Requires ``dim == 1`` (the
     exact order-statistics W2).  ``snapshot_times`` defaults to every step;
-    values are matched to the nearest step.
+    values must be finite and are matched to the nearest step.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
@@ -207,6 +207,9 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     if snapshot_times is None:
         steps = np.arange(n_steps + 1)
     else:
+        for t in snapshot_times:
+            if not np.isfinite(t):
+                raise ValueError(f"snapshot_times must be finite, got {t}")
         steps = np.unique([
             min(n_steps, max(0, round(t / p.dt))) for t in snapshot_times
         ]).astype(int)
@@ -246,16 +249,16 @@ def compare_distributions(p: Params, obj, seed: int, snapshot_times=None,
     return compare_ladder(p, obj, seed, (p.m,), snapshot_times, init)[0]
 
 
-def optimize(scheme: str, p: Params, obj, seed: int,
-             init: tuple = ("gaussian", 0.0, 1.0)) -> tuple[np.ndarray, float]:
-    """Run one scheme to its horizon; return (final consensus, mean speed).
+def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]:
+    """Run one scheme from a standard normal cloud to its horizon; return
+    (final consensus, mean speed).
 
     Mean speed is the particle-average Euclidean velocity norm, identically 0
     for the first-order schemes.
     """
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
-    x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
+    x0 = initial_positions([seed, 0], p.n_particles, p.dim)
     (final,), (point,) = lockstep([(scheme, p, initial_state(scheme, x0))],
                                   obj, tape, 0)
     if final.v is not None:

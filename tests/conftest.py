@@ -1,21 +1,31 @@
 import numpy as np
 import pytest
 
-from swarmlimit import Objective
+from swarmlimit import Objective, initial_state, lockstep
 
 
 def linear_cost(dim: int = 1) -> Objective:
-    """E(x) = x_1, declared on the unit box; handy for hand-checkable oracles."""
+    """E(x) = x_1; handy for hand-checkable oracles."""
     return Objective(
         name="linear",
         dim=dim,
         eval=lambda x: x[:, 0].copy(),
         minimizer=np.zeros(dim),
-        lower_bound=0.0,
-        upper_bound=1.0,
-        lipschitz_l=np.inf,  # the weighted form has no finite constant at 0
-        test_box=np.stack([np.zeros(dim), np.ones(dim)]),
     )
+
+
+def trajectory(scheme, p, obj, tape, r, x0):
+    """Positions and local bests (``None`` without memory) of a solo run,
+    one entry per time point from the initial cloud on."""
+    xs, ys = [], []
+
+    def keep(n, states, points):
+        (s,) = states
+        xs.append(s.x.copy())
+        ys.append(None if s.y is None else s.y.copy())
+
+    lockstep([(scheme, p, initial_state(scheme, x0))], obj, tape, r, observe=keep)
+    return xs, ys
 
 
 class RecordingTape:

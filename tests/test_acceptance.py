@@ -17,7 +17,6 @@ from swarmlimit import (
     Params,
     SwarmState,
     ackley,
-    c_alpha,
     compare_distributions,
     consensus_point,
     initial_positions,
@@ -30,7 +29,8 @@ from swarmlimit import (
     zero_inertia_study,
 )
 
-from conftest import linear_cost
+from certified import c_alpha, upper_bound
+from conftest import linear_cost, trajectory
 from test_dynamics import FOURTH_MOMENT_CAP
 
 SIGMA = 1.0 / np.sqrt(3.0)
@@ -139,13 +139,14 @@ def test_criterion_5_invariant_suites():
         failures.append("argmin attraction")
 
     # empirical Jensen bound on 1e3 random measures inside the test box
+    gap = upper_bound(obj)  # the minimum is 0
     for _ in range(1000):
         pts = rng.uniform(-3, 3, (rng.integers(2, 25), 2))
         m4 = np.mean(np.sum(pts * pts, axis=1) ** 2)
         for alpha in (0.0, 1.0):
             xa = consensus_point(pts, obj, alpha)
             lhs = np.mean(np.sum((xa - pts) ** 2, axis=1) ** 2)
-            if lhs > 16.0 * c_alpha(obj, alpha) * m4:
+            if lhs > 16.0 * c_alpha(gap, alpha) * m4:
                 failures.append("jensen bound")
                 break
 
@@ -165,10 +166,9 @@ def test_criterion_5_invariant_suites():
     tape = NoiseTape(5_550, 1, 300, p.n_steps, 1)
     x0 = initial_positions([5_550, 0], 300, 1)
     obj1 = ackley(1)
-    pso_rec = run("pso", p, obj1, tape, 0, x0, snapshot_every=1)
-    cbo_rec = run("cbo", p, obj1, tape, 0, x0, snapshot_every=1)
-    for t in range(p.n_steps + 1):
-        a, b = pso_rec.snapshot_x[t], cbo_rec.snapshot_x[t]
+    pso_xs, _ = trajectory("pso", p, obj1, tape, 0, x0)
+    cbo_xs, _ = trajectory("cbo", p, obj1, tape, 0, x0)
+    for a, b in zip(pso_xs, cbo_xs):
         if wasserstein2_1d(a, b) ** 2 > paired_msq_gap(a, b) + 1e-15:
             failures.append("w2 <= paired gap")
             break

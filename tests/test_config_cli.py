@@ -272,3 +272,45 @@ def test_cli_compare_rejects_dim_2_naming_compare(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: config: compare requires dim == 1, got dim = 2"]
+
+
+@pytest.mark.parametrize("times, bad", [("0,inf", "inf"), ("0,-inf", "-inf"),
+                                        ("0,nan", "nan")])
+def test_cli_compare_non_finite_snapshot_time_exits_2(tmp_path, capsys,
+                                                      times, bad):
+    cfg = write_cfg(tmp_path)
+    code = main(["compare", "--config", cfg, "--snapshot-times", times,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: snapshot_times must be finite, got {bad}"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--m-ladder", "0.3"),
+    ("run", "--snapshot-times", "5"),
+    ("run", "--replicates", "9"),
+    ("limit-study", "--snapshot-times", "5"),
+    ("compare", "--replicates", "7"),
+    ("laplace-check", "--m-ladder", "0.3"),
+])
+def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
+                                                       command, flag, value):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o.csv"
+    code = main([command, "--config", cfg, flag, value, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: unrecognized arguments: {flag} {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["run"], "the following arguments are required: --config"),
+    (["run", "--config", "x.cfg", "--seed", "one"],
+     "argument --seed: invalid int value: 'one'"),
+])
+def test_cli_bad_command_line_exits_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]

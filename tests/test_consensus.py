@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from swarmlimit import ackley, c_alpha, consensus_point, laplace_value
+from swarmlimit import ackley, consensus_point, laplace_value
 
+from certified import c_alpha, upper_bound
 from conftest import linear_cost
 
 # 1/(1 + e): weights exp(0) and exp(-1) on points 0 and 1
@@ -81,13 +82,14 @@ def test_argmin_attraction_over_alpha_ladder(rng):
 def test_empirical_jensen_bound(rng):
     # mean_i |Xa - x_i|^4 <= 16 C_alpha mean_j |x_j|^4 on boxed measures
     obj = ackley(2)
+    gap = upper_bound(obj)  # the minimum is 0
     for _ in range(200):
         pts = rng.uniform(-3, 3, (rng.integers(2, 30), 2))
         m4 = np.mean(np.sum(pts * pts, axis=1) ** 2)
         for alpha in (0.0, 0.5, 1.0):
             out = consensus_point(pts, obj, alpha)
             lhs = np.mean(np.sum((out - pts) ** 2, axis=1) ** 2)
-            assert lhs <= 16.0 * c_alpha(obj, alpha) * m4
+            assert lhs <= 16.0 * c_alpha(gap, alpha) * m4
 
 
 def test_perturbation_continuity(rng):

@@ -156,8 +156,8 @@ def test_memory_local_best_frozen_when_positions_do_not_move():
 def test_memory_nu_zero_freezes_local_bests():
     p = memory_params(nu=0.0, lam1=0.5, lam2=0.5, sigma1=0.3, sigma2=0.3)
     tape = tape_for(p, channels=2)
-    state = initial_state("pso_mem", np.array([[0.1], [0.6]]),
-                          y0=np.array([[0.0], [1.0]]))
+    state = SwarmState(t=0.0, x=np.array([[0.1], [0.6]]), v=np.zeros((2, 1)),
+                       y=np.array([[0.0], [1.0]]))
     y0 = state.y.copy()
     for n in range(5):
         state = step(state, p, linear_cost(), tape, 0, n)
@@ -260,10 +260,6 @@ def test_run_rejects_bad_inputs():
         run("annealing", p, linear_cost(), tape_for(p), 0, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="shape"):
         run("cbo", p, linear_cost(), tape_for(p), 0, np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        initial_state("cbo", np.zeros((2, 1)), v0=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        initial_state("pso", np.zeros((2, 1)), y0=np.zeros((2, 1)))
 
 
 def test_run_consensus_cost_monotone_without_noise():
@@ -273,7 +269,7 @@ def test_run_consensus_cost_monotone_without_noise():
     p = plain_params(sigma=0.0, lam=1.0, alpha=200.0, n_particles=2, t_end=0.5)
     obj = ackley(1)
     x0 = np.array([[0.0], [2.0]])
-    rec = run("cbo", p, obj, tape_for(p), 0, x0, snapshot_every=1)
+    rec = run("cbo", p, obj, tape_for(p), 0, x0)
 
     xs = [0.0, 2.0]
     for _ in range(p.n_steps):
@@ -281,7 +277,7 @@ def test_run_consensus_cost_monotone_without_noise():
         w = [np.exp(-p.alpha * (c - min(costs))) for c in costs]
         xa = (w[0] * xs[0] + w[1] * xs[1]) / (w[0] + w[1])
         xs = [v + p.dt * (xa - v) for v in xs]
-    assert rec.snapshot_x[-1][:, 0] == pytest.approx(xs, rel=1e-12)
+    assert rec.final.x[:, 0] == pytest.approx(xs, rel=1e-12)
 
     cons_costs = obj.eval(rec.consensus)
     assert np.all(np.diff(cons_costs) <= 1e-12)

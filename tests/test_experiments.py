@@ -26,7 +26,7 @@ from swarmlimit import (
     zero_inertia_study,
 )
 
-from conftest import RecordingTape, linear_cost
+from conftest import RecordingTape, linear_cost, trajectory
 
 
 def study_base(**kw):
@@ -144,18 +144,15 @@ def test_compare_distributions_uniform_init_keeps_ordering():
 
 
 def test_optimize_constant_cost_keeps_consensus_at_mean():
-    obj_const = Objective(
-        name="const", dim=2, eval=lambda x: np.zeros(len(x)),
-        minimizer=np.zeros(2), lower_bound=0.0, upper_bound=0.0,
-        lipschitz_l=0.0, test_box=np.stack([-np.ones(2), np.ones(2)]),
-    )
+    obj_const = Objective(name="const", dim=2, eval=lambda x: np.zeros(len(x)),
+                          minimizer=np.zeros(2))
     p = study_base(dim=2, n_particles=100, t_end=0.1, sigma=0.0)
     tape = NoiseTape(4, 1, p.n_particles, p.n_steps, p.dim)
     x0 = initial_positions([4, 0], p.n_particles, p.dim)
-    rec = run("cbo", p, obj_const, tape, 0, x0, snapshot_every=1)
+    rec = run("cbo", p, obj_const, tape, 0, x0)
+    xs, _ = trajectory("cbo", p, obj_const, tape, 0, x0)
     for t in range(rec.n_steps + 1):
-        assert rec.consensus[t] == pytest.approx(
-            rec.snapshot_x[t].mean(axis=0), abs=1e-14)
+        assert rec.consensus[t] == pytest.approx(xs[t].mean(axis=0), abs=1e-14)
 
 
 def test_optimize_single_particle_never_moves():
@@ -217,14 +214,12 @@ def counting_objective(obj):
         return obj.eval(x)
 
     counted = Objective(name=obj.name, dim=obj.dim, eval=evaluate,
-                        minimizer=obj.minimizer, lower_bound=obj.lower_bound,
-                        upper_bound=obj.upper_bound,
-                        lipschitz_l=obj.lipschitz_l, test_box=obj.test_box)
+                        minimizer=obj.minimizer)
     return counted, calls
 
 
 def study_from_run_pairs(cfg, obj, seed):
-    """sup gaps and mean W2 / KL from snapshot-keeping ``run`` pairs."""
+    """sup gaps and mean W2 / KL from pairs of solo-run trajectories."""
     base = cfg.base
     memory = cfg.scheme_pair == "memory"
     tape = NoiseTape(seed, cfg.replicates, base.n_particles, base.n_steps,
@@ -236,18 +231,18 @@ def study_from_run_pairs(cfg, obj, seed):
     bins = default_bins(base.n_particles)
     for r in range(cfg.replicates):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
-        ref = run("cbo_mem" if memory else "cbo", base, obj, tape, r, x0,
-                  snapshot_every=1)
+        ref_x, ref_y = trajectory("cbo_mem" if memory else "cbo", base, obj,
+                                  tape, r, x0)
         for j, m in enumerate(cfg.m_ladder):
-            rec = run("pso_mem" if memory else "pso", replace(base, m=m), obj,
-                      tape, r, x0, snapshot_every=1)
+            xs, ys = trajectory("pso_mem" if memory else "pso",
+                                replace(base, m=m), obj, tape, r, x0)
             gaps = []
             for t in range(n_t):
-                g = paired_msq_gap(rec.snapshot_x[t], ref.snapshot_x[t])
+                g = paired_msq_gap(xs[t], ref_x[t])
                 if memory:
-                    g += paired_msq_gap(rec.snapshot_y[t], ref.snapshot_y[t])
+                    g += paired_msq_gap(ys[t], ref_y[t])
                 gaps.append(g)
-                a, b = rec.snapshot_x[t][:, 0], ref.snapshot_x[t][:, 0]
+                a, b = xs[t][:, 0], ref_x[t][:, 0]
                 w2[j, t] += wasserstein2_1d(a, b)
                 kl[j, t] += kl_histogram(a, b, bins)
             sup[j, r] = np.max(gaps)

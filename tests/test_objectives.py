@@ -1,10 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from mpmath import mp
 
-from swarmlimit import Objective, ackley, c_alpha, make_objective, rastrigin, sphere
+from swarmlimit import ackley, make_objective, rastrigin, sphere
+
+from certified import box_of, c_alpha, lipschitz_l, upper_bound
 
 # independent high-precision evaluation of the closed form at x = 0.5, d = 1:
 # -20 exp(-0.1) - exp(cos(pi)) + e + 20
@@ -23,7 +23,6 @@ def test_ackley_shifted_minimum():
     obj = ackley(2, shift=(1.5, -2.0))
     assert obj(np.array([1.5, -2.0])) == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(obj.minimizer, [1.5, -2.0])
-    assert np.array_equal(obj.test_box, [[-1.5, -5.0], [4.5, 1.0]])
 
 
 def test_ackley_value_against_high_precision_oracle():
@@ -38,10 +37,11 @@ def test_ackley_value_against_high_precision_oracle():
 def test_bounds_hold_on_sampled_box(name, dim):
     obj = make_objective(name, dim)
     rng = np.random.default_rng(12345)
-    x = rng.uniform(obj.test_box[0], obj.test_box[1], (10_000, dim))
+    lo, hi = box_of(obj)
+    x = rng.uniform(lo, hi, (10_000, dim))
     vals = obj.eval(x)
-    assert np.all(vals >= obj.lower_bound)
-    assert np.all(vals <= obj.upper_bound)
+    assert np.all(vals >= 0.0)
+    assert np.all(vals <= upper_bound(obj))
     assert obj(obj.minimizer) <= vals.min()
 
 
@@ -49,13 +49,13 @@ def test_bounds_hold_on_sampled_box(name, dim):
 def test_weighted_lipschitz_holds_on_sampled_pairs(name, dim):
     obj = make_objective(name, dim)
     rng = np.random.default_rng(12345)
-    lo, hi = obj.test_box
+    lo, hi = box_of(obj)
     x = rng.uniform(lo, hi, (10_000, dim))
     y = rng.uniform(lo, hi, (10_000, dim))
     gap = np.abs(obj.eval(x) - obj.eval(y))
     weight = (np.linalg.norm(x, axis=1) + np.linalg.norm(y, axis=1)) \
         * np.linalg.norm(x - y, axis=1)
-    assert np.all(gap <= obj.lipschitz_l * weight)
+    assert np.all(gap <= lipschitz_l(obj) * weight)
 
 
 def test_evaluation_is_deterministic():
@@ -65,31 +65,26 @@ def test_evaluation_is_deterministic():
 
 
 def test_c_alpha_zero_alpha_is_one():
-    assert c_alpha(ackley(2), 0.0) == 1.0
+    assert c_alpha(upper_bound(ackley(2)), 0.0) == 1.0
 
 
 def test_c_alpha_unit_gap_oracle():
     mp.dps = 50
-    obj = Objective(name="unit", dim=1, eval=lambda x: x[:, 0],
-                    minimizer=np.zeros(1), lower_bound=0.0, upper_bound=1.0,
-                    lipschitz_l=1.0, test_box=np.array([[0.0], [1.0]]))
-    assert c_alpha(obj, 30.0) == pytest.approx(float(mp.exp(30)), rel=1e-15)
+    assert c_alpha(1.0, 30.0) == pytest.approx(float(mp.exp(30)), rel=1e-15)
 
 
 def test_c_alpha_constant_cost_is_one():
-    obj = Objective(name="const", dim=1, eval=lambda x: np.full(len(x), 7.0),
-                    minimizer=np.zeros(1), lower_bound=7.0, upper_bound=7.0,
-                    lipschitz_l=0.0, test_box=np.array([[-3.0], [3.0]]))
+    # a constant cost has bound gap 0
     for alpha in (0.0, 1.0, 100.0, 1e6):
-        assert c_alpha(obj, alpha) == 1.0
+        assert c_alpha(0.0, alpha) == 1.0
 
 
 def test_c_alpha_overflow_signalled():
-    obj = ackley(2)  # bound gap ~ 11.37
+    gap = upper_bound(ackley(2))  # ~ 11.37
     with pytest.raises(OverflowError):
-        c_alpha(obj, 100.0)
+        c_alpha(gap, 100.0)
     with pytest.raises(ValueError):
-        c_alpha(obj, -1.0)
+        c_alpha(gap, -1.0)
 
 
 def test_registry_lookup():

@@ -6,10 +6,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import swarmlimit.dynamics as dynamics
 import swarmlimit.experiments as experiments
-from swarmlimit import NoiseTape, Params, ackley, initial_positions, initial_state
+from swarmlimit import (
+    LimitStudyConfig,
+    NoiseTape,
+    Params,
+    ackley,
+    initial_positions,
+    initial_state,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -33,3 +41,28 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
 def test_traced_driver_names_resolve():
     for name in ("run", "compare_distributions", "compare_ladder"):
         assert callable(getattr(experiments, name))
+
+
+# a study of L = 2 rungs and R = 2 replicates steps the reference and every
+# rung on every replicate; compare steps CBO and one PSO; optimize one scheme
+STUDY = LimitStudyConfig(
+    m_ladder=(0.2, 0.1), replicates=2,
+    base=Params(m=0.2, lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, t_end=0.03,
+                n_particles=10, dim=1))
+DRIVER_CALLS = {
+    "zero_inertia_study": (lambda: experiments.zero_inertia_study(
+        STUDY, ackley(1), seed=0), (2 + 1) * 2),
+    "compare_distributions": (lambda: experiments.compare_distributions(
+        STUDY.base, ackley(1), seed=0), 2),
+    "optimize": (lambda: experiments.optimize(
+        "pso", STUDY.base, ackley(1), seed=0), 1),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVER_CALLS))
+def test_tracer_counts_every_step_of_each_driver(driver):
+    call, states = DRIVER_CALLS[driver]
+    with installed(Tracer()) as tracer:
+        call()
+    assert tracer.calls["experiments"] == 1
+    assert tracer.calls["dynamics.step"] == states * STUDY.base.n_steps
