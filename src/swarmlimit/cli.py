@@ -33,6 +33,9 @@ from .objectives import make_objective
 SCHEMA_VERSION = "v1"
 DEFAULT_M_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
 LAPLACE_ALPHAS = (1.0, 10.0, 100.0, 1000.0)
+# what a limit-study gap measures for each scheme pair
+GAP_METRIC = {"plain": "paired_msq_gap(x)",
+              "memory": "paired_msq_gap(x)+paired_msq_gap(y)"}
 
 _PLAIN_KEYS = ("lambda", "sigma")
 _MEMORY_KEYS = ("lambda1", "lambda2", "sigma1", "sigma2", "nu", "beta")
@@ -112,33 +115,16 @@ def _cmd_run(cfg: dict, args) -> None:
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, cfg["init"])
     rec = run(scheme, p, obj, tape, 0, x0)
 
-    cols = ["t"] + [f"cons_{k + 1}" for k in range(p.dim)] + ["x_m2", "x_m4"]
-    extra = []
-    if rec.v_m2 is not None:
-        cols += ["v_m2", "v_m4"]
-        extra.append(("v", rec.v_m2, rec.v_m4))
-    if rec.y_m2 is not None:
-        cols += ["y_m2", "y_m4"]
-        extra.append(("y", rec.y_m2, rec.y_m4))
-
-    def rows():
-        for n in range(rec.n_steps + 1):
-            row = [rec.times[n], *rec.consensus[n], rec.x_m2[n], rec.x_m4[n]]
-            for _, m2, m4 in extra:
-                row += [m2[n], m4[n]]
-            yield row
-
-    if rec.final.v is not None:
-        mean_speed = float(np.mean(np.linalg.norm(rec.final.v, axis=1)))
-    else:
-        mean_speed = 0.0
+    cols = ["t", *(f"cons_{k + 1}" for k in range(p.dim)),
+            *(f"{name}_m{q}" for name in rec.moments for q in (2, 4))]
     comments = [
         "experiment=run",
         f"scheme={scheme}",
         f"seed={seed}",
-        f"final_mean_speed={_fmt(mean_speed)}",
+        f"final_mean_speed={_fmt(rec.final.mean_speed)}",
     ]
-    _write_csv(out, comments, ",".join(cols), rows())
+    rows = np.column_stack([rec.times, rec.consensus, *rec.moments.values()])
+    _write_csv(out, comments, ",".join(cols), rows)
 
 
 def _cmd_limit_study(cfg: dict, args) -> None:
@@ -163,18 +149,19 @@ def _cmd_limit_study(cfg: dict, args) -> None:
     study = LimitStudyConfig(m_ladder=ladder, replicates=reps, base=base,
                              scheme_pair=pair, init=cfg["init"])
     result = zero_inertia_study(study, obj, seed)
+    estimator = f"replicates(R={reps})" if reps > 1 else "single-run"
 
     comments = [
         "experiment=limit-study",
-        f"scheme_pair={result.scheme_pair}",
-        f"gap_metric={result.gap_metric}",
-        f"estimator={result.estimator}",
+        f"scheme_pair={pair}",
+        f"gap_metric={GAP_METRIC[pair]}",
+        f"estimator={estimator}",
         f"slope={_fmt(result.slope)}",
         f"intercept={_fmt(result.intercept)}",
     ]
 
     def rows():
-        for j, m in enumerate(result.m_values):
+        for j, m in enumerate(study.m_ladder):
             for r in range(reps):
                 yield [m, r, result.sup_gaps[j, r], result.slope, seed]
 
@@ -199,9 +186,9 @@ def _cmd_compare(cfg: dict, args) -> None:
     comments = ["experiment=compare"]
 
     def rows():
-        for table in tables:
+        for m, table in zip(m_values, tables):
             for t, w2, kl in zip(table.times, table.w2, table.kl):
-                yield [t, w2, kl, table.m, table.seed, table.bins]
+                yield [t, w2, kl, m, seed, table.bins]
 
     _write_csv(out, comments, "t,w2,kl,m,seed,bins", rows())
 

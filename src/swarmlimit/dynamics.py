@@ -99,6 +99,9 @@ class Params:
             raise ValueError(f"inertia m must be in (0, 1], got {self.m}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got "
+                             f"{self.t_end} / {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be >= dt, got {self.t_end}")
         if self.n_particles < 1:
@@ -133,6 +136,13 @@ class SwarmState:
         for name, arr in (("x", self.x), ("v", self.v), ("y", self.y)):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise NonFiniteStateError(step, f"{name} contains NaN/Inf")
+
+    @property
+    def mean_speed(self) -> float:
+        """Particle-average Euclidean velocity norm; 0 without velocities."""
+        if self.v is None:
+            return 0.0
+        return float(np.mean(np.linalg.norm(self.v, axis=1)))
 
 
 class Consensus(NamedTuple):
@@ -210,20 +220,19 @@ _STEPPERS = dict.fromkeys(SCHEMES, step)
 
 @dataclass
 class RunRecord:
-    """Per-step diagnostics and the final state of one run."""
+    """Per-step diagnostics and the final state of one run.
 
-    scheme: str
-    n_steps: int
-    dt: float
+    Row ``n`` of every array is time ``times[n]``: the initial cloud at
+    ``n = 0``, then one row per step.  ``consensus`` holds the point the next
+    step uses.  ``moments`` maps ``"x"``, and ``"v"`` / ``"y"`` where the
+    scheme carries velocities / local bests, to the (mean |.|^2, mean |.|^4)
+    of that cloud, in this order.
+    """
+
     times: np.ndarray                      # (n_steps + 1,)
     consensus: np.ndarray                  # (n_steps + 1, dim)
-    x_m2: np.ndarray
-    x_m4: np.ndarray
-    v_m2: np.ndarray | None = None
-    v_m4: np.ndarray | None = None
-    y_m2: np.ndarray | None = None
-    y_m4: np.ndarray | None = None
-    final: SwarmState | None = None
+    moments: dict[str, np.ndarray]         # name -> (n_steps + 1, 2)
+    final: SwarmState
 
 
 def _arrays_of(scheme: str) -> tuple[bool, bool]:
@@ -309,45 +318,25 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
     """Iterate a scheme from rest at ``x0`` for floor(t_end / dt) steps,
     recording diagnostics.
 
-    Moments and the consensus point are recorded at every step (including the
-    initial cloud); the recorded consensus is the one the next step uses.
-    Non-finite states abort with the offending step index.
+    The consensus point and the moments of every cloud the state carries
+    (positions, then velocities and local bests where the scheme has them)
+    are recorded at every step, including the initial cloud; the recorded
+    consensus is the one the next step uses.  Non-finite states abort with
+    the offending step index.
     """
     state = initial_state(scheme, x0)
-    n_steps = p.n_steps
-
-    times = np.empty(n_steps + 1)
-    cons = np.empty((n_steps + 1, p.dim))
-    x_m2 = np.empty(n_steps + 1)
-    x_m4 = np.empty(n_steps + 1)
-    v_m2 = np.empty(n_steps + 1) if state.v is not None else None
-    v_m4 = np.empty(n_steps + 1) if state.v is not None else None
-    y_m2 = np.empty(n_steps + 1) if state.y is not None else None
-    y_m4 = np.empty(n_steps + 1) if state.y is not None else None
+    rows = p.n_steps + 1
+    times = np.empty(rows)
+    cons = np.empty((rows, p.dim))
+    moments = {name: np.empty((rows, 2)) for name in ("x", "v", "y")
+               if getattr(state, name) is not None}
 
     def record(n: int, states: list[SwarmState], points: list[np.ndarray]) -> None:
         (s,), (point,) = states, points
         times[n] = s.t
         cons[n] = point
-        x_m2[n], x_m4[n] = empirical_moments(s.x)
-        if v_m2 is not None:
-            v_m2[n], v_m4[n] = empirical_moments(s.v)
-        if y_m2 is not None:
-            y_m2[n], y_m4[n] = empirical_moments(s.y)
+        for name, table in moments.items():
+            table[n] = empirical_moments(getattr(s, name))
 
     (final,), _ = lockstep([(scheme, p, state)], obj, tape, r, observe=record)
-
-    return RunRecord(
-        scheme=scheme,
-        n_steps=n_steps,
-        dt=p.dt,
-        times=times,
-        consensus=cons,
-        x_m2=x_m2,
-        x_m4=x_m4,
-        v_m2=v_m2,
-        v_m4=v_m4,
-        y_m2=y_m2,
-        y_m4=y_m4,
-        final=final,
-    )
+    return RunRecord(times=times, consensus=cons, moments=moments, final=final)

@@ -21,6 +21,11 @@ running sup of the paired gap and the per-step W2 / KL, so no snapshots are
 stored.  Every state keeps its own arrays and the arithmetic of a solo run,
 which keeps the results bit-identical to pairs of ``run`` calls.
 
+Results hold what callers read and nothing they passed in: a ``StudyResult``
+row is the ladder point of the same index, and ``compare_ladder`` returns its
+tables in the order of ``m_values``.  How a gap or an estimator is named in
+the CSV metadata is up to the writer (``cli``).
+
 All drivers are deterministic functions of their seeds.  A replicate's
 result depends only on ``(seed, r)``, so the replicates of a study can be
 split across calls without changing a bit; per-time averages are a fold over
@@ -39,9 +44,6 @@ from .consensus import laplace_value
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
 from .noise import NoiseTape, initial_positions
-
-GAP_METRIC_PLAIN = "paired_msq_gap(x)"
-GAP_METRIC_JOINT = "paired_msq_gap(x)+paired_msq_gap(y)"
 
 
 @dataclass(frozen=True)
@@ -73,22 +75,24 @@ class LimitStudyConfig:
 
 @dataclass
 class StudyResult:
-    """Per-ladder-point gaps, their aggregate, and the fitted rate."""
+    """Per-ladder-point gaps, their aggregate, and the fitted rate.
 
-    m_values: np.ndarray          # (n_m,)
+    Row ``j`` of every array belongs to ``m_ladder[j]`` of the study config.
+    A gap is the sup over time of the paired mean-square distance between the
+    second- and first-order clouds: of the positions for the plain pair, of
+    the positions plus that of the local bests for the memory pair.
+    ``gap_mean`` averages it over replicates, and ``slope`` / ``intercept``
+    fit ``ln gap_mean = intercept + slope ln m`` (NaN for a single point or a
+    zero gap).  W2 / KL are per-time replicate means between the position
+    clouds, kept only for the plain pair in one dimension.
+    """
+
     sup_gaps: np.ndarray          # (n_m, replicates)
     gap_mean: np.ndarray          # (n_m,)
-    gap_stderr: np.ndarray        # (n_m,)
     slope: float
     intercept: float
-    times: np.ndarray             # (n_steps + 1,)
     w2_mean: np.ndarray | None    # (n_m, n_steps + 1), d = 1 plain pair only
     kl_mean: np.ndarray | None
-    gap_metric: str
-    estimator: str
-    bins: int | None
-    seed: int
-    scheme_pair: str
 
 
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
@@ -117,7 +121,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     sup_gaps = np.full((n_m, reps), -np.inf)
     w2 = np.zeros((n_m, n_steps + 1)) if track_dist else None
     kl = np.zeros((n_m, n_steps + 1)) if track_dist else None
-    times = np.empty(n_steps + 1)
 
     for r in range(reps):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
@@ -127,7 +130,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
 
         def reduce(n, states, _points):
             ref = states[0]
-            times[n] = ref.t
             for j, s in enumerate(states[1:]):
                 g = paired_msq_gap(s.x, ref.x)
                 if memory:
@@ -145,11 +147,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
         kl /= reps
 
     gap_mean = sup_gaps.mean(axis=1)
-    if reps > 1:
-        gap_stderr = sup_gaps.std(axis=1, ddof=1) / np.sqrt(reps)
-    else:
-        gap_stderr = np.zeros(n_m)
-
     if n_m >= 2 and np.all(gap_mean > 0.0):
         log_m = np.log(np.asarray(cfg.m_ladder))
         slope, intercept = np.polyfit(log_m, np.log(gap_mean), 1)
@@ -157,34 +154,22 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
         # degenerate ladders (single point or frozen dynamics) have no rate
         slope, intercept = np.nan, np.nan
 
-    return StudyResult(
-        m_values=np.asarray(cfg.m_ladder),
-        sup_gaps=sup_gaps,
-        gap_mean=gap_mean,
-        gap_stderr=gap_stderr,
-        slope=float(slope),
-        intercept=float(intercept),
-        times=times,
-        w2_mean=w2,
-        kl_mean=kl,
-        gap_metric=GAP_METRIC_JOINT if memory else GAP_METRIC_PLAIN,
-        estimator=f"replicates(R={reps})" if reps > 1 else "single-run",
-        bins=bins,
-        seed=seed,
-        scheme_pair=cfg.scheme_pair,
-    )
+    return StudyResult(sup_gaps=sup_gaps, gap_mean=gap_mean, slope=float(slope),
+                       intercept=float(intercept), w2_mean=w2, kl_mean=kl)
 
 
 @dataclass
 class CompareTable:
-    """Per-time W2 and KL between the coupled second- and first-order clouds."""
+    """Per-time W2 and KL between the coupled second- and first-order clouds.
+
+    ``w2[k]`` and ``kl[k]`` compare the position clouds at ``times[k]``;
+    ``bins`` is the histogram bin count of the KL estimate.
+    """
 
     times: np.ndarray
     w2: np.ndarray
     kl: np.ndarray
-    m: float
     bins: int
-    seed: int
 
 
 def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
@@ -192,10 +177,11 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     """Couple PSO(m) for every ``m`` in ``m_values`` against one CBO run.
 
     All runs share the tape and the initial cloud, and ``p`` supplies every
-    constant but ``m``.  Returns one table per ``m``, in order, each bit-equal
-    to ``compare_distributions`` at that ``m``.  Requires ``dim == 1`` (the
-    exact order-statistics W2).  ``snapshot_times`` defaults to every step;
-    values must be finite and are matched to the nearest step.
+    constant but ``m``.  Returns one table per ``m``, in the order of
+    ``m_values``, each bit-equal to ``compare_distributions`` at that ``m``.
+    Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
+    defaults to every step; values must be finite and are matched to the
+    nearest step.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
@@ -235,8 +221,8 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     runs = [("cbo", p, initial_state("cbo", x0))]
     runs += [("pso", p_m, initial_state("pso", x0)) for p_m in rungs]
     lockstep(runs, obj, tape, 0, observe=reduce)
-    return [CompareTable(times=times, w2=w2[j], kl=kl[j], m=p_m.m, bins=bins,
-                         seed=seed) for j, p_m in enumerate(rungs)]
+    return [CompareTable(times=times, w2=w2_m, kl=kl_m, bins=bins)
+            for w2_m, kl_m in zip(w2, kl)]
 
 
 def compare_distributions(p: Params, obj, seed: int, snapshot_times=None,
@@ -253,19 +239,15 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
     """Run one scheme from a standard normal cloud to its horizon; return
     (final consensus, mean speed).
 
-    Mean speed is the particle-average Euclidean velocity norm, identically 0
-    for the first-order schemes.
+    Mean speed is the final state's ``mean_speed``, identically 0 for the
+    first-order schemes.
     """
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim)
     (final,), (point,) = lockstep([(scheme, p, initial_state(scheme, x0))],
                                   obj, tape, 0)
-    if final.v is not None:
-        mean_speed = float(np.mean(np.linalg.norm(final.v, axis=1)))
-    else:
-        mean_speed = 0.0
-    return point, mean_speed
+    return point, final.mean_speed
 
 
 def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:

@@ -140,5 +140,7 @@ def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np
         _, a, b = dist
         if a >= b:
             raise ValueError(f"uniform bounds must satisfy a < b, got a={a}, b={b}")
+        if not np.isfinite(b - a):
+            raise ValueError(f"uniform b - a must be finite, got a={a}, b={b}")
         return rng.uniform(a, b, (n, dim))
     raise ValueError(f"unknown distribution {kind!r} (expected gaussian or uniform)")

@@ -179,7 +179,7 @@ def test_criterion_5_invariant_suites():
                     n_particles=1000, dim=1)
         rec = run("pso", pm, obj1, NoiseTape(2024, 1, 1000, pm.n_steps, 1), 0,
                   initial_positions([2024, 0], 1000, 1))
-        if rec.x_m4.max() >= FOURTH_MOMENT_CAP:
+        if rec.moments["x"][:, 1].max() >= FOURTH_MOMENT_CAP:
             failures.append("fourth-moment cap")
             break
 

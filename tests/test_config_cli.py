@@ -180,6 +180,33 @@ def test_cli_compare_matches_golden_file(tmp_path):
     assert out.read_bytes() == golden
 
 
+MEMORY_CFG = BASE_CFG.replace("scheme = pso", "scheme = pso_mem") + (
+    "lambda1 = 1\nlambda2 = 1\nsigma1 = 0.5\nsigma2 = 0.5\nnu = 0.5\nbeta = 30\n"
+)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["run"], "run_golden.csv"),
+    (["limit-study", "--m-ladder", "0.2,0.1"], "limit_study_golden.csv"),
+])
+def test_cli_memory_outputs_match_golden_files(tmp_path, argv, golden):
+    # pso_mem carries every moment column and both gap terms
+    cfg = write_cfg(tmp_path, MEMORY_CFG)
+    out = tmp_path / "o.csv"
+    assert main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_cli_single_replicate_study_names_gap_and_estimator(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "a.csv"
+    assert main(["limit-study", "--config", cfg, "--m-ladder", "0.2",
+                 "--replicates", "1", "--out", str(out)]) == 0
+    comments = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert "# gap_metric=paired_msq_gap(x)" in comments
+    assert "# estimator=single-run" in comments
+
+
 def test_cli_compare_header_schema(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "cmp.csv"
@@ -252,12 +279,23 @@ def test_cli_non_finite_value_exits_2_naming_the_field(tmp_path, capsys,
     assert err == [f"error: config: {field} must be finite, got {raw}"]
 
 
+def test_cli_step_count_overflow_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("dt = 0.01", "dt = 1e-300")
+                    .replace("T = 0.1", "T = 1e10"))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: t_end / dt must be finite, got 10000000000.0 / 1e-300"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (("dim = 1", "dim = 1\nshift = nan"), "shift must be finite, got (nan,)"),
     (("init = gaussian,0,1", "init = gaussian,0,nan"),
      "gaussian var must be finite, got nan"),
     (("init = gaussian,0,1", "init = uniform,0,inf"),
      "uniform b must be finite, got inf"),
+    (("init = gaussian,0,1", "init = uniform,-1e308,1e308"),
+     "uniform b - a must be finite, got a=-1e+308, b=1e+308"),
 ])
 def test_cli_non_finite_shift_or_init_exits_2(tmp_path, capsys, edit, message):
     cfg = write_cfg(tmp_path, BASE_CFG.replace(*edit))
