@@ -8,8 +8,9 @@ digits so that equal-seed invocations produce byte-identical files.
 Every subcommand takes ``--config``, ``--seed`` and ``--out``; ``limit-study``
 adds ``--replicates`` and ``--m-ladder``, ``compare`` adds ``--m-ladder`` and
 ``--snapshot-times``.  Exit codes: 0 success, 2 bad configuration or command
-line, 3 numerical abort, 4 I/O failure.  Errors print one machine-parsable
-line ``error: <category>: <detail>``.
+line (a run too large for memory included), 3 numerical abort, 4 I/O
+failure.  Errors print one machine-parsable line ``error: <category>:
+<detail>``.
 """
 
 from __future__ import annotations
@@ -247,12 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    cfg = {}
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        sizes = ", ".join(f"{key}={_fmt(cfg.get(key))}"
+                          for key in ("N", "dim", "dt", "T"))
+        print(f"error: config: out of memory for {sizes}", file=sys.stderr)
         return 2
     except NonFiniteStateError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

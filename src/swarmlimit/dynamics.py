@@ -1,6 +1,6 @@
 """Time stepping for the coupled swarm dynamics.
 
-Four schemes over an ``(n_particles, dim)`` cloud, all advanced by one
+Four schemes over an ``(..., n_particles, dim)`` cloud, all advanced by one
 ``step``:
 
 * ``pso``      second-order dynamics, semi-implicit in the friction term:
@@ -21,19 +21,24 @@ increment, so ``pso`` becomes ``cbo`` (and ``pso_mem`` becomes ``cbo_mem``)
 at the discrete level.  ``step`` is written in that form: the first-order
 update is the second-order one with the denominator 1 and the positions in
 place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
-bests) selects the branch.
+bests) selects the branch; a second-order state also carries its inertia.
+
+A ``(K, N, d)`` state is a stack of K swarms, and a second-order stack
+carries one inertia per slice as a ``(K, 1, 1)`` column.  Each slice's
+arithmetic is elementwise that of a solo ``(N, d)`` run and every reduction
+stays within one slice, so its bits do not depend on what it is stacked with.
 
 ``Xa`` is the softmax consensus of the current positions (of the local bests
 for the memory variants), computed once per step from the pre-step cloud and
-shared by all particles.  The noise coupling ``(Xa - X) th`` is componentwise
-(anisotropic/diagonal).  With matching tapes, ``pso`` and ``cbo`` consume
-identical noise at matching ``(i, n, k)``, which is what makes their pathwise
-gap measure the small-inertia coupling distance.
+shared by all particles of a slice.  The noise coupling ``(Xa - X) th`` is
+componentwise (anisotropic/diagonal).  With matching tapes, ``pso`` and
+``cbo`` consume identical noise at matching ``(i, n, k)``, which is what
+makes their pathwise gap measure the small-inertia coupling distance.
 
-``lockstep`` is the one stepping loop: it advances any number of states that
-share a tape replicate and a time grid together, drawing each tape block once
-per step and computing each state's consensus once per step.  ``run`` is
-``lockstep`` over a single state plus per-step recording.
+``lockstep`` is the one stepping loop: it advances states that share a tape
+replicate and ``Params`` together, drawing each tape block once per step and
+handing the same array to every slice of every state.  ``run`` is
+``lockstep`` over a single unstacked state plus per-step recording.
 """
 
 from __future__ import annotations
@@ -44,19 +49,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import consensus_point
+from .consensus import consensus_point, costs_of
 from .metrics import empirical_moments
 
 SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
 
 
 class NonFiniteStateError(RuntimeError):
-    """A step produced NaN or Inf; carries the offending step index."""
+    """A step produced NaN or Inf: carries the step, the array (``x``, ``v``
+    or ``y``) and the index of its first non-finite entry, ``(particle,
+    coordinate)`` led by the rung for a stacked state."""
 
-    def __init__(self, step: int, detail: str):
-        super().__init__(f"non-finite state after step {step}: {detail}")
-        self.step = step
-        self.detail = detail
+    def __init__(self, step: int, array: str, index: tuple[int, ...], value):
+        where = f"{array}[{', '.join(map(str, index))}]"
+        super().__init__(f"non-finite state after step {step}: {where} is {value}")
+        self.step, self.array, self.index = step, array, index
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class MemoryParams:
 class Params:
     """Model and scheme constants shared by all schemes.
 
-    ``gamma`` is not a free field: the friction is pinned to ``1 - m`` exactly.
+    The friction ``gamma`` is not a field: it is pinned to ``1 - m`` exactly.
     """
 
     m: float
@@ -114,10 +121,6 @@ class Params:
             raise ValueError("lam and sigma must be >= 0")
 
     @property
-    def gamma(self) -> float:
-        return 1.0 - self.m
-
-    @property
     def n_steps(self) -> int:
         # floor of t_end / dt, guarded so 0.3 / 0.1 = 2.99...96 still gives 3
         return int(self.t_end / self.dt + 1e-9)
@@ -125,24 +128,29 @@ class Params:
 
 @dataclass
 class SwarmState:
-    """Positions (and velocities / local bests where the scheme has them)."""
+    """``(..., N, d)`` positions (and velocities / local bests where the
+    scheme has them); ``m`` is a second-order state's inertia, a float or the
+    ``(K, 1, 1)`` column of a ``(K, N, d)`` stack."""
 
     t: float
     x: np.ndarray
     v: np.ndarray | None = None
     y: np.ndarray | None = None
+    m: float | np.ndarray | None = None
 
     def check_finite(self, step: int) -> None:
-        for name, arr in (("x", self.x), ("v", self.v), ("y", self.y)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise NonFiniteStateError(step, f"{name} contains NaN/Inf")
+        for name in ("x", "v", "y"):
+            arr = getattr(self, name)
+            if arr is not None and not np.isfinite(arr).all():
+                index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                raise NonFiniteStateError(step, name, index, arr[index])
 
     @property
-    def mean_speed(self) -> float:
-        """Particle-average Euclidean velocity norm; 0 without velocities."""
+    def mean_speed(self):
+        """Per-slice particle average of the velocity norm; 0 without velocities."""
         if self.v is None:
             return 0.0
-        return float(np.mean(np.linalg.norm(self.v, axis=1)))
+        return np.linalg.norm(self.v, axis=-1).mean(axis=-1)
 
 
 class Consensus(NamedTuple):
@@ -156,31 +164,32 @@ class Consensus(NamedTuple):
 
 
 def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
-    """The consensus the next step of ``state`` uses."""
+    """The consensus the next step of ``state`` uses, one point per slice."""
     cloud = state.x if state.y is None else state.y
-    costs = np.asarray(obj(cloud), dtype=np.float64)
+    costs = costs_of(cloud, obj)
     return Consensus(consensus_point(cloud, obj, p.alpha, costs=costs), costs)
 
 
-def step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
+def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
          cons: Consensus | None = None) -> SwarmState:
     """One step of the scheme the state's arrays select.
 
-    Velocities select the semi-implicit second-order update and local bests
-    the memory variant.  ``cons`` is the pre-step ``consensus_of(state, p,
-    obj)`` when the caller already holds it; it is computed otherwise.  The
-    update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
-    right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
-    returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
-    returns ``V' = acc``, ``X' = X + dt V'``.
+    ``theta`` is the step's ``(N, d)`` tape block per channel, from channel 1,
+    shared by every slice.  Velocities select the semi-implicit second-order
+    update with the state's inertia and local bests the memory variant.
+    ``cons`` is the pre-step ``consensus_of(state, p, obj)`` when the caller
+    already holds it.  The update is ``acc + sum_j (c_j / denom) vec_j
+    [theta_j]``, summed left to right: first order starts ``acc`` from ``X``
+    with ``denom = 1`` and returns ``X' = acc``; second order starts it from
+    ``(m / denom) V`` and returns ``V' = acc``, ``X' = X + dt V'``.
     """
     if cons is None:
         cons = consensus_of(state, p, obj)
     sqrt_dt = sqrt(p.dt)
-    to_global = cons.point - state.x
+    to_global = cons.point[..., None, :] - state.x
     if state.y is None:
         terms = [(p.lam * p.dt, to_global, None),
-                 (p.sigma * sqrt_dt, to_global, tape.theta_block(r, n, 1))]
+                 (p.sigma * sqrt_dt, to_global, theta[0])]
     else:
         mem = p.memory
         if mem is None:
@@ -188,16 +197,16 @@ def step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
         to_local = state.y - state.x
         terms = [(mem.lam1 * p.dt, to_local, None),
                  (mem.lam2 * p.dt, to_global, None),
-                 (mem.sigma1 * sqrt_dt, to_local, tape.theta_block(r, n, 1)),
-                 (mem.sigma2 * sqrt_dt, to_global, tape.theta_block(r, n, 2))]
+                 (mem.sigma1 * sqrt_dt, to_local, theta[0]),
+                 (mem.sigma2 * sqrt_dt, to_global, theta[1])]
     if state.v is None:
         denom, acc = 1.0, state.x
     else:
-        denom = p.m + p.gamma * p.dt
-        acc = (p.m / denom) * state.v
-    for coef, vec, theta in terms:
+        denom = state.m + (1.0 - state.m) * p.dt
+        acc = (state.m / denom) * state.v
+    for coef, vec, noise in terms:
         term = (coef / denom) * vec
-        acc = acc + (term if theta is None else term * theta)
+        acc = acc + (term if noise is None else term * noise)
     if state.v is None:
         x_new, v_new = acc, None
     else:
@@ -205,12 +214,10 @@ def step(state: SwarmState, p: Params, obj, tape, r: int, n: int,
     y_new = None
     if state.y is not None:
         # local bests relax toward the new positions, weighted by the cost gap
-        gap = np.asarray(obj(x_new)) - cons.costs
+        gap = costs_of(x_new, obj) - cons.costs
         y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-            * np.tanh(mem.beta * gap)[:, None]
-    out = SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new)
-    out.check_finite(n)
-    return out
+            * np.tanh(mem.beta * gap)[..., None]
+    return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
 
 
 # one entry per scheme, all the same ``step``: ``lockstep`` looks the step up
@@ -235,80 +242,60 @@ class RunRecord:
     final: SwarmState
 
 
-def _arrays_of(scheme: str) -> tuple[bool, bool]:
-    """Whether a state of ``scheme`` carries velocities and local bests."""
-    return scheme.startswith("pso"), scheme.endswith("_mem")
+def _scheme_of(state: SwarmState) -> str:
+    return ("cbo" if state.v is None else "pso") + ("" if state.y is None else "_mem")
 
 
-def initial_state(scheme: str, x0: np.ndarray) -> SwarmState:
-    """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0."""
+def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
+    """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0.
+
+    A second-order scheme needs its inertia ``m``: a float gives one swarm,
+    a sequence of K inertias a ``(K, N, d)`` stack with ``x0`` in every slice.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
     x0 = np.array(x0, dtype=np.float64)
-    has_v, has_y = _arrays_of(scheme)
-    return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if has_v else None,
-                      y=x0.copy() if has_y else None)
+    second_order = scheme.startswith("pso")
+    if not second_order:
+        m = None
+    elif m is None:
+        raise ValueError(f"scheme {scheme!r} needs its inertia m")
+    elif np.ndim(m) == 1:
+        x0 = np.repeat(x0[None], len(m), axis=0)
+        m = np.asarray(m, dtype=np.float64)[:, None, None]
+    return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if second_order else None,
+                      y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-class _StepTape:
-    """One step's view of a tape: each ``(r, n, ch)`` block is drawn once and
-    the same array goes to every state that asks for it.
-
-    Sharing is exact because a block is a pure function of its index.
-    """
-
-    def __init__(self, tape):
-        self._tape = tape
-        self._blocks = {}
-
-    def theta_block(self, r: int, n: int, ch: int = 1) -> np.ndarray:
-        key = (r, n, ch)
-        if key not in self._blocks:
-            self._blocks[key] = self._tape.theta_block(r, n, ch)
-        return self._blocks[key]
-
-
-def lockstep(runs, obj, tape, r: int, observe=None
+def lockstep(states, p: Params, obj, tape, r: int, observe=None
              ) -> tuple[list[SwarmState], list[np.ndarray]]:
-    """Advance several states on replicate ``r`` of one tape together.
+    """Advance ``states`` on replicate ``r`` of one tape together.
 
-    ``runs`` lists ``(scheme, params, initial state)`` triples that share the
-    time grid (``dt`` and the step count).  Per step, each tape block is
-    drawn once and handed to every state, and each state's consensus is
-    computed once: the step that follows consumes it and ``observe(n,
-    states, points)`` receives its point, at ``n = 0`` for the initial states
-    and at ``n + 1`` after step ``n``.  Each state keeps its own arrays and
-    the arithmetic of a run on its own, so its bits do not depend on which
-    other states share the call.  Returns the final states and their
-    consensus points.  Non-finite states abort with the offending step index.
+    The states share ``p``, each second-order one with its own inertia.  Per
+    step, the tape blocks are drawn once and handed to every state, and each
+    state's consensus is computed once: the step that follows consumes it and
+    ``observe(n, states, points)`` receives its points, at ``n = 0`` for the
+    initial states and at ``n + 1`` after step ``n``.  Returns the final
+    states and their consensus points.  Non-finite states abort with the
+    offending step index.
     """
-    for scheme, _, state in runs:
-        if scheme not in _STEPPERS:
-            raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
-        if (state.v is not None, state.y is not None) != _arrays_of(scheme):
-            raise ValueError(f"state arrays do not match scheme {scheme!r} "
-                             "(velocities for pso*, local bests for *_mem)")
-    params = [p for _, p, _ in runs]
-    n_steps = params[0].n_steps
-    if n_steps < 1:
-        raise ValueError("t_end / dt must give at least one step")
-    if any(q.dt != params[0].dt or q.n_steps != n_steps for q in params):
-        raise ValueError("lockstep states must share dt and the step count")
-    states = [state for _, _, state in runs]
-    for p, state in zip(params, states):
+    for state in states:
         state.check_finite(-1)
-        if state.x.shape != (p.n_particles, p.dim):
-            raise ValueError(
-                f"x0 shape {state.x.shape} does not match params "
-                f"({p.n_particles}, {p.dim})"
-            )
+        if state.x.shape[-2:] != (p.n_particles, p.dim):
+            raise ValueError(f"x0 shape {state.x.shape} does not match params "
+                             f"({p.n_particles}, {p.dim})")
+    channels = 2 if any(s.y is not None for s in states) else 1
 
-    cons = [consensus_of(s, p, obj) for s, p in zip(states, params)]
+    cons = [consensus_of(s, p, obj) for s in states]
     if observe is not None:
         observe(0, states, [c.point for c in cons])
-    for n in range(n_steps):
-        step_tape = _StepTape(tape)
-        states = [_STEPPERS[scheme](s, p, obj, step_tape, r, n, c)
-                  for (scheme, p, _), s, c in zip(runs, states, cons)]
-        cons = [consensus_of(s, p, obj) for s, p in zip(states, params)]
+    for n in range(p.n_steps):
+        theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
+        states = [_STEPPERS[_scheme_of(s)](s, p, obj, theta, c)
+                  for s, c in zip(states, cons)]
+        for s in states:
+            s.check_finite(n)
+        cons = [consensus_of(s, p, obj) for s in states]
         if observe is not None:
             observe(n + 1, states, [c.point for c in cons])
     return states, [c.point for c in cons]
@@ -324,7 +311,7 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
     consensus is the one the next step uses.  Non-finite states abort with
     the offending step index.
     """
-    state = initial_state(scheme, x0)
+    state = initial_state(scheme, x0, p.m)
     rows = p.n_steps + 1
     times = np.empty(rows)
     cons = np.empty((rows, p.dim))
@@ -338,5 +325,5 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
         for name, table in moments.items():
             table[n] = empirical_moments(getattr(s, name))
 
-    (final,), _ = lockstep([(scheme, p, state)], obj, tape, r, observe=record)
+    (final,), _ = lockstep([state], p, obj, tape, r, observe=record)
     return RunRecord(times=times, consensus=cons, moments=moments, final=final)

@@ -12,14 +12,15 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-The coupled drivers make one ``dynamics.lockstep`` call per replicate: the
-first-order reference and one second-order state per inertia value advance
-together, one step at a time.  The reference does not depend on ``m``, so it
-is computed once per replicate, and each noise-tape block is drawn once per
-step and serves every rung.  A reducer called after every step updates the
-running sup of the paired gap and the per-step W2 / KL, so no snapshots are
-stored.  Every state keeps its own arrays and the arithmetic of a solo run,
-which keeps the results bit-identical to pairs of ``run`` calls.
+The coupled drivers make one ``dynamics.lockstep`` call per replicate over
+two states: the ``(N, d)`` first-order reference and one ``(K, N, d)``
+second-order stack with one slice per inertia value.  The reference does not
+depend on ``m``, so it is computed once per replicate, and each noise-tape
+block is drawn once per step and serves every slice.  A reducer called after
+every step updates the running sup of the paired gap and the per-step W2 /
+KL, so no snapshots are stored.  Each slice's arithmetic is elementwise that
+of a solo run and every reduction stays within one slice, which keeps the
+results bit-identical to pairs of ``run`` calls.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -99,8 +100,8 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
     Each replicate is one ``lockstep`` call: the first-order reference (it
-    does not depend on the inertia) and one second-order state per ladder
-    point start from the same initial cloud and consume the same tape blocks.
+    does not depend on the inertia) and the second-order stack of the ladder
+    start from the same initial cloud and consume the same tape blocks.
     The rate is the least-squares slope of ``ln(mean gap)`` against ``ln m``
     over all ladder points.
     """
@@ -113,7 +114,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     reps = cfg.replicates
     track_dist = base.dim == 1 and not memory
     bins = default_bins(base.n_particles) if track_dist else None
-    rungs = [replace(base, m=m) for m in cfg.m_ladder]
 
     tape = NoiseTape(seed, reps, base.n_particles, n_steps, base.dim,
                      channels=2 if memory else 1)
@@ -124,24 +124,23 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
 
     for r in range(reps):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
-        runs = [(first_order, base, initial_state(first_order, x0))]
-        runs += [(second_order, p_m, initial_state(second_order, x0))
-                 for p_m in rungs]
+        states = [initial_state(first_order, x0),
+                  initial_state(second_order, x0, cfg.m_ladder)]
 
         def reduce(n, states, _points):
-            ref = states[0]
-            for j, s in enumerate(states[1:]):
-                g = paired_msq_gap(s.x, ref.x)
+            ref, ladder = states
+            for j in range(n_m):
+                g = paired_msq_gap(ladder.x[j], ref.x)
                 if memory:
-                    g += paired_msq_gap(s.y, ref.y)
+                    g += paired_msq_gap(ladder.y[j], ref.y)
                 sup_gaps[j, r] = max(sup_gaps[j, r], g)
                 if track_dist:
-                    a = s.x[:, 0]
+                    a = ladder.x[j, :, 0]
                     b = ref.x[:, 0]
                     w2[j, n] += wasserstein2_1d(a, b)
                     kl[j, n] += kl_histogram(a, b, bins)
 
-        lockstep(runs, obj, tape, r, observe=reduce)
+        lockstep(states, base, obj, tape, r, observe=reduce)
     if track_dist:
         w2 /= reps
         kl /= reps
@@ -176,16 +175,18 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
                    init: tuple = ("gaussian", 0.0, 1.0)) -> list[CompareTable]:
     """Couple PSO(m) for every ``m`` in ``m_values`` against one CBO run.
 
-    All runs share the tape and the initial cloud, and ``p`` supplies every
-    constant but ``m``.  Returns one table per ``m``, in the order of
-    ``m_values``, each bit-equal to ``compare_distributions`` at that ``m``.
+    PSO steps as one stack with a slice per ``m``, on CBO's tape and initial
+    cloud; ``p`` supplies every constant but ``m``.  Returns one table per
+    ``m``, in the order of ``m_values``, each bit-equal to
+    ``compare_distributions`` at that ``m``.
     Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
     defaults to every step; values must be finite and are matched to the
     nearest step.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
-    rungs = [replace(p, m=m) for m in m_values]
+    for m in m_values:
+        replace(p, m=m)  # each inertia passes the Params checks
     n_steps = p.n_steps
     tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
@@ -203,24 +204,21 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     bins = default_bins(p.n_particles)
 
     times = np.empty(len(steps))
-    w2 = np.empty((len(rungs), len(steps)))
-    kl = np.empty((len(rungs), len(steps)))
+    w2 = np.empty((len(m_values), len(steps)))
+    kl = np.empty((len(m_values), len(steps)))
 
     def reduce(n, states, _points):
         k = slot.get(n)
         if k is None:
             return
-        ref = states[0]
-        times[k] = states[1].t
-        for j, s in enumerate(states[1:]):
-            a = s.x[:, 0]
-            b = ref.x[:, 0]
-            w2[j, k] = wasserstein2_1d(a, b)
-            kl[j, k] = kl_histogram(a, b, bins)
+        ref, ladder = states
+        times[k] = ladder.t
+        for j, a in enumerate(ladder.x[:, :, 0]):
+            w2[j, k] = wasserstein2_1d(a, ref.x[:, 0])
+            kl[j, k] = kl_histogram(a, ref.x[:, 0], bins)
 
-    runs = [("cbo", p, initial_state("cbo", x0))]
-    runs += [("pso", p_m, initial_state("pso", x0)) for p_m in rungs]
-    lockstep(runs, obj, tape, 0, observe=reduce)
+    states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
+    lockstep(states, p, obj, tape, 0, observe=reduce)
     return [CompareTable(times=times, w2=w2_m, kl=kl_m, bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 
@@ -245,8 +243,8 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim)
-    (final,), (point,) = lockstep([(scheme, p, initial_state(scheme, x0))],
-                                  obj, tape, 0)
+    (final,), (point,) = lockstep([initial_state(scheme, x0, p.m)], p, obj,
+                                  tape, 0)
     return point, final.mean_speed
 
 

@@ -13,6 +13,7 @@ followed by the inverse normal CDF, so there is no stream state to replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 from scipy.special import ndtri
@@ -65,9 +66,16 @@ class NoiseTape:
     def __post_init__(self):
         if self.channels not in (1, 2):
             raise ValueError(f"channels must be 1 or 2, got {self.channels}")
-        for name in ("replicates", "particles", "steps", "dim"):
+        sizes = ("replicates", "particles", "steps", "dim", "channels")
+        for name in sizes[:-1]:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # the linear index is a uint64 counter: a larger layout would wrap
+        # and alias the noise of distinct indices
+        if prod(getattr(self, name) for name in sizes) > 2**64:
+            layout = ", ".join(f"{name}={getattr(self, name)}" for name in sizes)
+            raise ValueError(f"noise tape layout {layout} has more than 2**64 "
+                             "indices")
 
     def _seed64(self) -> np.uint64:
         return np.uint64(self.seed & _U64_MASK)

@@ -24,8 +24,13 @@ def trajectory(scheme, p, obj, tape, r, x0):
         xs.append(s.x.copy())
         ys.append(None if s.y is None else s.y.copy())
 
-    lockstep([(scheme, p, initial_state(scheme, x0))], obj, tape, r, observe=keep)
+    lockstep([initial_state(scheme, x0, p.m)], p, obj, tape, r, observe=keep)
     return xs, ys
+
+
+def blocks(tape, n, r=0):
+    """Every channel's tape block of step ``n``, as ``step`` takes them."""
+    return tuple(tape.theta_block(r, n, ch) for ch in range(1, tape.channels + 1))
 
 
 class RecordingTape:

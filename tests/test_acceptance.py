@@ -30,7 +30,7 @@ from swarmlimit import (
 )
 
 from certified import c_alpha, upper_bound
-from conftest import linear_cost, trajectory
+from conftest import blocks, linear_cost, trajectory
 from test_dynamics import FOURTH_MOMENT_CAP
 
 SIGMA = 1.0 / np.sqrt(3.0)
@@ -214,7 +214,7 @@ def test_criterion_6_scheme_oracles():
                n_particles=2, dim=1)
     tape = NoiseTape(0, 1, 2, p.n_steps, 1, channels=2)
     out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]]),
-                              v=np.zeros((2, 1))), p, obj, tape, 0, 0)
+                          v=np.zeros((2, 1)), m=p.m), p, obj, blocks(tape, 0))
     den = mp.mpf("0.5") + mp.mpf("0.5") * mp.mpf("0.01")
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         v_exp = mp.mpf("0.01") / den * (mp.mpf("0.5") - x)
@@ -224,7 +224,7 @@ def test_criterion_6_scheme_oracles():
 
     # Euler-Maruyama two-particle step, sigma = 0
     out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]])), p, obj,
-                   tape, 0, 0)
+                   blocks(tape, 0))
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         x_exp = x + mp.mpf("0.01") * (mp.mpf("0.5") - x)
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
@@ -235,7 +235,7 @@ def test_criterion_6_scheme_oracles():
                 memory=MemoryParams(lam1=1.0, lam2=0.0, sigma1=0.0,
                                     sigma2=0.0, nu=0.5, beta=30.0))
     out = step(SwarmState(t=0.0, x=np.array([[0.0]]),
-                                     y=np.array([[1.0]])), pm, obj, tape, 0, 0)
+                                     y=np.array([[1.0]])), pm, obj, blocks(tape, 0))
     x_exp = mp.mpf("0.01")
     y_exp = 1 + mp.mpf("0.005") * (x_exp - 1) * mp.tanh(30 * (x_exp - 1))
     worst = max(worst, abs(out.x[0, 0] - float(x_exp)) / abs(float(x_exp)))

@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
+import swarmlimit.cli as cli
 from swarmlimit.cli import main
 from swarmlimit.config import (
     ConfigError,
@@ -286,6 +288,37 @@ def test_cli_step_count_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: config: t_end / dt must be finite, got 10000000000.0 / 1e-300"]
+
+
+@pytest.mark.parametrize("command", ["run", "limit-study", "compare"])
+def test_cli_tape_index_overflow_exits_2_naming_the_layout(tmp_path, capsys,
+                                                           command):
+    # t_end / dt = 1e290 is a finite step count, but the tape's uint64
+    # linear index cannot address that many steps
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("dt = 0.01", "dt = 1e-300")
+                    .replace("T = 0.1", "T = 1e-10"))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"error: config: noise tape layout replicates=\d+, "
+                        r"particles=60, steps=\d{291}, dim=1, channels=1 has "
+                        r"more than 2\*\*64 indices", line)
+
+
+def test_cli_out_of_memory_exits_2_naming_the_sizes(tmp_path, capsys,
+                                                    monkeypatch):
+    # dt = 1e-10, T = 1 asks for ~75 GiB of per-step records; the allocation
+    # failure is simulated, never attempted
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("dt = 0.01", "dt = 1e-10")
+                    .replace("T = 0.1", "T = 1"))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: out of memory for N=60, dim=1, dt=1e-10, T=1"]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from swarmlimit import ackley, consensus_point, laplace_value
+from swarmlimit import ackley, consensus_point, laplace_value, rastrigin, sphere
 
 from certified import c_alpha, upper_bound
 from conftest import linear_cost
@@ -103,6 +103,22 @@ def test_perturbation_continuity(rng):
         moved = consensus_point(pts + eps * direction, obj, 30.0)
         gaps.append(np.linalg.norm(moved - base))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("make", [ackley, rastrigin, sphere])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_stacked_consensus_equals_per_slice_calls_bitwise(rng, make, dim):
+    # every reduction runs within one cloud of the stack, so each slice's
+    # point has the bits of a call on that cloud alone
+    obj = make(dim)
+    for n in (1, 7, 8, 9, 130, 1000):
+        scales = np.array([0.1, 1.0, 3.0, 10.0])[:, None, None]
+        stack = scales * rng.standard_normal((4, n, dim))
+        for alpha in (0.0, 1.0, 30.0, 1e4):
+            out = consensus_point(stack, obj, alpha)
+            assert out.shape == (4, dim)
+            for k in range(4):
+                assert np.array_equal(out[k], consensus_point(stack[k], obj, alpha))
 
 
 def test_large_alpha_does_not_overflow():

@@ -17,7 +17,7 @@ from swarmlimit import (
     step,
 )
 
-from conftest import RecordingTape, linear_cost
+from conftest import RecordingTape, blocks, linear_cost
 
 # hand evaluation of the semi-implicit update for particles {0, 1}, V = 0,
 # m = 0.5, dt = 0.01, lam = 1, sigma = 0, alpha = 0 (consensus 0.5):
@@ -52,7 +52,6 @@ def tape_for(p, seed=0, replicates=1, channels=1):
 
 
 def test_params_validation():
-    assert plain_params(m=0.25).gamma == 0.75
     with pytest.raises(ValueError):
         plain_params(m=0.0)
     with pytest.raises(ValueError):
@@ -72,13 +71,12 @@ def test_step_preconditions():
     tape = tape_for(p)
     obj = linear_cost()
     x0 = np.zeros((2, 1))
-    with_v = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((2, 1)))
-    without_v = SwarmState(t=0.0, x=x0.copy())
-    with_y = SwarmState(t=0.0, x=x0.copy(), y=x0.copy())
-    for scheme, state in (("cbo", with_v), ("pso", without_v),
-                          ("pso_mem", with_v), ("cbo", with_y)):
-        with pytest.raises(ValueError, match="do not match scheme"):
-            lockstep([(scheme, p, state)], obj, tape, 0)
+    # a second-order state carries its inertia
+    for scheme in ("pso", "pso_mem"):
+        with pytest.raises(ValueError, match="needs its inertia m"):
+            initial_state(scheme, x0)
+    # a first-order scheme carries no inertia, whatever it is given
+    assert initial_state("cbo", x0, 0.5).m is None
     # a memory state needs the memory constants
     with pytest.raises(ValueError, match="memory params"):
         run("cbo_mem", p, obj, tape_for(p, channels=2), 0, x0)
@@ -87,9 +85,9 @@ def test_step_preconditions():
 def test_pso_singleton_velocity_decays_geometrically():
     p = plain_params(n_particles=1, sigma=0.7, lam=2.0, alpha=30.0)
     tape = tape_for(p)
-    state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]))
-    factor = p.m / (p.m + p.gamma * p.dt)
-    out = step(state, p, ackley(1), tape, 0, 0)
+    state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]), m=p.m)
+    factor = p.m / (p.m + (1 - p.m) * p.dt)
+    out = step(state, p, ackley(1), blocks(tape, 0))
     # consensus of a singleton is the particle itself: drift and noise vanish
     assert out.v[0, 0] == factor * 1.0
     assert out.x[0, 0] == 0.4 + p.dt * out.v[0, 0]
@@ -99,8 +97,8 @@ def test_pso_frozen_dynamics_is_identity_on_positions():
     p = plain_params(sigma=0.0, lam=0.0)
     tape = tape_for(p)
     x = np.array([[0.1], [0.9]])
-    state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)))
-    out = step(state, p, linear_cost(), tape, 0, 0)
+    state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)), m=p.m)
+    out = step(state, p, linear_cost(), blocks(tape, 0))
     assert np.array_equal(out.x, x)
     assert np.array_equal(out.v, np.zeros((2, 1)))
     assert out.t == p.dt
@@ -114,8 +112,9 @@ def test_pso_step_matches_hand_oracle():
     assert abs(float(mp.mpf("0.01") * v0) - PSO_X_NEW[0]) < 1e-19
 
     p = plain_params()
-    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)))
-    out = step(state, p, linear_cost(), tape_for(p), 0, 0)
+    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
+                       m=p.m)
+    out = step(state, p, linear_cost(), blocks(tape_for(p), 0))
     assert out.v[:, 0] == pytest.approx(PSO_V_NEW, rel=1e-12)
     assert out.x[:, 0] == pytest.approx(PSO_X_NEW, rel=1e-12)
 
@@ -123,7 +122,7 @@ def test_pso_step_matches_hand_oracle():
 def test_cbo_step_matches_hand_oracle():
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
-    out = step(state, p, linear_cost(), tape_for(p), 0, 0)
+    out = step(state, p, linear_cost(), blocks(tape_for(p), 0))
     assert out.x[:, 0] == pytest.approx(CBO_X_NEW, rel=1e-12)
 
 
@@ -133,21 +132,21 @@ def test_cbo_fixed_point_when_collapsed():
     x = np.full((5, 1), 1.25)
     state = SwarmState(t=0.0, x=x.copy())
     for n in range(10):
-        state = step(state, p, ackley(1), tape, 0, n)
+        state = step(state, p, ackley(1), blocks(tape, n))
     assert np.array_equal(state.x, x)
 
 
 def test_cbo_null_dynamics_is_identity():
     p = plain_params(sigma=0.0, lam=0.0)
     x = np.array([[0.3], [0.7]])
-    out = step(SwarmState(t=0.0, x=x.copy()), p, linear_cost(), tape_for(p), 0, 0)
+    out = step(SwarmState(t=0.0, x=x.copy()), p, linear_cost(), blocks(tape_for(p), 0))
     assert np.array_equal(out.x, x)
 
 
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
-    state = initial_state("pso_mem", np.array([[0.2], [0.8]]))
-    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    state = initial_state("pso_mem", np.array([[0.2], [0.8]]), p.m)
+    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
     assert np.array_equal(out.y, state.y)
     assert np.array_equal(out.x, state.x)
@@ -157,10 +156,10 @@ def test_memory_nu_zero_freezes_local_bests():
     p = memory_params(nu=0.0, lam1=0.5, lam2=0.5, sigma1=0.3, sigma2=0.3)
     tape = tape_for(p, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.1], [0.6]]), v=np.zeros((2, 1)),
-                       y=np.array([[0.0], [1.0]]))
+                       y=np.array([[0.0], [1.0]]), m=p.m)
     y0 = state.y.copy()
     for n in range(5):
-        state = step(state, p, linear_cost(), tape, 0, n)
+        state = step(state, p, linear_cost(), blocks(tape, n))
     assert np.array_equal(state.y, y0)
 
 
@@ -170,9 +169,9 @@ def test_memory_singleton_reduces_to_combined_drift():
     p = memory_params(lam1=0.7, lam2=0.5, nu=0.25, n_particles=1)
     tape = tape_for(p, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.2]]), v=np.array([[0.1]]),
-                       y=np.array([[0.9]]))
-    out = step(state, p, linear_cost(), tape, 0, 0)
-    den = p.m + p.gamma * p.dt
+                       y=np.array([[0.9]]), m=p.m)
+    out = step(state, p, linear_cost(), blocks(tape, 0))
+    den = p.m + (1 - p.m) * p.dt
     v_expected = (p.m / den) * 0.1 + ((0.7 + 0.5) * p.dt / den) * (0.9 - 0.2)
     assert out.v[0, 0] == pytest.approx(v_expected, rel=1e-15)
 
@@ -184,11 +183,11 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     pm = memory_params(lam1=0.4, lam2=0.8, nu=0.5, alpha=2.0, n_particles=4)
     pp = plain_params(lam=0.8, alpha=2.0, n_particles=4)
     x0 = np.array([[0.1], [0.4], [0.6], [0.9]])
-    mem_state = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((4, 1)), y=x0.copy())
-    plain_state = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((4, 1)))
+    mem_state = initial_state("pso_mem", x0, pm.m)
+    plain_state = initial_state("pso", x0, pp.m)
     obj = linear_cost()
-    out_mem = step(mem_state, pm, obj, tape_for(pm, channels=2), 0, 0)
-    out_plain = step(plain_state, pp, obj, tape_for(pp), 0, 0)
+    out_mem = step(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0))
+    out_plain = step(plain_state, pp, obj, blocks(tape_for(pp), 0))
     assert out_mem.x[:, 0] == pytest.approx(out_plain.x[:, 0], abs=1e-15)
     assert out_mem.v[:, 0] == pytest.approx(out_plain.v[:, 0], abs=1e-15)
 
@@ -202,7 +201,7 @@ def test_cbo_memory_step_matches_hand_oracle():
 
     p = memory_params(lam1=1.0, lam2=0.0, nu=0.5, beta=30.0, n_particles=1)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
-    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
     assert out.x[0, 0] == pytest.approx(CBOMEM_X_NEW, rel=1e-12)
     assert out.y[0, 0] == pytest.approx(CBOMEM_Y_NEW, rel=1e-12)
 
@@ -213,7 +212,7 @@ def test_cbo_memory_fixed_point():
     x = np.full((2, 1), 0.5)
     state = SwarmState(t=0.0, x=x.copy(), y=x.copy())
     for n in range(5):
-        state = step(state, p, ackley(1), tape, 0, n)
+        state = step(state, p, ackley(1), blocks(tape, n))
     assert np.array_equal(state.x, x)
     assert np.array_equal(state.y, x)
 
@@ -225,7 +224,7 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     x0 = np.array([[0.0], [1.0]])
     y0 = np.array([[0.25], [0.75]])
     state = SwarmState(t=0.0, x=x0.copy(), y=y0.copy())
-    out = step(state, p, linear_cost(), tape_for(p, channels=2), 0, 0)
+    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
     ya = 0.5  # plain mean of the frozen local bests at alpha = 0
     expected = x0 + p.dt * 1.0 * (ya - x0)
     assert np.array_equal(out.x, expected)
@@ -307,8 +306,27 @@ def test_non_finite_state_aborts_with_step_index():
     x0 = np.array([[0.0], [0.5], [1.5], [3.0]])
     with pytest.raises(NonFiniteStateError) as excinfo:
         run("cbo", p, linear_cost(), tape_for(p, seed=1), 0, x0)
-    assert excinfo.value.step >= 0
-    assert "non-finite" in str(excinfo.value)
+    err = excinfo.value
+    assert err.step >= 0
+    assert "non-finite" in str(err)
+    # the error names the array and its first non-finite (particle, coordinate)
+    assert err.array == "x"
+    assert len(err.index) == 2
+    assert f"x[{err.index[0]}, {err.index[1]}] is " in str(err)
+
+
+def test_non_finite_stacked_state_names_rung_particle_and_coordinate():
+    p = plain_params(n_particles=3, dim=2)
+    ladder = initial_state("pso", np.zeros((3, 2)), (0.4, 0.2, 0.1))
+    assert ladder.x.shape == (3, 3, 2)
+    ladder.v[1, 2, 1] = np.nan
+    ladder.v[2, 0, 0] = np.inf
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
+                       r"step -1: v\[1, 2, 1\] is nan$") as excinfo:
+        lockstep([initial_state("cbo", np.zeros((3, 2))), ladder], p,
+                 linear_cost(2), tape_for(p), 0)
+    assert (excinfo.value.step, excinfo.value.array, excinfo.value.index) == \
+        (-1, "v", (1, 2, 1))
 
 
 def test_run_is_deterministic():
@@ -367,7 +385,7 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
                         n_particles=50)
     tape = tape_for(base, seed=17)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = step(initial_state("cbo", x0), base, obj, tape, 0, 0)
+    cbo_out = step(initial_state("cbo", x0), base, obj, blocks(tape, 0))
     cons = consensus_of(initial_state("cbo", x0), base, obj)
     increment = np.max(np.abs(cbo_out.x - x0))
     assert increment > 0.0
@@ -377,18 +395,10 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     for m in m_values:
         p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                          dt=dt, n_particles=50)
-        pso_out = step(initial_state("pso", x0), p, obj, tape, 0, 0, cons)
+        pso_out = step(initial_state("pso", x0, m), p, obj, blocks(tape, 0), cons)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
         gaps.append(gap)
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
     assert np.all((ratios > 1.9) & (ratios < 2.1))
 
-
-def test_lockstep_rejects_states_on_different_time_grids():
-    p = plain_params()
-    x0 = np.array([[0.0], [1.0]])
-    runs = [("cbo", p, initial_state("cbo", x0)),
-            ("pso", plain_params(dt=0.02), initial_state("pso", x0))]
-    with pytest.raises(ValueError, match="share dt"):
-        lockstep(runs, linear_cost(), tape_for(p), 0)

@@ -246,17 +246,19 @@ def study_from_run_pairs(cfg, obj, seed):
     return sup, w2 / cfg.replicates, kl / cfg.replicates
 
 
-@pytest.mark.parametrize("pair", ["plain", "memory"])
+@pytest.mark.parametrize("pair, dim", [("plain", 1), ("memory", 1),
+                                       ("plain", 2), ("memory", 2)],
+                         ids=["plain", "memory", "plain-dim2", "memory-dim2"])
 def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
-        pair, monkeypatch):
+        pair, dim, monkeypatch):
     memory = pair == "memory"
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if memory else None
     base = study_base(n_particles=50, t_end=0.2, memory=mem,
-                      lam=0.0 if memory else 1.0)
+                      lam=0.0 if memory else 1.0, dim=dim)
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=2, base=base,
                            scheme_pair=pair)
-    obj, calls = counting_objective(ackley(1))
+    obj, calls = counting_objective(ackley(dim))
     tapes = []
 
     def counting_tape(*args, **kwargs):
@@ -267,9 +269,9 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
     res = zero_inertia_study(cfg, obj, seed=13)
     monkeypatch.undo()
 
-    sup, w2, kl = study_from_run_pairs(cfg, ackley(1), seed=13)
+    sup, w2, kl = study_from_run_pairs(cfg, ackley(dim), seed=13)
     assert np.array_equal(res.sup_gaps, sup)
-    if memory:
+    if memory or dim > 1:
         assert res.w2_mean is None and res.kl_mean is None
     else:
         assert np.array_equal(res.w2_mean, w2)
@@ -279,11 +281,16 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
     (tape,) = tapes
     assert len(tape.draws) == cfg.replicates * base.n_steps * channels
     assert set(tape.draws.values()) == {1}
-    # one consensus per state per time point; the memory pair adds one
-    # evaluation of the new positions per step for the local-best update
-    n_states = len(cfg.m_ladder) + 1
+    # two states, the reference and the stack of rungs, and one consensus
+    # per state per time point; the memory pair adds one evaluation of the
+    # new positions per step for the local-best update
+    n_states = 2
     per_state = base.n_steps + 1 + (base.n_steps if memory else 0)
     assert len(calls) == cfg.replicates * n_states * per_state
+    # each call takes every particle of its state: N for the reference and
+    # K N for the stack of K rungs
+    assert sum(calls) == cfg.replicates * per_state * base.n_particles \
+        * (1 + len(cfg.m_ladder))
 
 
 def test_compare_ladder_matches_single_m_tables():

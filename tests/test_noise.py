@@ -56,6 +56,17 @@ def test_layout_violations_raise():
         tape.theta_block(0, 0, 0)
     with pytest.raises(ValueError):
         NoiseTape(seed=0, replicates=1, particles=1, steps=1, dim=1, channels=3)
+    # the uint64 linear index must not wrap: at 2**33 x 2**33 particles 2**31
+    # and 2**32 + 2**31 would share index 0
+    with pytest.raises(ValueError, match=r"^noise tape layout replicates=1, "
+                       r"particles=8589934592, steps=8589934592, dim=1, "
+                       r"channels=1 has more than 2\*\*64 indices$"):
+        NoiseTape(0, 1, 2**33, 2**33, 1)
+    with pytest.raises(ValueError, match="channels=2 has more than"):
+        NoiseTape(0, 1, 2**32, 2**32, 1, channels=2)
+    # exactly 2**64 indices fit, and the last one is a variate like any other
+    full = NoiseTape(0, 1, 2**32, 2**32, 1)
+    assert np.isfinite(full.theta(0, 2**32 - 1, 2**32 - 1, 0))
 
 
 def test_initial_positions_gaussian_moments():

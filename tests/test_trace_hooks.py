@@ -31,7 +31,7 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
     tape = NoiseTape(0, 1, p.n_particles, p.n_steps, p.dim)
     x0 = initial_positions([0, 0], p.n_particles, p.dim)
     with installed(Tracer()) as tracer:
-        (final,), _ = dynamics.lockstep([("pso", p, initial_state("pso", x0))],
+        (final,), _ = dynamics.lockstep([initial_state("pso", x0, p.m)], p,
                                         ackley(1), tape, 0)
     assert tracer.calls["dynamics.step"] == 3
     assert tracer.calls["noise.theta_block"] == 3
@@ -43,15 +43,16 @@ def test_traced_driver_names_resolve():
         assert callable(getattr(experiments, name))
 
 
-# a study of L = 2 rungs and R = 2 replicates steps the reference and every
-# rung on every replicate; compare steps CBO and one PSO; optimize one scheme
+# a study of L = 2 rungs and R = 2 replicates steps two states on every
+# replicate, the reference and the stack of rungs; compare steps CBO and one
+# PSO stack; optimize one scheme
 STUDY = LimitStudyConfig(
     m_ladder=(0.2, 0.1), replicates=2,
     base=Params(m=0.2, lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, t_end=0.03,
                 n_particles=10, dim=1))
 DRIVER_CALLS = {
     "zero_inertia_study": (lambda: experiments.zero_inertia_study(
-        STUDY, ackley(1), seed=0), (2 + 1) * 2),
+        STUDY, ackley(1), seed=0), 2 * 2),
     "compare_distributions": (lambda: experiments.compare_distributions(
         STUDY.base, ackley(1), seed=0), 2),
     "optimize": (lambda: experiments.optimize(
