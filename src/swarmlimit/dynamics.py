@@ -271,7 +271,8 @@ def lockstep(states, p: Params, obj, tape, r: int, observe=None
              ) -> tuple[list[SwarmState], list[np.ndarray]]:
     """Advance ``states`` on replicate ``r`` of one tape together.
 
-    The states share ``p``, each second-order one with its own inertia.  Per
+    The states share ``p``, each second-order one with its own inertia, and
+    the tape's ``particles`` and ``dim`` must be those of ``p``.  Per
     step, the tape blocks are drawn once and handed to every state, and each
     state's consensus is computed once: the step that follows consumes it and
     ``observe(n, states, points)`` receives its points, at ``n = 0`` for the
@@ -279,6 +280,10 @@ def lockstep(states, p: Params, obj, tape, r: int, observe=None
     states and their consensus points.  Non-finite states abort with the
     offending step index.
     """
+    if (tape.particles, tape.dim) != (p.n_particles, p.dim):
+        raise ValueError(f"noise tape layout particles={tape.particles}, "
+                         f"dim={tape.dim} does not match params "
+                         f"n_particles={p.n_particles}, dim={p.dim}")
     for state in states:
         state.check_finite(-1)
         if state.x.shape[-2:] != (p.n_particles, p.dim):

@@ -18,8 +18,9 @@ second-order stack with one slice per inertia value.  The reference does not
 depend on ``m``, so it is computed once per replicate, and each noise-tape
 block is drawn once per step and serves every slice.  A reducer called after
 every step updates the running sup of the paired gap and the per-step W2 /
-KL, so no snapshots are stored.  Each slice's arithmetic is elementwise that
-of a solo run and every reduction stays within one slice, which keeps the
+KL with one call per metric over the whole stack, so no snapshots are
+stored.  Each slice's arithmetic is elementwise that of a solo run and every
+reduction, the metrics' included, stays within one slice, which keeps the
 results bit-identical to pairs of ``run`` calls.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
@@ -129,16 +130,15 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
 
         def reduce(n, states, _points):
             ref, ladder = states
-            for j in range(n_m):
-                g = paired_msq_gap(ladder.x[j], ref.x)
-                if memory:
-                    g += paired_msq_gap(ladder.y[j], ref.y)
-                sup_gaps[j, r] = max(sup_gaps[j, r], g)
-                if track_dist:
-                    a = ladder.x[j, :, 0]
-                    b = ref.x[:, 0]
-                    w2[j, n] += wasserstein2_1d(a, b)
-                    kl[j, n] += kl_histogram(a, b, bins)
+            g = paired_msq_gap(ladder.x, ref.x)
+            if memory:
+                g += paired_msq_gap(ladder.y, ref.y)
+            # Python's max: keep the running sup unless g is strictly larger
+            sup = sup_gaps[:, r]
+            sup_gaps[:, r] = np.where(g > sup, g, sup)
+            if track_dist:
+                w2[:, n] += wasserstein2_1d(ladder.x, ref.x)
+                kl[:, n] += kl_histogram(ladder.x, ref.x, bins)
 
         lockstep(states, base, obj, tape, r, observe=reduce)
     if track_dist:
@@ -213,9 +213,8 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
             return
         ref, ladder = states
         times[k] = ladder.t
-        for j, a in enumerate(ladder.x[:, :, 0]):
-            w2[j, k] = wasserstein2_1d(a, ref.x[:, 0])
-            kl[j, k] = kl_histogram(a, ref.x[:, 0], bins)
+        w2[:, k] = wasserstein2_1d(ladder.x, ref.x)
+        kl[:, k] = kl_histogram(ladder.x, ref.x, bins)
 
     states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
     lockstep(states, p, obj, tape, 0, observe=reduce)

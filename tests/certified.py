@@ -9,11 +9,16 @@ The tests check both on each cost's test box: the minimizer-centered cube of
 half-width 3, which matches the uniform initialization range of the
 experiments.  Every shipped cost has its exact minimum 0 at the minimizer, so
 its bound gap is its upper envelope.
+
+It also keeps ``kl_histogram_oracle``, the ``np.histogram`` form of the
+histogram KL that the library's sorted-sample counts must equal bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from swarmlimit.metrics import KL_SMOOTHING
 
 BOX_HALF_WIDTH = 3.0
 
@@ -83,3 +88,18 @@ def c_alpha(bound_gap: float, alpha: float) -> float:
             f"alpha * bound gap = {arg:.6g} exceeds the float64 exponent range"
         )
     return math.exp(arg)
+
+
+def kl_histogram_oracle(a, b, bins: int) -> float:
+    """Histogram KL of two 1-d samples with ``np.histogram`` doing the counts."""
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if lo == hi:
+        return 0.0
+    pa, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    qb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    p = pa / pa.sum() + KL_SMOOTHING
+    q = qb / qb.sum() + KL_SMOOTHING
+    p /= p.sum()
+    q /= q.sum()
+    return float(np.sum(p * np.log(p / q)))

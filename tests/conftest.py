@@ -40,6 +40,10 @@ class RecordingTape:
         self.tape = tape
         self.log = {}
 
+    def __getattr__(self, name):
+        # the layout (particles, dim, ...) is the wrapped tape's
+        return getattr(self.tape, name)
+
     def theta_block(self, r, n, ch=1):
         block = self.tape.theta_block(r, n, ch)
         self.log[(r, n, ch)] = block.copy()

@@ -402,3 +402,13 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
     assert np.all((ratios > 1.9) & (ratios < 2.1))
 
+
+
+@pytest.mark.parametrize("particles, dim", [(1, 1), (4, 2)])
+def test_lockstep_rejects_a_tape_of_another_layout(particles, dim):
+    # a one-particle tape would hand every particle the same noise
+    p = plain_params(n_particles=4, sigma=1.0)
+    tape = NoiseTape(0, 1, particles, p.n_steps, dim)
+    with pytest.raises(ValueError, match=rf"particles={particles}, dim={dim} "
+                       r"does not match params n_particles=4, dim=1"):
+        run("cbo", p, linear_cost(), tape, 0, np.zeros((4, 1)))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from swarmlimit import (
     paired_msq_gap,
     wasserstein2_1d,
 )
+
+from certified import kl_histogram_oracle
 
 # 0.5 ln 2 + 0.5 ln(2/3) for binned masses (.5, .5) vs (.25, .75)
 KL_TWO_BIN = 0.14384103622589046
@@ -115,3 +118,122 @@ def test_moments_examples():
 def test_default_bins():
     assert default_bins(10_000) == 100
     assert default_bins(2) == 2
+
+
+def _assert_kl_matches_oracle(a, b, bins):
+    assert kl_histogram(a, b, bins) == kl_histogram_oracle(a, b, bins)
+
+
+def test_kl_counts_equal_np_histogram_oracle_bitwise(rng):
+    # integer clouds on [-5, 5]: with bins dividing 10, points sit exactly on
+    # interior edges, which belong to the bin on their right
+    for bins in (2, 5, 10):
+        for _ in range(50):
+            a = rng.integers(-5, 6, rng.integers(1, 40)).astype(float)
+            b = rng.integers(-5, 6, rng.integers(1, 40)).astype(float)
+            a[0], b[0] = -5.0, 5.0
+            _assert_kl_matches_oracle(a, b, bins)
+    # one and two particles, equal and unequal sizes, scales 1e-8 to 1e3
+    for scale in (1e-8, 1e-3, 1.0, 1e3):
+        for n_a, n_b in ((1, 1), (1, 2), (2, 1), (2, 2), (7, 300), (1000, 10)):
+            for _ in range(10):
+                a = scale * rng.standard_normal(n_a)
+                b = scale * rng.standard_normal(n_b) + scale * rng.uniform(-2, 2)
+                _assert_kl_matches_oracle(a, b, default_bins(max(n_a, n_b)))
+                _assert_kl_matches_oracle(a, b, 2)
+    # ties: a coarse grid repeats values, and the extremes tie across clouds
+    for _ in range(50):
+        a = np.round(rng.standard_normal(500), 1)
+        b = np.round(rng.standard_normal(400), 1)
+        _assert_kl_matches_oracle(a, b, default_bins(500))
+
+
+def test_kl_stack_with_a_degenerate_slice_matches_oracle_bitwise(rng):
+    # slice 0 and the reference are one repeated point (lo == hi): that slice
+    # gives 0, while each other slice bins on the edges of its own range.
+    # Those slices hold every interior edge and the float just below it, so
+    # edges off by one ulp (a vectorized linspace over all slices switches
+    # its formula when one step is 0) would move a count.
+    bins = 6
+    b = np.full(40, 2.0)
+    stack = np.full((4, 4 * bins + 2), 2.0)
+    for k in range(1, 4):
+        lo, hi = 2.0 - rng.uniform(0.1, 3.0), 2.0 + rng.uniform(0.1, 3.0)
+        edges = np.linspace(lo, hi, bins + 1)
+        stack[k] = np.concatenate([edges, np.nextafter(edges[1:-1], -np.inf),
+                                   rng.uniform(lo, hi, 2 * bins + 2)])
+    out = kl_histogram(stack, b, bins)
+    assert out.shape == (4,)
+    assert out[0] == 0.0 and np.all(out[1:] > 0.0)
+    for k in range(4):
+        assert out[k] == kl_histogram_oracle(stack[k], b, bins)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_stacked_pair_metrics_equal_per_slice_calls_bitwise(rng, k):
+    # each metric sorts, bins and reduces within one slice, so entry k has
+    # the bits of the call on that slice alone
+    for n in (1, 2, 7, 8, 9, 130, 1000, 10_000):
+        scales = np.array([0.1, 1.0, 3.0, 10.0, 1e-6])[:k, None]
+        stack = scales * rng.standard_normal((k, n)) + rng.uniform(-1, 1, (k, 1))
+        ref = rng.standard_normal(n)
+        bins = default_bins(n)
+        w2 = wasserstein2_1d(stack, ref)
+        kl = kl_histogram(stack, ref, bins)
+        other = rng.standard_normal(n // 2 + 1)
+        kl_other = kl_histogram(stack, other, bins)
+        assert w2.shape == kl.shape == kl_other.shape == (k,)
+        for j in range(k):
+            assert w2[j] == wasserstein2_1d(stack[j], ref)
+            assert kl[j] == kl_histogram(stack[j], ref, bins)
+            assert kl_other[j] == kl_histogram(stack[j], other, bins)
+        # the (n, 1) column form of the same clouds
+        assert np.array_equal(wasserstein2_1d(stack[..., None], ref[:, None]), w2)
+        assert np.array_equal(kl_histogram(stack[..., None], ref[:, None], bins), kl)
+        for dim in (1, 2, 5):
+            clouds = rng.standard_normal((k, n, dim))
+            ref_cloud = rng.standard_normal((n, dim))
+            gap = paired_msq_gap(clouds, ref_cloud)
+            assert gap.shape == (k,)
+            for j in range(k):
+                assert gap[j] == paired_msq_gap(clouds[j], ref_cloud)
+
+
+def test_pair_metrics_reject_a_stack_of_the_wrong_particle_count():
+    for metric, a, b in ((wasserstein2_1d, np.zeros((3, 5)), np.zeros(4)),
+                         (paired_msq_gap, np.zeros((3, 5, 2)), np.zeros((4, 2)))):
+        with pytest.raises(ValueError, match=re.escape(str(b.shape))) as excinfo:
+            metric(a, b)
+        assert str(a.shape) in str(excinfo.value)
+
+
+def test_pair_metric_shapes_resolve_by_the_stack_rule():
+    # (K, 1) against (1,): a stack of K one-point clouds
+    a = np.array([[0.0], [1.0], [2.0]])
+    b = np.zeros(1)
+    assert np.array_equal(wasserstein2_1d(a, b), [0.0, 1.0, 2.0])
+    assert np.array_equal(paired_msq_gap(a, b), [0.0, 1.0, 4.0])
+    one_point = kl_histogram_oracle(np.array([1.0]), b, 2)
+    assert np.array_equal(kl_histogram(a, b, 2), [0.0, one_point, one_point])
+    # (N, 1) against (N,): also a stack of N one-point clouds, so the metrics
+    # that pair particles reject it and the KL compares each point to b
+    a = np.array([[0.0], [1.0], [3.0]])
+    b = np.array([0.0, 1.0, 3.0])
+    for metric in (wasserstein2_1d, paired_msq_gap):
+        with pytest.raises(ValueError, match=r"\(3,\)"):
+            metric(a, b)
+    kl = kl_histogram(a, b, 3)
+    assert kl.shape == (3,)
+    assert all(kl[k] == kl_histogram(a[k], b, 3) for k in range(3))
+    # one cloud in either form gives a float
+    assert wasserstein2_1d(a, b[:, None]) == wasserstein2_1d(a[:, 0], b) == 0.0
+    assert paired_msq_gap(b, b) == paired_msq_gap(a, a) == 0.0
+    assert isinstance(kl_histogram(b, b, 3), float)
+
+
+def test_kl_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kl_histogram(np.array([0.0, bad]), np.zeros(3), 2)
+        with pytest.raises(ValueError, match="finite"):
+            kl_histogram(np.zeros((2, 3)), np.array([1.0, bad]), 2)
