@@ -7,10 +7,16 @@ digits so that equal-seed invocations produce byte-identical files.
 
 Every subcommand takes ``--config``, ``--seed`` and ``--out``; ``limit-study``
 adds ``--replicates`` and ``--m-ladder``, ``compare`` adds ``--m-ladder`` and
-``--snapshot-times``.  Exit codes: 0 success, 2 bad configuration or command
-line (a run too large for memory included), 3 numerical abort, 4 I/O
-failure.  Errors print one machine-parsable line ``error: <category>:
-<detail>``.
+``--snapshot-times``.  ``main`` resolves the inputs once: a flag given on the
+command line overrides its config key (``--seed`` -> ``seed``, ``--out`` ->
+``out_path``, ``--replicates`` -> ``replicates``), and it builds the
+objective.  A subcommand maps the resolved config to its CSV comments,
+header and rows and touches no file; ``main`` writes them.
+
+Exit codes: 0 success, 2 bad configuration or command line (a run too large
+for memory included), 3 numerical abort, 4 I/O failure.  Errors print one
+machine-parsable line ``error: <category>: <detail>``; NumPy overflow
+warnings are silenced, so a blow-up is reported by that line alone.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ GAP_METRIC = {"plain": "paired_msq_gap(x)",
 
 _PLAIN_KEYS = ("lambda", "sigma")
 _MEMORY_KEYS = ("lambda1", "lambda2", "sigma1", "sigma2", "nu", "beta")
+# command-line flag -> the config key it overrides
+_FLAG_KEYS = {"seed": "seed", "out": "out_path", "replicates": "replicates"}
 
 
 def _fmt(value) -> str:
@@ -56,11 +64,6 @@ def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
         handle.write(header + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _objective_from(cfg: dict):
-    require_keys(cfg, ("objective", "dim"), "objective")
-    return make_objective(cfg["objective"], cfg["dim"], cfg.get("shift"))
 
 
 def _params_from(cfg: dict, scheme: str) -> Params:
@@ -88,28 +91,10 @@ def _params_from(cfg: dict, scheme: str) -> Params:
                   memory=memory)
 
 
-def _seed_from(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    require_keys(cfg, ("seed",), "seed")
-    return cfg["seed"]
-
-
-def _out_from(cfg: dict, args) -> str:
-    if args.out is not None:
-        return args.out
-    if "out_path" in cfg:
-        return cfg["out_path"]
-    raise ConfigError("missing required key: out_path (or pass --out)")
-
-
-def _cmd_run(cfg: dict, args) -> None:
-    require_keys(cfg, ("scheme", "init"), "run")
+def _cmd_run(cfg: dict, args, obj, seed: int):
+    require_keys(cfg, ("scheme",), "run")
     scheme = cfg["scheme"]
-    obj = _objective_from(cfg)
     p = _params_from(cfg, scheme)
-    seed = _seed_from(cfg, args)
-    out = _out_from(cfg, args)
 
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
@@ -125,27 +110,20 @@ def _cmd_run(cfg: dict, args) -> None:
         f"final_mean_speed={_fmt(rec.final.mean_speed)}",
     ]
     rows = np.column_stack([rec.times, rec.consensus, *rec.moments.values()])
-    _write_csv(out, comments, ",".join(cols), rows)
+    return comments, ",".join(cols), rows
 
 
-def _cmd_limit_study(cfg: dict, args) -> None:
-    require_keys(cfg, ("scheme", "init"), "limit-study")
+def _cmd_limit_study(cfg: dict, args, obj, seed: int):
+    require_keys(cfg, ("scheme", "replicates"), "limit-study")
     scheme = cfg["scheme"]
     if scheme not in ("pso", "pso_mem"):
         raise ConfigError(
             f"limit-study: scheme must be pso or pso_mem, got {scheme!r}"
         )
     pair = "memory" if scheme == "pso_mem" else "plain"
-    obj = _objective_from(cfg)
     ladder = tuple(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
     base = _params_from({**cfg, "m": max(ladder)}, scheme)
-    seed = _seed_from(cfg, args)
-    out = _out_from(cfg, args)
-    if args.replicates is not None:
-        reps = args.replicates
-    else:
-        require_keys(cfg, ("replicates",), "limit-study")
-        reps = cfg["replicates"]
+    reps = cfg["replicates"]
 
     study = LimitStudyConfig(m_ladder=ladder, replicates=reps, base=base,
                              scheme_pair=pair, init=cfg["init"])
@@ -160,20 +138,12 @@ def _cmd_limit_study(cfg: dict, args) -> None:
         f"slope={_fmt(result.slope)}",
         f"intercept={_fmt(result.intercept)}",
     ]
-
-    def rows():
-        for j, m in enumerate(study.m_ladder):
-            for r in range(reps):
-                yield [m, r, result.sup_gaps[j, r], result.slope, seed]
-
-    _write_csv(out, comments, "m,replicate,sup_gap,slope_global,seed", rows())
+    rows = [[m, r, result.sup_gaps[j, r], result.slope, seed]
+            for j, m in enumerate(study.m_ladder) for r in range(reps)]
+    return comments, "m,replicate,sup_gap,slope_global,seed", rows
 
 
-def _cmd_compare(cfg: dict, args) -> None:
-    require_keys(cfg, ("init",), "compare")
-    obj = _objective_from(cfg)
-    seed = _seed_from(cfg, args)
-    out = _out_from(cfg, args)
+def _cmd_compare(cfg: dict, args, obj, seed: int):
     if args.m_ladder:
         m_values = args.m_ladder
     else:
@@ -183,26 +153,18 @@ def _cmd_compare(cfg: dict, args) -> None:
     p = _params_from({**cfg, "m": m_values[0]}, "pso")
     tables = compare_ladder(p, obj, seed, m_values,
                             snapshot_times=args.snapshot_times, init=cfg["init"])
-
-    comments = ["experiment=compare"]
-
-    def rows():
-        for m, table in zip(m_values, tables):
-            for t, w2, kl in zip(table.times, table.w2, table.kl):
-                yield [t, w2, kl, m, seed, table.bins]
-
-    _write_csv(out, comments, "t,w2,kl,m,seed,bins", rows())
+    rows = [[t, w2, kl, m, seed, table.bins]
+            for m, table in zip(m_values, tables)
+            for t, w2, kl in zip(table.times, table.w2, table.kl)]
+    return ["experiment=compare"], "t,w2,kl,m,seed,bins", rows
 
 
-def _cmd_laplace_check(cfg: dict, args) -> None:
-    require_keys(cfg, ("N", "init"), "laplace-check")
-    obj = _objective_from(cfg)
-    seed = _seed_from(cfg, args)
-    out = _out_from(cfg, args)
+def _cmd_laplace_check(cfg: dict, args, obj, seed: int):
+    require_keys(cfg, ("N",), "laplace-check")
     points = initial_positions([seed, 0], cfg["N"], cfg["dim"], cfg["init"])
     rows = laplace_sweep(points, obj, LAPLACE_ALPHAS)
-    _write_csv(out, ["experiment=laplace-check", f"seed={seed}"],
-               "alpha,laplace_value,gap", rows)
+    return (["experiment=laplace-check", f"seed={seed}"],
+            "alpha,laplace_value,gap", rows)
 
 
 _COMMANDS = {
@@ -252,8 +214,19 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
+        for flag, key in _FLAG_KEYS.items():
+            if getattr(args, flag, None) is not None:
+                cfg[key] = getattr(args, flag)
+        if "out_path" not in cfg:
+            raise ConfigError("missing required key: out_path (or pass --out)")
+        require_keys(cfg, ("init", "seed", "objective", "dim"), args.command)
+        obj = make_objective(cfg["objective"], cfg["dim"], cfg.get("shift"))
+        # a blow-up is reported once, by the state's finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            comments, header, rows = _COMMANDS[args.command](
+                cfg, args, obj, cfg["seed"])
+        _write_csv(cfg["out_path"], comments, header, rows)
+    except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

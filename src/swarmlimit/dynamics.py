@@ -66,6 +66,13 @@ class NonFiniteStateError(RuntimeError):
         self.step, self.array, self.index = step, array, index
 
 
+def _check_inertia(m: float) -> None:
+    if not isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    if not 0.0 < m <= 1.0:
+        raise ValueError(f"inertia m must be in (0, 1], got {m}")
+
+
 @dataclass(frozen=True)
 class MemoryParams:
     lam1: float
@@ -102,8 +109,7 @@ class Params:
         for name, value in scalars:
             if not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError(f"inertia m must be in (0, 1], got {self.m}")
+        _check_inertia(self.m)
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not isfinite(self.t_end / self.dt):
@@ -220,9 +226,9 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
 
 
-# one entry per scheme, all the same ``step``: ``lockstep`` looks the step up
-# here on every call, so a tracer can wrap it from outside the package
-_STEPPERS = dict.fromkeys(SCHEMES, step)
+# ``lockstep`` looks the step up here on every call, so a tracer can wrap it
+# from outside the package
+_STEPPERS = {"step": step}
 
 
 @dataclass
@@ -242,15 +248,12 @@ class RunRecord:
     final: SwarmState
 
 
-def _scheme_of(state: SwarmState) -> str:
-    return ("cbo" if state.v is None else "pso") + ("" if state.y is None else "_mem")
-
-
 def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
     """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0.
 
-    A second-order scheme needs its inertia ``m``: a float gives one swarm,
-    a sequence of K inertias a ``(K, N, d)`` stack with ``x0`` in every slice.
+    A second-order scheme needs its inertia ``m``, finite and in (0, 1]: a
+    float gives one swarm, a sequence of K inertias a ``(K, N, d)`` stack with
+    ``x0`` in every slice.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
@@ -260,9 +263,12 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
         m = None
     elif m is None:
         raise ValueError(f"scheme {scheme!r} needs its inertia m")
-    elif np.ndim(m) == 1:
-        x0 = np.repeat(x0[None], len(m), axis=0)
-        m = np.asarray(m, dtype=np.float64)[:, None, None]
+    else:
+        for value in np.ravel(m):
+            _check_inertia(float(value))
+        if np.ndim(m) == 1:
+            x0 = np.repeat(x0[None], len(m), axis=0)
+            m = np.asarray(m, dtype=np.float64)[:, None, None]
     return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if second_order else None,
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
@@ -290,14 +296,14 @@ def lockstep(states, p: Params, obj, tape, r: int, observe=None
             raise ValueError(f"x0 shape {state.x.shape} does not match params "
                              f"({p.n_particles}, {p.dim})")
     channels = 2 if any(s.y is not None for s in states) else 1
+    stepper = _STEPPERS["step"]
 
     cons = [consensus_of(s, p, obj) for s in states]
     if observe is not None:
         observe(0, states, [c.point for c in cons])
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
-        states = [_STEPPERS[_scheme_of(s)](s, p, obj, theta, c)
-                  for s, c in zip(states, cons)]
+        states = [stepper(s, p, obj, theta, c) for s, c in zip(states, cons)]
         for s in states:
             s.check_finite(n)
         cons = [consensus_of(s, p, obj) for s in states]

@@ -36,7 +36,7 @@ split across calls without changing a bit; per-time averages are a fold over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,15 +181,14 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     ``compare_distributions`` at that ``m``.
     Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
     defaults to every step; values must be finite and are matched to the
-    nearest step.
+    nearest step, a time past either end to the first or last step.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
-    for m in m_values:
-        replace(p, m=m)  # each inertia passes the Params checks
     n_steps = p.n_steps
     tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
+    states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
 
     if snapshot_times is None:
         steps = np.arange(n_steps + 1)
@@ -198,7 +197,7 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
             if not np.isfinite(t):
                 raise ValueError(f"snapshot_times must be finite, got {t}")
         steps = np.unique([
-            min(n_steps, max(0, round(t / p.dt))) for t in snapshot_times
+            round(min(n_steps, max(0.0, t / p.dt))) for t in snapshot_times
         ]).astype(int)
     slot = {int(n): k for k, n in enumerate(steps)}
     bins = default_bins(p.n_particles)
@@ -216,7 +215,6 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
         w2[:, k] = wasserstein2_1d(ladder.x, ref.x)
         kl[:, k] = kl_histogram(ladder.x, ref.x, bins)
 
-    states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
     lockstep(states, p, obj, tape, 0, observe=reduce)
     return [CompareTable(times=times, w2=w2_m, kl=kl_m, bins=bins)
             for w2_m, kl_m in zip(w2, kl)]

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,13 +89,29 @@ def test_cli_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+BLOW_UP_CFG = BASE_CFG.replace("sigma = 0.57735026918962584", "sigma = 1e200")
+
+
 def test_cli_numerical_abort_exits_3(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE_CFG.replace(
-        "sigma = 0.57735026918962584", "sigma = 1e200"))
+    cfg = write_cfg(tmp_path, BLOW_UP_CFG)
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert code == 3
-    assert "error: numerical:" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: numerical:")
+
+
+def test_numerical_abort_of_the_module_prints_one_stderr_line(tmp_path):
+    # no NumPy overflow warning comes before the one error line
+    cfg = write_cfg(tmp_path, BLOW_UP_CFG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "swarmlimit", "run", "--config", cfg,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: numerical:")
 
 
 def test_cli_io_failure_exits_4(tmp_path, capsys):
@@ -385,3 +404,70 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
 def test_cli_bad_command_line_exits_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+
+
+@pytest.mark.parametrize("far, near", [("0,1e308", "0,1e10"), ("-1e308", "0")])
+def test_cli_snapshot_times_past_the_float_range_clamp(tmp_path, far, near):
+    # t / dt overflows to +-inf; it clamps like any time past either end
+    cfg = write_cfg(tmp_path)
+    outs = []
+    for times in (far, near):
+        out = tmp_path / f"{times}.csv"
+        assert main(["compare", "--config", cfg, f"--snapshot-times={times}",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_cli_compare_rejects_an_inertia_past_the_first(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o.csv"
+    code = main(["compare", "--config", cfg, "--m-ladder", "0.1,1.5",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: inertia m must be in (0, 1], got 1.5"]
+    assert not out.exists()
+
+
+def test_cli_out_flag_overrides_config_out_path(tmp_path):
+    from_cfg, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+    cfg = write_cfg(tmp_path, BASE_CFG + f"out_path = {from_cfg}\n")
+    assert main(["laplace-check", "--config", cfg, "--out", str(from_flag)]) == 0
+    assert from_flag.exists()
+    assert not from_cfg.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "limit-study", "compare",
+                                     "laplace-check"])
+def test_cli_without_out_path_or_out_flag_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: missing required key: out_path (or pass --out)"]
+
+
+def test_cli_seed_and_replicates_give_the_same_bytes_from_flag_or_config(tmp_path):
+    ladder = ["--m-ladder", "0.2,0.1"]
+    from_cfg, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("seed = 42", "seed = 7")
+                    .replace("replicates = 2", "replicates = 3"))
+    assert main(["limit-study", "--config", cfg, *ladder,
+                 "--out", str(from_cfg)]) == 0
+    other = write_cfg(tmp_path, name="other.cfg")  # seed 42, 2 replicates
+    assert main(["limit-study", "--config", other, *ladder, "--seed", "7",
+                 "--replicates", "3", "--out", str(from_flag)]) == 0
+    assert from_flag.read_bytes() == from_cfg.read_bytes()
+    rows = [l for l in from_cfg.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert len(rows) == 2 * 3 and all(r.endswith(",7") for r in rows)
+
+
+def test_cli_seed_flag_stands_in_for_a_missing_config_seed(tmp_path):
+    no_seed = write_cfg(tmp_path, BASE_CFG.replace("seed = 42\n", ""))
+    with_seed = write_cfg(tmp_path, name="seeded.cfg")
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert main(["run", "--config", no_seed, "--seed", "42",
+                 "--out", str(outs[0])]) == 0
+    assert main(["run", "--config", with_seed, "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

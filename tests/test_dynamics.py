@@ -412,3 +412,14 @@ def test_lockstep_rejects_a_tape_of_another_layout(particles, dim):
     with pytest.raises(ValueError, match=rf"particles={particles}, dim={dim} "
                        r"does not match params n_particles=4, dim=1"):
         run("cbo", p, linear_cost(), tape, 0, np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("m", [0.0, -2.0, 1.5, np.nan])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_initial_state_rejects_an_inertia_params_rejects(m, stacked):
+    # the same check and message as Params, for a solo inertia or a ladder rung
+    with pytest.raises(ValueError) as params_exc:
+        plain_params(m=m)
+    with pytest.raises(ValueError) as state_exc:
+        initial_state("pso", np.zeros((2, 1)), [0.2, m] if stacked else m)
+    assert str(state_exc.value) == str(params_exc.value)
