@@ -176,7 +176,14 @@ _COMMANDS = {
 
 
 def _parse_floats_arg(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",")]
+    values = []
+    for part in raw.split(","):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated numbers, got {part!r}") from None
+    return values
 
 
 class _Parser(argparse.ArgumentParser):

@@ -37,8 +37,9 @@ makes their pathwise gap measure the small-inertia coupling distance.
 
 ``lockstep`` is the one stepping loop: it advances states that share a tape
 replicate and ``Params`` together, drawing each tape block once per step and
-handing the same array to every slice of every state.  ``run`` is
-``lockstep`` over a single unstacked state plus per-step recording.
+handing the same array to every slice of every state, and yields the coupled
+path one time point at a time.  A caller reads the path in a ``for`` loop;
+``run`` is that loop over a single unstacked state, recording every step.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
 
 
-# ``lockstep`` looks the step up here on every call, so a tracer can wrap it
+# ``lockstep`` looks the step up here once per pass, so a tracer can wrap it
 # from outside the package
 _STEPPERS = {"step": step}
 
@@ -252,8 +253,8 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
     """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0.
 
     A second-order scheme needs its inertia ``m``, finite and in (0, 1]: a
-    float gives one swarm, a sequence of K inertias a ``(K, N, d)`` stack with
-    ``x0`` in every slice.
+    float gives one swarm, a nonempty 1-d sequence of K inertias a
+    ``(K, N, d)`` stack with ``x0`` in every slice.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
@@ -264,6 +265,9 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
     elif m is None:
         raise ValueError(f"scheme {scheme!r} needs its inertia m")
     else:
+        if np.ndim(m) > 1 or np.shape(m) == (0,):
+            raise ValueError("inertia m must be a float or a nonempty 1-d "
+                             f"sequence, got shape {np.shape(m)}")
         for value in np.ravel(m):
             _check_inertia(float(value))
         if np.ndim(m) == 1:
@@ -273,18 +277,19 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-def lockstep(states, p: Params, obj, tape, r: int, observe=None
-             ) -> tuple[list[SwarmState], list[np.ndarray]]:
-    """Advance ``states`` on replicate ``r`` of one tape together.
+def lockstep(states, p: Params, obj, tape, r: int):
+    """Advance ``states`` on replicate ``r`` of one tape together, yielding
+    the coupled path.
 
-    The states share ``p``, each second-order one with its own inertia, and
-    the tape's ``particles`` and ``dim`` must be those of ``p``.  Per
-    step, the tape blocks are drawn once and handed to every state, and each
-    state's consensus is computed once: the step that follows consumes it and
-    ``observe(n, states, points)`` receives its points, at ``n = 0`` for the
-    initial states and at ``n + 1`` after step ``n``.  Returns the final
-    states and their consensus points.  Non-finite states abort with the
-    offending step index.
+    The states share ``p``, each second-order one with its own inertia.  The
+    tape's ``particles``, ``dim`` and ``steps`` must be those of ``p``, and it
+    must carry the channels the states draw: two if any state has local
+    bests, else one.  Per step, the tape blocks are drawn once and handed to
+    every state, and each state's consensus is computed once.  Yields
+    ``(n, states, points)`` for ``n = 0, ..., n_steps``: the initial states
+    first, then the states after step ``n - 1``, each time with the consensus
+    points the next step uses.  Non-finite states abort with the offending
+    step index.
     """
     if (tape.particles, tape.dim) != (p.n_particles, p.dim):
         raise ValueError(f"noise tape layout particles={tape.particles}, "
@@ -296,20 +301,22 @@ def lockstep(states, p: Params, obj, tape, r: int, observe=None
             raise ValueError(f"x0 shape {state.x.shape} does not match params "
                              f"({p.n_particles}, {p.dim})")
     channels = 2 if any(s.y is not None for s in states) else 1
+    if (tape.steps, tape.channels) != (p.n_steps, channels):
+        raise ValueError(f"noise tape layout steps={tape.steps}, "
+                         f"channels={tape.channels} does not match "
+                         f"n_steps={p.n_steps} of the params and "
+                         f"channels={channels} of the states")
     stepper = _STEPPERS["step"]
 
     cons = [consensus_of(s, p, obj) for s in states]
-    if observe is not None:
-        observe(0, states, [c.point for c in cons])
+    yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
         states = [stepper(s, p, obj, theta, c) for s, c in zip(states, cons)]
         for s in states:
             s.check_finite(n)
         cons = [consensus_of(s, p, obj) for s in states]
-        if observe is not None:
-            observe(n + 1, states, [c.point for c in cons])
-    return states, [c.point for c in cons]
+        yield n + 1, states, [c.point for c in cons]
 
 
 def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
@@ -329,12 +336,9 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
     moments = {name: np.empty((rows, 2)) for name in ("x", "v", "y")
                if getattr(state, name) is not None}
 
-    def record(n: int, states: list[SwarmState], points: list[np.ndarray]) -> None:
-        (s,), (point,) = states, points
+    for n, (s,), (point,) in lockstep([state], p, obj, tape, r):
         times[n] = s.t
         cons[n] = point
         for name, table in moments.items():
             table[n] = empirical_moments(getattr(s, name))
-
-    (final,), _ = lockstep([state], p, obj, tape, r, observe=record)
-    return RunRecord(times=times, consensus=cons, moments=moments, final=final)
+    return RunRecord(times=times, consensus=cons, moments=moments, final=s)

@@ -12,16 +12,17 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-The coupled drivers make one ``dynamics.lockstep`` call per replicate over
+The coupled drivers make one ``dynamics.lockstep`` pass per replicate over
 two states: the ``(N, d)`` first-order reference and one ``(K, N, d)``
 second-order stack with one slice per inertia value.  The reference does not
 depend on ``m``, so it is computed once per replicate, and each noise-tape
-block is drawn once per step and serves every slice.  A reducer called after
-every step updates the running sup of the paired gap and the per-step W2 /
-KL with one call per metric over the whole stack, so no snapshots are
-stored.  Each slice's arithmetic is elementwise that of a solo run and every
-reduction, the metrics' included, stays within one slice, which keeps the
-results bit-identical to pairs of ``run`` calls.
+block is drawn once per step and serves every slice.  Each driver reads the
+path ``lockstep`` yields in a ``for`` loop whose body updates the running sup
+of the paired gap and the per-step W2 / KL with one call per metric over the
+whole stack, so no snapshots are stored.  Each slice's arithmetic is
+elementwise that of a solo run and every reduction, the metrics' included,
+stays within one slice, which keeps the results bit-identical to pairs of
+``run`` calls.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -100,7 +101,7 @@ class StudyResult:
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
-    Each replicate is one ``lockstep`` call: the first-order reference (it
+    Each replicate is one ``lockstep`` pass: the first-order reference (it
     does not depend on the inertia) and the second-order stack of the ladder
     start from the same initial cloud and consume the same tape blocks.
     The rate is the least-squares slope of ``ln(mean gap)`` against ``ln m``
@@ -127,9 +128,7 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
         states = [initial_state(first_order, x0),
                   initial_state(second_order, x0, cfg.m_ladder)]
-
-        def reduce(n, states, _points):
-            ref, ladder = states
+        for n, (ref, ladder), _ in lockstep(states, base, obj, tape, r):
             g = paired_msq_gap(ladder.x, ref.x)
             if memory:
                 g += paired_msq_gap(ladder.y, ref.y)
@@ -139,8 +138,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
             if track_dist:
                 w2[:, n] += wasserstein2_1d(ladder.x, ref.x)
                 kl[:, n] += kl_histogram(ladder.x, ref.x, bins)
-
-        lockstep(states, base, obj, tape, r, observe=reduce)
     if track_dist:
         w2 /= reps
         kl /= reps
@@ -206,16 +203,13 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     w2 = np.empty((len(m_values), len(steps)))
     kl = np.empty((len(m_values), len(steps)))
 
-    def reduce(n, states, _points):
+    for n, (ref, ladder), _ in lockstep(states, p, obj, tape, 0):
         k = slot.get(n)
         if k is None:
-            return
-        ref, ladder = states
+            continue
         times[k] = ladder.t
         w2[:, k] = wasserstein2_1d(ladder.x, ref.x)
         kl[:, k] = kl_histogram(ladder.x, ref.x, bins)
-
-    lockstep(states, p, obj, tape, 0, observe=reduce)
     return [CompareTable(times=times, w2=w2_m, kl=kl_m, bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 
@@ -240,8 +234,9 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
     tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
                      channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim)
-    (final,), (point,) = lockstep([initial_state(scheme, x0, p.m)], p, obj,
-                                  tape, 0)
+    for _, (final,), (point,) in lockstep([initial_state(scheme, x0, p.m)],
+                                          p, obj, tape, 0):
+        pass
     return point, final.mean_speed
 
 

@@ -18,13 +18,9 @@ def trajectory(scheme, p, obj, tape, r, x0):
     """Positions and local bests (``None`` without memory) of a solo run,
     one entry per time point from the initial cloud on."""
     xs, ys = [], []
-
-    def keep(n, states, points):
-        (s,) = states
+    for _, (s,), _ in lockstep([initial_state(scheme, x0, p.m)], p, obj, tape, r):
         xs.append(s.x.copy())
         ys.append(None if s.y is None else s.y.copy())
-
-    lockstep([initial_state(scheme, x0, p.m)], p, obj, tape, r, observe=keep)
     return xs, ys
 
 

@@ -406,6 +406,21 @@ def test_cli_bad_command_line_exits_2_with_one_line(capsys, argv, message):
     assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
 
 
+@pytest.mark.parametrize("flag, value, bad", [("--m-ladder", "0.1,x", "'x'"),
+                                              ("--snapshot-times", ",", "''")])
+def test_cli_bad_list_flag_names_the_flag_and_the_element(tmp_path, capsys,
+                                                          flag, value, bad):
+    out = tmp_path / "o.csv"
+    code = main(["compare", "--config", write_cfg(tmp_path), f"{flag}={value}",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: config: argument {flag}: expected "
+                                f"comma-separated numbers, got {bad}"]
+    assert "_parse_floats_arg" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("far, near", [("0,1e308", "0,1e10"), ("-1e308", "0")])
 def test_cli_snapshot_times_past_the_float_range_clamp(tmp_path, far, near):
     # t / dt overflows to +-inf; it clamps like any time past either end

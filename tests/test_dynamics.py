@@ -323,8 +323,8 @@ def test_non_finite_stacked_state_names_rung_particle_and_coordinate():
     ladder.v[2, 0, 0] = np.inf
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
                        r"step -1: v\[1, 2, 1\] is nan$") as excinfo:
-        lockstep([initial_state("cbo", np.zeros((3, 2))), ladder], p,
-                 linear_cost(2), tape_for(p), 0)
+        next(lockstep([initial_state("cbo", np.zeros((3, 2))), ladder], p,
+                      linear_cost(2), tape_for(p), 0))
     assert (excinfo.value.step, excinfo.value.array, excinfo.value.index) == \
         (-1, "v", (1, 2, 1))
 
@@ -412,6 +412,58 @@ def test_lockstep_rejects_a_tape_of_another_layout(particles, dim):
     with pytest.raises(ValueError, match=rf"particles={particles}, dim={dim} "
                        r"does not match params n_particles=4, dim=1"):
         run("cbo", p, linear_cost(), tape, 0, np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("scheme, steps, channels", [
+    ("cbo", 99, 1), ("cbo", 101, 1), ("cbo", 100, 2), ("pso_mem", 100, 1),
+], ids=["one-step-short", "one-step-long", "extra-channel", "missing-channel"])
+def test_lockstep_rejects_a_tape_of_another_length_or_channel_count(
+        scheme, steps, channels):
+    # a short tape would fail only at its last step, a long or extra-channel
+    # one would run on noise no run of the canonical layout uses
+    p = memory_params(n_particles=4, sigma1=1.0)
+    assert p.n_steps == 100
+    tape = RecordingTape(NoiseTape(0, 1, p.n_particles, steps, p.dim,
+                                   channels=channels))
+    path = lockstep([initial_state(scheme, np.zeros((4, 1)), p.m)], p,
+                    linear_cost(), tape, 0)
+    with pytest.raises(ValueError) as excinfo:
+        next(path)
+    drawn = 2 if scheme == "pso_mem" else 1
+    assert str(excinfo.value) == (
+        f"noise tape layout steps={steps}, channels={channels} does not match "
+        f"n_steps=100 of the params and channels={drawn} of the states")
+    assert tape.log == {}
+
+
+def test_lockstep_yields_the_path_from_the_initial_states_on():
+    p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.05)
+    x0 = initial_positions([3, 0], p.n_particles, p.dim)
+    start = [initial_state("cbo", x0), initial_state("pso", x0, (0.2, 0.1))]
+    tape = RecordingTape(NoiseTape(3, 1, p.n_particles, p.n_steps, p.dim))
+    items = list(lockstep(start, p, ackley(1), tape, 0))
+    assert [n for n, _, _ in items] == list(range(p.n_steps + 1))
+    _, states, points = items[0]
+    assert states is start and all(s.t == 0.0 for s in states)
+    assert [pt.shape for pt in points] == [(1,), (2, 1)]
+    assert items[-1][1][0].t == pytest.approx(p.t_end)
+    # the path is lazy: two items are the initial states and one step
+    tape.log.clear()
+    path = lockstep(start, p, ackley(1), tape, 0)
+    next(path)
+    next(path)
+    assert sorted(tape.log) == [(0, 0, 1)]
+
+
+@pytest.mark.parametrize("m, shape", [([[0.1, 0.2]], "(1, 2)"), ([], "(0,)")],
+                         ids=["2-d", "empty"])
+def test_initial_state_rejects_an_inertia_of_another_shape(m, shape):
+    # a 2-d inertia would fail inside the first step, an empty one would run
+    # an empty stack
+    with pytest.raises(ValueError) as excinfo:
+        initial_state("pso", np.zeros((2, 1)), m)
+    assert str(excinfo.value) == ("inertia m must be a float or a nonempty "
+                                  f"1-d sequence, got shape {shape}")
 
 
 @pytest.mark.parametrize("m", [0.0, -2.0, 1.5, np.nan])

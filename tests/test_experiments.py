@@ -304,3 +304,24 @@ def test_compare_ladder_matches_single_m_tables():
         assert np.array_equal(table.times, single.times)
         assert np.array_equal(table.w2, single.w2)
         assert np.array_equal(table.kl, single.kl)
+
+
+@pytest.mark.parametrize("init", [("gaussian", 0.0, 1.0), ("uniform", -2.0, 3.0)],
+                         ids=["gaussian", "uniform"])
+def test_one_replicate_study_and_compare_ladder_give_the_same_metrics(init):
+    # both drivers couple the ladder against CBO on replicate 0 of the seed's
+    # tape from the seed's replicate-0 cloud, so their per-step W2 / KL agree
+    p = study_base(t_end=0.2, n_particles=80)
+    ladder = (0.2, 0.1, 0.05)
+    cfg = LimitStudyConfig(m_ladder=ladder, replicates=1, base=p, init=init)
+    res = zero_inertia_study(cfg, ackley(1), seed=6)
+    tables = compare_ladder(p, ackley(1), 6, ladder, init=init)
+    for j, table in enumerate(tables):
+        assert np.array_equal(res.w2_mean[j], table.w2)
+        assert np.array_equal(res.kl_mean[j], table.kl)
+    assert np.all(res.w2_mean[:, 1:] > 0.0)
+
+
+def test_compare_ladder_rejects_an_empty_ladder():
+    with pytest.raises(ValueError, match=r"nonempty 1-d sequence, got shape \(0,\)"):
+        compare_ladder(study_base(n_particles=10, t_end=0.02), ackley(1), 0, [])

@@ -31,8 +31,9 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
     tape = NoiseTape(0, 1, p.n_particles, p.n_steps, p.dim)
     x0 = initial_positions([0, 0], p.n_particles, p.dim)
     with installed(Tracer()) as tracer:
-        (final,), _ = dynamics.lockstep([initial_state("pso", x0, p.m)], p,
-                                        ackley(1), tape, 0)
+        for _, (final,), _ in dynamics.lockstep(
+                [initial_state("pso", x0, p.m)], p, ackley(1), tape, 0):
+            pass
     assert tracer.calls["dynamics.step"] == 3
     assert tracer.calls["noise.theta_block"] == 3
     assert np.all(np.isfinite(final.x))
