@@ -13,8 +13,9 @@ command line overrides its config key (``--seed`` -> ``seed``, ``--out`` ->
 objective.  A subcommand maps the resolved config to its CSV comments,
 header and rows and touches no file; ``main`` writes them.
 
-Exit codes: 0 success, 2 bad configuration or command line (a run too large
-for memory included), 3 numerical abort, 4 I/O failure.  Errors print one
+Exit codes: 0 success, 2 bad configuration or command line (a grid past the
+noise tape's 64-bit index, which ``Params`` rejects, and a run too large for
+memory included), 3 numerical abort, 4 I/O failure.  Errors print one
 machine-parsable line ``error: <category>: <detail>``; NumPy overflow
 warnings are silenced, so a blow-up is reported by that line alone.
 """
@@ -26,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config, require_keys
+from .config import ConfigError, format_value, load_config, require_keys
 from .dynamics import MemoryParams, NonFiniteStateError, Params, run
 from .experiments import (
     LimitStudyConfig,
@@ -34,7 +35,7 @@ from .experiments import (
     laplace_sweep,
     zero_inertia_study,
 )
-from .noise import NoiseTape, initial_positions
+from .noise import initial_positions
 from .objectives import make_objective
 
 SCHEMA_VERSION = "v1"
@@ -50,12 +51,6 @@ _MEMORY_KEYS = ("lambda1", "lambda2", "sigma1", "sigma2", "nu", "beta")
 _FLAG_KEYS = {"seed": "seed", "out": "out_path", "replicates": "replicates"}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# schema={SCHEMA_VERSION}\n")
@@ -63,7 +58,7 @@ def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
             handle.write(f"# {line}\n")
         handle.write(header + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def _params_from(cfg: dict, scheme: str) -> Params:
@@ -96,10 +91,8 @@ def _cmd_run(cfg: dict, args, obj, seed: int):
     scheme = cfg["scheme"]
     p = _params_from(cfg, scheme)
 
-    tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
-                     channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, cfg["init"])
-    rec = run(scheme, p, obj, tape, 0, x0)
+    rec = run(scheme, p, obj, seed, x0)
 
     cols = ["t", *(f"cons_{k + 1}" for k in range(p.dim)),
             *(f"{name}_m{q}" for name in rec.moments for q in (2, 4))]
@@ -107,7 +100,7 @@ def _cmd_run(cfg: dict, args, obj, seed: int):
         "experiment=run",
         f"scheme={scheme}",
         f"seed={seed}",
-        f"final_mean_speed={_fmt(rec.final.mean_speed)}",
+        f"final_mean_speed={format_value(rec.final.mean_speed)}",
     ]
     rows = np.column_stack([rec.times, rec.consensus, *rec.moments.values()])
     return comments, ",".join(cols), rows
@@ -135,8 +128,8 @@ def _cmd_limit_study(cfg: dict, args, obj, seed: int):
         f"scheme_pair={pair}",
         f"gap_metric={GAP_METRIC[pair]}",
         f"estimator={estimator}",
-        f"slope={_fmt(result.slope)}",
-        f"intercept={_fmt(result.intercept)}",
+        f"slope={format_value(result.slope)}",
+        f"intercept={format_value(result.intercept)}",
     ]
     rows = [[m, r, result.sup_gaps[j, r], result.slope, seed]
             for j, m in enumerate(study.m_ladder) for r in range(reps)]
@@ -237,7 +230,7 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        sizes = ", ".join(f"{key}={_fmt(cfg.get(key))}"
+        sizes = ", ".join(f"{key}={format_value(cfg.get(key))}"
                           for key in ("N", "dim", "dt", "T"))
         print(f"error: config: out of memory for {sizes}", file=sys.stderr)
         return 2

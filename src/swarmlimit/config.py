@@ -100,16 +100,18 @@ def load_config(path: str) -> dict:
     return parse_config(text)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A config value as text; floats with 17 significant digits, which
+    round-trip, so equal values print as equal bytes."""
     if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
+        return ",".join(format_value(v) for v in value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
 def serialize_config(values: dict) -> str:
-    lines = [f"{key} = {_format_value(values[key])}"
+    lines = [f"{key} = {format_value(values[key])}"
              for key in _KEY_PARSERS if key in values]
     return "\n".join(lines) + "\n"
 

@@ -31,15 +31,19 @@ stays within one slice, so its bits do not depend on what it is stacked with.
 ``Xa`` is the softmax consensus of the current positions (of the local bests
 for the memory variants), computed once per step from the pre-step cloud and
 shared by all particles of a slice.  The noise coupling ``(Xa - X) th`` is
-componentwise (anisotropic/diagonal).  With matching tapes, ``pso`` and
-``cbo`` consume identical noise at matching ``(i, n, k)``, which is what
-makes their pathwise gap measure the small-inertia coupling distance.
+componentwise (anisotropic/diagonal).  With the same seed, replicate and
+grid, ``pso`` and ``cbo`` consume identical noise at matching ``(i, n, k)``,
+which is what makes their pathwise gap measure the small-inertia coupling
+distance.
 
-``lockstep`` is the one stepping loop: it advances states that share a tape
-replicate and ``Params`` together, drawing each tape block once per step and
-handing the same array to every slice of every state, and yields the coupled
-path one time point at a time.  A caller reads the path in a ``for`` loop;
-``run`` is that loop over a single unstacked state, recording every step.
+``lockstep`` is the one stepping loop: it advances states that share a seed,
+a tape replicate and ``Params`` together, drawing each tape block once per
+step and handing the same array to every slice of every state, and yields
+the coupled path one time point at a time.  It builds the tape itself, from
+the seed, ``Params`` and the channels the states draw, so the layout a run
+draws from is decided in one place.  A caller reads the path in a ``for``
+loop; ``run`` is that loop over a single unstacked state, recording every
+step.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 
 from .consensus import consensus_point, costs_of
 from .metrics import empirical_moments
+from .noise import NoiseTape
 
 SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
 
@@ -89,6 +94,9 @@ class Params:
     """Model and scheme constants shared by all schemes.
 
     The friction ``gamma`` is not a field: it is pinned to ``1 - m`` exactly.
+    The grid must fit the noise tape: the widest tape a run on it draws (one
+    replicate, one channel or two with memory params) is built here, so a
+    layout past the tape's 64-bit index fails with the tape's message.
     """
 
     m: float
@@ -126,6 +134,8 @@ class Params:
             raise ValueError("alpha must be >= 0")
         if self.lam < 0.0 or self.sigma < 0.0:
             raise ValueError("lam and sigma must be >= 0")
+        NoiseTape(0, 1, self.n_particles, self.n_steps, self.dim,
+                  1 if self.memory is None else 2)
 
     @property
     def n_steps(self) -> int:
@@ -277,35 +287,28 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-def lockstep(states, p: Params, obj, tape, r: int):
-    """Advance ``states`` on replicate ``r`` of one tape together, yielding
-    the coupled path.
+def lockstep(states, p: Params, obj, seed: int, r: int):
+    """Advance ``states`` on replicate ``r`` of the seed's tape together,
+    yielding the coupled path.
 
     The states share ``p``, each second-order one with its own inertia.  The
-    tape's ``particles``, ``dim`` and ``steps`` must be those of ``p``, and it
-    must carry the channels the states draw: two if any state has local
-    bests, else one.  Per step, the tape blocks are drawn once and handed to
-    every state, and each state's consensus is computed once.  Yields
-    ``(n, states, points)`` for ``n = 0, ..., n_steps``: the initial states
-    first, then the states after step ``n - 1``, each time with the consensus
-    points the next step uses.  Non-finite states abort with the offending
-    step index.
+    tape has the grid of ``p`` and the channels the states draw: two if any
+    state has local bests, else one.  Per step, the tape blocks are drawn
+    once and handed to every state, and each state's consensus is computed
+    once.  Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the
+    initial states first, then the states after step ``n - 1``, each time
+    with the consensus points the next step uses.  Non-finite states abort
+    with the offending step index.
     """
-    if (tape.particles, tape.dim) != (p.n_particles, p.dim):
-        raise ValueError(f"noise tape layout particles={tape.particles}, "
-                         f"dim={tape.dim} does not match params "
-                         f"n_particles={p.n_particles}, dim={p.dim}")
     for state in states:
         state.check_finite(-1)
         if state.x.shape[-2:] != (p.n_particles, p.dim):
             raise ValueError(f"x0 shape {state.x.shape} does not match params "
                              f"({p.n_particles}, {p.dim})")
     channels = 2 if any(s.y is not None for s in states) else 1
-    if (tape.steps, tape.channels) != (p.n_steps, channels):
-        raise ValueError(f"noise tape layout steps={tape.steps}, "
-                         f"channels={tape.channels} does not match "
-                         f"n_steps={p.n_steps} of the params and "
-                         f"channels={channels} of the states")
+    # the replicate count only bounds r: the row-major index never multiplies
+    # it into a variate, so replicate r has the same blocks on any longer tape
+    tape = NoiseTape(seed, r + 1, p.n_particles, p.n_steps, p.dim, channels)
     stepper = _STEPPERS["step"]
 
     cons = [consensus_of(s, p, obj) for s in states]
@@ -319,9 +322,9 @@ def lockstep(states, p: Params, obj, tape, r: int):
         yield n + 1, states, [c.point for c in cons]
 
 
-def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
-    """Iterate a scheme from rest at ``x0`` for floor(t_end / dt) steps,
-    recording diagnostics.
+def run(scheme: str, p: Params, obj, seed: int, x0: np.ndarray) -> RunRecord:
+    """Iterate a scheme from rest at ``x0`` for floor(t_end / dt) steps on
+    replicate 0 of the seed's tape, recording diagnostics.
 
     The consensus point and the moments of every cloud the state carries
     (positions, then velocities and local bests where the scheme has them)
@@ -336,7 +339,7 @@ def run(scheme: str, p: Params, obj, tape, r: int, x0: np.ndarray) -> RunRecord:
     moments = {name: np.empty((rows, 2)) for name in ("x", "v", "y")
                if getattr(state, name) is not None}
 
-    for n, (s,), (point,) in lockstep([state], p, obj, tape, r):
+    for n, (s,), (point,) in lockstep([state], p, obj, seed, 0):
         times[n] = s.t
         cons[n] = point
         for name, table in moments.items():

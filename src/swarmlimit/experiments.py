@@ -12,7 +12,8 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-The coupled drivers make one ``dynamics.lockstep`` pass per replicate over
+The coupled drivers make one ``dynamics.lockstep`` pass per replicate ``r``,
+on replicate ``r`` of the seed's noise tape (``lockstep`` builds it), over
 two states: the ``(N, d)`` first-order reference and one ``(K, N, d)``
 second-order stack with one slice per inertia value.  The reference does not
 depend on ``m``, so it is computed once per replicate, and each noise-tape
@@ -46,7 +47,7 @@ from .consensus import laplace_value
 # wraps it under this module's name
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
-from .noise import NoiseTape, initial_positions
+from .noise import initial_positions
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class LimitStudyConfig:
             raise ValueError("m_ladder must be nonempty")
         if any(not 0.0 < m <= 0.5 for m in ladder):
             raise ValueError(f"m_ladder values must lie in (0, 1/2], got {ladder}")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])) and len(ladder) > 1:
+        if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"m_ladder must be strictly decreasing, got {ladder}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -117,9 +118,6 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     track_dist = base.dim == 1 and not memory
     bins = default_bins(base.n_particles) if track_dist else None
 
-    tape = NoiseTape(seed, reps, base.n_particles, n_steps, base.dim,
-                     channels=2 if memory else 1)
-
     sup_gaps = np.full((n_m, reps), -np.inf)
     w2 = np.zeros((n_m, n_steps + 1)) if track_dist else None
     kl = np.zeros((n_m, n_steps + 1)) if track_dist else None
@@ -128,7 +126,7 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
         states = [initial_state(first_order, x0),
                   initial_state(second_order, x0, cfg.m_ladder)]
-        for n, (ref, ladder), _ in lockstep(states, base, obj, tape, r):
+        for n, (ref, ladder), _ in lockstep(states, base, obj, seed, r):
             g = paired_msq_gap(ladder.x, ref.x)
             if memory:
                 g += paired_msq_gap(ladder.y, ref.y)
@@ -183,7 +181,6 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
     n_steps = p.n_steps
-    tape = NoiseTape(seed, 1, p.n_particles, n_steps, p.dim, channels=1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
     states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
 
@@ -203,7 +200,7 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     w2 = np.empty((len(m_values), len(steps)))
     kl = np.empty((len(m_values), len(steps)))
 
-    for n, (ref, ladder), _ in lockstep(states, p, obj, tape, 0):
+    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, 0):
         k = slot.get(n)
         if k is None:
             continue
@@ -231,17 +228,19 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
     Mean speed is the final state's ``mean_speed``, identically 0 for the
     first-order schemes.
     """
-    tape = NoiseTape(seed, 1, p.n_particles, p.n_steps, p.dim,
-                     channels=2 if scheme.endswith("_mem") else 1)
     x0 = initial_positions([seed, 0], p.n_particles, p.dim)
     for _, (final,), (point,) in lockstep([initial_state(scheme, x0, p.m)],
-                                          p, obj, tape, 0):
+                                          p, obj, seed, 0):
         pass
     return point, final.mean_speed
 
 
 def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
-    """Rows (alpha, exponential-average value, gap to the sample minimum)."""
+    """Rows (alpha, exponential-average value, gap to the sample minimum).
+
+    A value that is not finite (NaN costs, or every cost infinite) is an
+    error naming its ``alpha``; points that cost ``+inf`` only get weight 0.
+    """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive")
@@ -253,5 +252,8 @@ def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     rows = []
     for a in alphas:
         value = laplace_value(pts, obj, a)
+        if not np.isfinite(value):
+            raise ValueError(f"laplace value at alpha={a} is not finite, "
+                             f"got {value}")
         rows.append((a, value, value - low))
     return rows

@@ -1,7 +1,9 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from swarmlimit import Objective, initial_state, lockstep
+from swarmlimit import NoiseTape, Objective, initial_state, lockstep
 
 
 def linear_cost(dim: int = 1) -> Objective:
@@ -14,11 +16,12 @@ def linear_cost(dim: int = 1) -> Objective:
     )
 
 
-def trajectory(scheme, p, obj, tape, r, x0):
-    """Positions and local bests (``None`` without memory) of a solo run,
-    one entry per time point from the initial cloud on."""
+def trajectory(scheme, p, obj, seed, r, x0):
+    """Positions and local bests (``None`` without memory) of a solo run on
+    replicate ``r`` of the seed's tape, one entry per time point from the
+    initial cloud on."""
     xs, ys = [], []
-    for _, (s,), _ in lockstep([initial_state(scheme, x0, p.m)], p, obj, tape, r):
+    for _, (s,), _ in lockstep([initial_state(scheme, x0, p.m)], p, obj, seed, r):
         xs.append(s.x.copy())
         ys.append(None if s.y is None else s.y.copy())
     return xs, ys
@@ -29,21 +32,22 @@ def blocks(tape, n, r=0):
     return tuple(tape.theta_block(r, n, ch) for ch in range(1, tape.channels + 1))
 
 
-class RecordingTape:
-    """Tape wrapper logging every consumed block, for coupling checks."""
+@pytest.fixture
+def drawn_blocks(monkeypatch):
+    """Every tape block drawn during the test, as ``(seed, r, n, ch) ->
+    [block, ...]`` in draw order; observed on the class, the way the
+    benchmark's tracer observes draws, so it sees the tapes ``lockstep``
+    builds."""
+    drawn = defaultdict(list)
+    theta_block = NoiseTape.theta_block
 
-    def __init__(self, tape):
-        self.tape = tape
-        self.log = {}
-
-    def __getattr__(self, name):
-        # the layout (particles, dim, ...) is the wrapped tape's
-        return getattr(self.tape, name)
-
-    def theta_block(self, r, n, ch=1):
-        block = self.tape.theta_block(r, n, ch)
-        self.log[(r, n, ch)] = block.copy()
+    def recording(tape, r, n, ch=1):
+        block = theta_block(tape, r, n, ch)
+        drawn[(tape.seed, r, n, ch)].append(block.copy())
         return block
+
+    monkeypatch.setattr(NoiseTape, "theta_block", recording)
+    return drawn
 
 
 @pytest.fixture

@@ -163,11 +163,10 @@ def test_criterion_5_invariant_suites():
 
     p = Params(m=0.1, lam=1.0, sigma=SIGMA, alpha=ALPHA, dt=DT, t_end=0.5,
                n_particles=300, dim=1)
-    tape = NoiseTape(5_550, 1, 300, p.n_steps, 1)
     x0 = initial_positions([5_550, 0], 300, 1)
     obj1 = ackley(1)
-    pso_xs, _ = trajectory("pso", p, obj1, tape, 0, x0)
-    cbo_xs, _ = trajectory("cbo", p, obj1, tape, 0, x0)
+    pso_xs, _ = trajectory("pso", p, obj1, 5_550, 0, x0)
+    cbo_xs, _ = trajectory("cbo", p, obj1, 5_550, 0, x0)
     for a, b in zip(pso_xs, cbo_xs):
         if wasserstein2_1d(a, b) ** 2 > paired_msq_gap(a, b) + 1e-15:
             failures.append("w2 <= paired gap")
@@ -177,8 +176,7 @@ def test_criterion_5_invariant_suites():
     for m in (0.8, 0.1, 0.001):
         pm = Params(m=m, lam=1.0, sigma=SIGMA, alpha=ALPHA, dt=DT, t_end=1.0,
                     n_particles=1000, dim=1)
-        rec = run("pso", pm, obj1, NoiseTape(2024, 1, 1000, pm.n_steps, 1), 0,
-                  initial_positions([2024, 0], 1000, 1))
+        rec = run("pso", pm, obj1, 2024, initial_positions([2024, 0], 1000, 1))
         if rec.moments["x"][:, 1].max() >= FOURTH_MOMENT_CAP:
             failures.append("fourth-moment cap")
             break

@@ -17,7 +17,7 @@ from swarmlimit import (
     step,
 )
 
-from conftest import RecordingTape, blocks, linear_cost
+from conftest import blocks, linear_cost
 
 # hand evaluation of the semi-implicit update for particles {0, 1}, V = 0,
 # m = 0.5, dt = 0.01, lam = 1, sigma = 0, alpha = 0 (consensus 0.5):
@@ -79,7 +79,7 @@ def test_step_preconditions():
     assert initial_state("cbo", x0, 0.5).m is None
     # a memory state needs the memory constants
     with pytest.raises(ValueError, match="memory params"):
-        run("cbo_mem", p, obj, tape_for(p, channels=2), 0, x0)
+        run("cbo_mem", p, obj, 0, x0)
 
 
 def test_pso_singleton_velocity_decays_geometrically():
@@ -231,23 +231,23 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     assert np.array_equal(out.y, y0)
 
 
-def test_noise_coupling_consumes_identical_blocks():
+def test_noise_coupling_consumes_identical_blocks(drawn_blocks):
     p = plain_params(sigma=1 / np.sqrt(3), lam=1.0, alpha=30.0,
                      n_particles=50, t_end=0.1)
-    base = tape_for(p, seed=42)
     x0 = initial_positions([42, 0], 50, 1)
-    rec_pso = RecordingTape(base)
-    rec_cbo = RecordingTape(base)
-    run("pso", p, ackley(1), rec_pso, 0, x0)
-    run("cbo", p, ackley(1), rec_cbo, 0, x0)
-    assert rec_pso.log.keys() == rec_cbo.log.keys()
-    for key, block in rec_pso.log.items():
-        assert np.array_equal(block, rec_cbo.log[key])
+    run("pso", p, ackley(1), 42, x0)
+    pso_log = dict(drawn_blocks)
+    drawn_blocks.clear()
+    run("cbo", p, ackley(1), 42, x0)
+    assert pso_log.keys() == drawn_blocks.keys()
+    for key, (block,) in pso_log.items():
+        (cbo_block,) = drawn_blocks[key]
+        assert np.array_equal(block, cbo_block)
 
 
 def test_run_minimal_horizon_records_two_time_points():
     p = plain_params(t_end=0.01)
-    rec = run("cbo", p, linear_cost(), tape_for(p), 0, np.array([[0.0], [1.0]]))
+    rec = run("cbo", p, linear_cost(), 0, np.array([[0.0], [1.0]]))
     assert len(rec.times) - 1 == 1
     assert rec.times.shape == (2,)
     assert rec.moments["x"][:, 0].shape == (2,)
@@ -256,9 +256,9 @@ def test_run_minimal_horizon_records_two_time_points():
 def test_run_rejects_bad_inputs():
     p = plain_params()
     with pytest.raises(ValueError, match="unknown scheme"):
-        run("annealing", p, linear_cost(), tape_for(p), 0, np.zeros((2, 1)))
+        run("annealing", p, linear_cost(), 0, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="shape"):
-        run("cbo", p, linear_cost(), tape_for(p), 0, np.zeros((3, 1)))
+        run("cbo", p, linear_cost(), 0, np.zeros((3, 1)))
 
 
 def test_run_consensus_cost_monotone_without_noise():
@@ -268,7 +268,7 @@ def test_run_consensus_cost_monotone_without_noise():
     p = plain_params(sigma=0.0, lam=1.0, alpha=200.0, n_particles=2, t_end=0.5)
     obj = ackley(1)
     x0 = np.array([[0.0], [2.0]])
-    rec = run("cbo", p, obj, tape_for(p), 0, x0)
+    rec = run("cbo", p, obj, 0, x0)
 
     xs = [0.0, 2.0]
     for _ in range(p.n_steps):
@@ -285,8 +285,7 @@ def test_run_consensus_cost_monotone_without_noise():
 def test_run_large_swarm_configuration_stays_finite():
     p = plain_params(m=0.1, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                      n_particles=10_000, t_end=1.0)
-    rec = run("pso", p, ackley(1), tape_for(p, seed=7), 0,
-              initial_positions([7, 0], 10_000, 1))
+    rec = run("pso", p, ackley(1), 7, initial_positions([7, 0], 10_000, 1))
     assert np.all(np.isfinite(rec.moments["x"][:, 1]))
     assert np.all(np.isfinite(rec.moments["v"][:, 1]))
     assert len(rec.times) - 1 == 100
@@ -295,8 +294,7 @@ def test_run_large_swarm_configuration_stays_finite():
 def test_semi_implicit_survives_tiny_inertia():
     p = plain_params(m=1e-3, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                      n_particles=500, t_end=1.0)
-    rec = run("pso", p, ackley(1), tape_for(p, seed=3), 0,
-              initial_positions([3, 0], 500, 1))
+    rec = run("pso", p, ackley(1), 3, initial_positions([3, 0], 500, 1))
     assert np.all(np.isfinite(rec.moments["x"][:, 1]))
 
 
@@ -305,7 +303,7 @@ def test_non_finite_state_aborts_with_step_index():
     p = plain_params(sigma=1e200, lam=1.0, alpha=0.0, n_particles=4, t_end=0.05)
     x0 = np.array([[0.0], [0.5], [1.5], [3.0]])
     with pytest.raises(NonFiniteStateError) as excinfo:
-        run("cbo", p, linear_cost(), tape_for(p, seed=1), 0, x0)
+        run("cbo", p, linear_cost(), 1, x0)
     err = excinfo.value
     assert err.step >= 0
     assert "non-finite" in str(err)
@@ -324,7 +322,7 @@ def test_non_finite_stacked_state_names_rung_particle_and_coordinate():
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
                        r"step -1: v\[1, 2, 1\] is nan$") as excinfo:
         next(lockstep([initial_state("cbo", np.zeros((3, 2))), ladder], p,
-                      linear_cost(2), tape_for(p), 0))
+                      linear_cost(2), 0, 0))
     assert (excinfo.value.step, excinfo.value.array, excinfo.value.index) == \
         (-1, "v", (1, 2, 1))
 
@@ -333,8 +331,8 @@ def test_run_is_deterministic():
     p = plain_params(m=0.2, sigma=0.5, lam=1.0, alpha=30.0,
                      n_particles=64, t_end=0.2)
     x0 = initial_positions([5, 0], 64, 1)
-    a = run("pso", p, ackley(1), tape_for(p, seed=5), 0, x0)
-    b = run("pso", p, ackley(1), tape_for(p, seed=5), 0, x0)
+    a = run("pso", p, ackley(1), 5, x0)
+    b = run("pso", p, ackley(1), 5, x0)
     assert np.array_equal(a.consensus, b.consensus)
     assert np.array_equal(a.moments["x"][:, 1], b.moments["x"][:, 1])
 
@@ -350,8 +348,7 @@ def test_fourth_moment_uniformly_bounded_across_inertia_ladder():
     for m in (0.8, 0.1, 0.001):
         p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                          n_particles=1000, t_end=1.0)
-        rec = run("pso", p, obj, tape_for(p, seed=2024), 0,
-                  initial_positions([2024, 0], 1000, 1))
+        rec = run("pso", p, obj, 2024, initial_positions([2024, 0], 1000, 1))
         assert rec.moments["x"][:, 1].max() < FOURTH_MOMENT_CAP
 
 
@@ -373,6 +370,20 @@ def test_params_reject_a_step_count_that_overflows():
     with pytest.raises(ValueError, match=r"^t_end / dt must be finite, "
                                          r"got 10000000000.0 / 1e-300$"):
         plain_params(dt=1e-300, t_end=1e10)
+
+
+@pytest.mark.parametrize("make, channels", [(plain_params, 1),
+                                             (memory_params, 2)],
+                         ids=["plain", "memory"])
+def test_params_reject_a_grid_whose_tape_index_overflows(make, channels):
+    # t_end / dt = 1e290 steps is finite, but no uint64 index reaches them;
+    # the widest tape the grid draws names the layout
+    with pytest.raises(ValueError) as excinfo:
+        make(dt=1e-300, t_end=1e-10)
+    steps = int(1e-10 / 1e-300 + 1e-9)
+    assert str(excinfo.value) == (
+        f"noise tape layout replicates=1, particles=2, steps={steps}, dim=1, "
+        f"channels={channels} has more than 2**64 indices")
 
 
 def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
@@ -403,56 +414,22 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     assert np.all((ratios > 1.9) & (ratios < 2.1))
 
 
-
-@pytest.mark.parametrize("particles, dim", [(1, 1), (4, 2)])
-def test_lockstep_rejects_a_tape_of_another_layout(particles, dim):
-    # a one-particle tape would hand every particle the same noise
-    p = plain_params(n_particles=4, sigma=1.0)
-    tape = NoiseTape(0, 1, particles, p.n_steps, dim)
-    with pytest.raises(ValueError, match=rf"particles={particles}, dim={dim} "
-                       r"does not match params n_particles=4, dim=1"):
-        run("cbo", p, linear_cost(), tape, 0, np.zeros((4, 1)))
-
-
-@pytest.mark.parametrize("scheme, steps, channels", [
-    ("cbo", 99, 1), ("cbo", 101, 1), ("cbo", 100, 2), ("pso_mem", 100, 1),
-], ids=["one-step-short", "one-step-long", "extra-channel", "missing-channel"])
-def test_lockstep_rejects_a_tape_of_another_length_or_channel_count(
-        scheme, steps, channels):
-    # a short tape would fail only at its last step, a long or extra-channel
-    # one would run on noise no run of the canonical layout uses
-    p = memory_params(n_particles=4, sigma1=1.0)
-    assert p.n_steps == 100
-    tape = RecordingTape(NoiseTape(0, 1, p.n_particles, steps, p.dim,
-                                   channels=channels))
-    path = lockstep([initial_state(scheme, np.zeros((4, 1)), p.m)], p,
-                    linear_cost(), tape, 0)
-    with pytest.raises(ValueError) as excinfo:
-        next(path)
-    drawn = 2 if scheme == "pso_mem" else 1
-    assert str(excinfo.value) == (
-        f"noise tape layout steps={steps}, channels={channels} does not match "
-        f"n_steps=100 of the params and channels={drawn} of the states")
-    assert tape.log == {}
-
-
-def test_lockstep_yields_the_path_from_the_initial_states_on():
+def test_lockstep_yields_the_path_from_the_initial_states_on(drawn_blocks):
     p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.05)
     x0 = initial_positions([3, 0], p.n_particles, p.dim)
     start = [initial_state("cbo", x0), initial_state("pso", x0, (0.2, 0.1))]
-    tape = RecordingTape(NoiseTape(3, 1, p.n_particles, p.n_steps, p.dim))
-    items = list(lockstep(start, p, ackley(1), tape, 0))
+    items = list(lockstep(start, p, ackley(1), 3, 0))
     assert [n for n, _, _ in items] == list(range(p.n_steps + 1))
     _, states, points = items[0]
     assert states is start and all(s.t == 0.0 for s in states)
     assert [pt.shape for pt in points] == [(1,), (2, 1)]
     assert items[-1][1][0].t == pytest.approx(p.t_end)
     # the path is lazy: two items are the initial states and one step
-    tape.log.clear()
-    path = lockstep(start, p, ackley(1), tape, 0)
+    drawn_blocks.clear()
+    path = lockstep(start, p, ackley(1), 3, 0)
     next(path)
     next(path)
-    assert sorted(tape.log) == [(0, 0, 1)]
+    assert sorted(drawn_blocks) == [(3, 0, 0, 1)]
 
 
 @pytest.mark.parametrize("m, shape", [([[0.1, 0.2]], "(1, 2)"), ([], "(0,)")],

@@ -1,14 +1,11 @@
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import swarmlimit.experiments as experiments
 from swarmlimit import (
     LimitStudyConfig,
     MemoryParams,
-    NoiseTape,
     Objective,
     Params,
     ackley,
@@ -26,7 +23,7 @@ from swarmlimit import (
     zero_inertia_study,
 )
 
-from conftest import RecordingTape, linear_cost, trajectory
+from conftest import linear_cost, trajectory
 
 
 def study_base(**kw):
@@ -144,10 +141,9 @@ def test_optimize_constant_cost_keeps_consensus_at_mean():
     obj_const = Objective(name="const", dim=2, eval=lambda x: np.zeros(len(x)),
                           minimizer=np.zeros(2))
     p = study_base(dim=2, n_particles=100, t_end=0.1, sigma=0.0)
-    tape = NoiseTape(4, 1, p.n_particles, p.n_steps, p.dim)
     x0 = initial_positions([4, 0], p.n_particles, p.dim)
-    rec = run("cbo", p, obj_const, tape, 0, x0)
-    xs, _ = trajectory("cbo", p, obj_const, tape, 0, x0)
+    rec = run("cbo", p, obj_const, 4, x0)
+    xs, _ = trajectory("cbo", p, obj_const, 4, 0, x0)
     for t in range(len(rec.times)):
         assert rec.consensus[t] == pytest.approx(xs[t].mean(axis=0), abs=1e-14)
 
@@ -191,16 +187,23 @@ def test_laplace_sweep_validation():
         laplace_sweep(pts, linear_cost(), (-1.0, 2.0))
 
 
-class CountingTape(RecordingTape):
-    """RecordingTape that also counts how often each block is drawn."""
+def test_laplace_sweep_rejects_a_value_that_is_not_finite():
+    # a NaN cost poisons the value at every alpha: the first one is named
+    pts = np.array([[0.0], [np.nan]])
+    with pytest.raises(ValueError) as excinfo:
+        laplace_sweep(pts, linear_cost(), (1.0, 10.0))
+    assert str(excinfo.value) == "laplace value at alpha=1.0 is not finite, got nan"
 
-    def __init__(self, tape):
-        super().__init__(tape)
-        self.draws = Counter()
 
-    def theta_block(self, r, n, ch=1):
-        self.draws[(r, n, ch)] += 1
-        return super().theta_block(r, n, ch)
+def test_laplace_sweep_gives_points_of_infinite_cost_weight_zero():
+    # far points that cost +inf drop out; the value is that of the rest
+    far = Objective(name="far", dim=1, minimizer=np.zeros(1),
+                    eval=lambda x: np.where(x[:, 0] > 1.0, np.inf, x[:, 0]))
+    pts = np.array([[0.5], [0.5], [2.0]])
+    rows = laplace_sweep(pts, far, (1.0, 10.0))
+    for alpha, value, gap in rows:
+        assert value == pytest.approx(0.5 + np.log(1.5) / alpha, rel=1e-12)
+        assert np.isfinite(gap) and gap > 0.0
 
 
 def counting_objective(obj):
@@ -219,8 +222,6 @@ def study_from_run_pairs(cfg, obj, seed):
     """sup gaps and mean W2 / KL from pairs of solo-run trajectories."""
     base = cfg.base
     memory = cfg.scheme_pair == "memory"
-    tape = NoiseTape(seed, cfg.replicates, base.n_particles, base.n_steps,
-                     base.dim, channels=2 if memory else 1)
     n_m, n_t = len(cfg.m_ladder), base.n_steps + 1
     sup = np.empty((n_m, cfg.replicates))
     w2 = np.zeros((n_m, n_t))
@@ -229,10 +230,10 @@ def study_from_run_pairs(cfg, obj, seed):
     for r in range(cfg.replicates):
         x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
         ref_x, ref_y = trajectory("cbo_mem" if memory else "cbo", base, obj,
-                                  tape, r, x0)
+                                  seed, r, x0)
         for j, m in enumerate(cfg.m_ladder):
             xs, ys = trajectory("pso_mem" if memory else "pso",
-                                replace(base, m=m), obj, tape, r, x0)
+                                replace(base, m=m), obj, seed, r, x0)
             gaps = []
             for t in range(n_t):
                 g = paired_msq_gap(xs[t], ref_x[t])
@@ -250,7 +251,7 @@ def study_from_run_pairs(cfg, obj, seed):
                                        ("plain", 2), ("memory", 2)],
                          ids=["plain", "memory", "plain-dim2", "memory-dim2"])
 def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
-        pair, dim, monkeypatch):
+        pair, dim, drawn_blocks):
     memory = pair == "memory"
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if memory else None
@@ -259,15 +260,8 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=2, base=base,
                            scheme_pair=pair)
     obj, calls = counting_objective(ackley(dim))
-    tapes = []
-
-    def counting_tape(*args, **kwargs):
-        tapes.append(CountingTape(NoiseTape(*args, **kwargs)))
-        return tapes[-1]
-
-    monkeypatch.setattr(experiments, "NoiseTape", counting_tape)
     res = zero_inertia_study(cfg, obj, seed=13)
-    monkeypatch.undo()
+    draws = {key: len(drawn) for key, drawn in drawn_blocks.items()}
 
     sup, w2, kl = study_from_run_pairs(cfg, ackley(dim), seed=13)
     assert np.array_equal(res.sup_gaps, sup)
@@ -278,9 +272,9 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
         assert np.array_equal(res.kl_mean, kl)
 
     channels = 2 if memory else 1
-    (tape,) = tapes
-    assert len(tape.draws) == cfg.replicates * base.n_steps * channels
-    assert set(tape.draws.values()) == {1}
+    # counted across the per-replicate tapes of the seed
+    assert len(draws) == cfg.replicates * base.n_steps * channels
+    assert set(draws.values()) == {1}
     # two states, the reference and the stack of rungs, and one consensus
     # per state per time point; the memory pair adds one evaluation of the
     # new positions per step for the local-best update

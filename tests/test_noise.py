@@ -107,3 +107,16 @@ def test_block_depends_on_the_step_count_except_particle_0_of_replicate_0():
     a, b = short.theta_block(0, 0), long.theta_block(0, 0)
     assert np.array_equal(a[0], b[0])
     assert np.all(a[1:] != b[1:])
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_blocks_of_a_replicate_do_not_depend_on_the_replicate_count(channels):
+    # the replicate is the leading index, so the count only bounds it:
+    # replicate r reads the same blocks from r + 1 replicates as from more
+    for r, replicates in ((0, 1), (1, 2), (1, 5), (4, 5), (4, 20)):
+        short = NoiseTape(8, r + 1, 6, 5, 2, channels)
+        wide = NoiseTape(8, replicates, 6, 5, 2, channels)
+        for n in range(5):
+            for ch in range(1, channels + 1):
+                assert np.array_equal(short.theta_block(r, n, ch),
+                                      wide.theta_block(r, n, ch))

@@ -12,7 +12,6 @@ import swarmlimit.dynamics as dynamics
 import swarmlimit.experiments as experiments
 from swarmlimit import (
     LimitStudyConfig,
-    NoiseTape,
     Params,
     ackley,
     initial_positions,
@@ -28,11 +27,10 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
     p = Params(m=0.2, lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, t_end=0.03,
                n_particles=10, dim=1)
     assert p.n_steps == 3
-    tape = NoiseTape(0, 1, p.n_particles, p.n_steps, p.dim)
     x0 = initial_positions([0, 0], p.n_particles, p.dim)
     with installed(Tracer()) as tracer:
         for _, (final,), _ in dynamics.lockstep(
-                [initial_state("pso", x0, p.m)], p, ackley(1), tape, 0):
+                [initial_state("pso", x0, p.m)], p, ackley(1), 0, 0):
             pass
     assert tracer.calls["dynamics.step"] == 3
     assert tracer.calls["noise.theta_block"] == 3
