@@ -12,18 +12,21 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-The coupled drivers make one ``dynamics.lockstep`` pass per replicate ``r``,
-on replicate ``r`` of the seed's noise tape (``lockstep`` builds it), over
-two states: the ``(N, d)`` first-order reference and one ``(K, N, d)``
-second-order stack with one slice per inertia value.  The reference does not
+Both coupled drivers read replicate ``r`` through one pass,
+``_coupled_pass``: one ``dynamics.lockstep`` run on replicate ``r`` of the
+seed's noise tape (``lockstep`` builds it) over two states, the ``(N, d)``
+first-order reference and one ``(K, N, d)`` second-order stack with one slice
+per inertia value, both from cloud ``[seed, r]``.  The reference does not
 depend on ``m``, so it is computed once per replicate, and each noise-tape
-block is drawn once per step and serves every slice.  Each driver reads the
-path ``lockstep`` yields in a ``for`` loop whose body updates the running sup
-of the paired gap and the per-step W2 / KL with one call per metric over the
-whole stack, so no snapshots are stored.  Each slice's arithmetic is
-elementwise that of a solo run and every reduction, the metrics' included,
-stays within one slice, which keeps the results bit-identical to pairs of
-``run`` calls.
+block is drawn once per step and serves every slice.  The pass reads the path
+``lockstep`` yields in a ``for`` loop whose body updates the running sup of
+the paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
+with one call per metric over the whole stack, so no snapshots are stored.
+The study folds the passes over its replicates; ``compare_ladder`` makes one
+on ``r = 0`` and selects its snapshot steps from the per-step columns.  Each
+slice's arithmetic is elementwise that of a solo run and every reduction, the
+metrics' included, stays within one slice, which keeps the results
+bit-identical to pairs of ``run`` calls.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -99,49 +102,69 @@ class StudyResult:
     kl_mean: np.ndarray | None
 
 
+def _coupled_pass(p: Params, obj, seed: int, r: int, init, m_values,
+                  memory: bool = False):
+    """One coupled replicate: the first-order reference and the second-order
+    stack of ``m_values`` (with local bests if ``memory``) from cloud
+    ``[seed, r]``, on replicate ``r`` of the seed's tape.
+
+    Returns ``(times, sup_gap, w2, kl)``: the time of every step, the sup over
+    time of each rung's paired mean-square gap (positions, plus local bests
+    for the memory pair), and each rung's W2 / KL against the reference
+    position cloud at every step, ``None`` unless the pair is plain and
+    ``p.dim == 1``.
+    """
+    x0 = initial_positions([seed, r], p.n_particles, p.dim, init)
+    states = [initial_state("cbo_mem" if memory else "cbo", x0),
+              initial_state("pso_mem" if memory else "pso", x0, m_values)]
+    times = np.empty(p.n_steps + 1)
+    sup_gap = -np.inf
+    w2 = kl = None
+    if p.dim == 1 and not memory:
+        w2, kl = np.empty((2, len(m_values), p.n_steps + 1))
+        bins = default_bins(p.n_particles)
+
+    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, r):
+        times[n] = ladder.t
+        g = paired_msq_gap(ladder.x, ref.x)
+        if memory:
+            g += paired_msq_gap(ladder.y, ref.y)
+        # Python's max: keep the running sup unless g is strictly larger
+        sup_gap = np.where(g > sup_gap, g, sup_gap)
+        if w2 is not None:
+            w2[:, n] = wasserstein2_1d(ladder.x, ref.x)
+            kl[:, n] = kl_histogram(ladder.x, ref.x, bins)
+        # while the next step is computed, only the generator holds this one
+        del ref, ladder
+    return times, sup_gap, w2, kl
+
+
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
-    Each replicate is one ``lockstep`` pass: the first-order reference (it
-    does not depend on the inertia) and the second-order stack of the ladder
+    Each replicate is one coupled pass: the first-order reference (it does
+    not depend on the inertia) and the second-order stack of the ladder
     start from the same initial cloud and consume the same tape blocks.
     The rate is the least-squares slope of ``ln(mean gap)`` against ``ln m``
     over all ladder points.
     """
-    base = cfg.base
-    memory = cfg.scheme_pair == "memory"
-    second_order = "pso_mem" if memory else "pso"
-    first_order = "cbo_mem" if memory else "cbo"
-    n_steps = base.n_steps
-    n_m = len(cfg.m_ladder)
-    reps = cfg.replicates
-    track_dist = base.dim == 1 and not memory
-    bins = default_bins(base.n_particles) if track_dist else None
-
-    sup_gaps = np.full((n_m, reps), -np.inf)
-    w2 = np.zeros((n_m, n_steps + 1)) if track_dist else None
-    kl = np.zeros((n_m, n_steps + 1)) if track_dist else None
-
-    for r in range(reps):
-        x0 = initial_positions([seed, r], base.n_particles, base.dim, cfg.init)
-        states = [initial_state(first_order, x0),
-                  initial_state(second_order, x0, cfg.m_ladder)]
-        for n, (ref, ladder), _ in lockstep(states, base, obj, seed, r):
-            g = paired_msq_gap(ladder.x, ref.x)
-            if memory:
-                g += paired_msq_gap(ladder.y, ref.y)
-            # Python's max: keep the running sup unless g is strictly larger
-            sup = sup_gaps[:, r]
-            sup_gaps[:, r] = np.where(g > sup, g, sup)
-            if track_dist:
-                w2[:, n] += wasserstein2_1d(ladder.x, ref.x)
-                kl[:, n] += kl_histogram(ladder.x, ref.x, bins)
-    if track_dist:
-        w2 /= reps
-        kl /= reps
+    sup_gaps = np.empty((len(cfg.m_ladder), cfg.replicates))
+    for r in range(cfg.replicates):
+        _, sup_gaps[:, r], w2_r, kl_r = _coupled_pass(
+            cfg.base, obj, seed, r, cfg.init, cfg.m_ladder, cfg.scheme_pair == "memory")
+        # the fold starts from replicate 0, bit-equal to one from zeros
+        # because neither metric returns -0.0
+        if r == 0 or w2_r is None:
+            w2, kl = w2_r, kl_r
+        else:
+            w2 += w2_r
+            kl += kl_r
+    if w2 is not None:
+        w2 /= cfg.replicates
+        kl /= cfg.replicates
 
     gap_mean = sup_gaps.mean(axis=1)
-    if n_m >= 2 and np.all(gap_mean > 0.0):
+    if len(gap_mean) >= 2 and np.all(gap_mean > 0.0):
         log_m = np.log(np.asarray(cfg.m_ladder))
         slope, intercept = np.polyfit(log_m, np.log(gap_mean), 1)
     else:
@@ -175,39 +198,27 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     ``m``, in the order of ``m_values``, each bit-equal to
     ``compare_distributions`` at that ``m``.
     Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
-    defaults to every step; values must be finite and are matched to the
-    nearest step, a time past either end to the first or last step.
+    defaults to every step; values must be finite, which is checked before
+    any stepping, and are matched to the nearest step, a time past either end
+    to the first or last step.  W2 / KL are computed at every step of the
+    coupled pass on replicate 0, and each table holds the snapshot steps'
+    columns.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
-    n_steps = p.n_steps
-    x0 = initial_positions([seed, 0], p.n_particles, p.dim, init)
-    states = [initial_state("cbo", x0), initial_state("pso", x0, m_values)]
-
     if snapshot_times is None:
-        steps = np.arange(n_steps + 1)
+        steps = np.arange(p.n_steps + 1)
     else:
         for t in snapshot_times:
             if not np.isfinite(t):
                 raise ValueError(f"snapshot_times must be finite, got {t}")
         steps = np.unique([
-            round(min(n_steps, max(0.0, t / p.dt))) for t in snapshot_times
+            round(min(p.n_steps, max(0.0, t / p.dt))) for t in snapshot_times
         ]).astype(int)
-    slot = {int(n): k for k, n in enumerate(steps)}
+
+    times, _, w2, kl = _coupled_pass(p, obj, seed, 0, init, m_values)
     bins = default_bins(p.n_particles)
-
-    times = np.empty(len(steps))
-    w2 = np.empty((len(m_values), len(steps)))
-    kl = np.empty((len(m_values), len(steps)))
-
-    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, 0):
-        k = slot.get(n)
-        if k is None:
-            continue
-        times[k] = ladder.t
-        w2[:, k] = wasserstein2_1d(ladder.x, ref.x)
-        kl[:, k] = kl_histogram(ladder.x, ref.x, bins)
-    return [CompareTable(times=times, w2=w2_m, kl=kl_m, bins=bins)
+    return [CompareTable(times=times[steps], w2=w2_m[steps], kl=kl_m[steps], bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 
 

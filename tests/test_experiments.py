@@ -319,3 +319,31 @@ def test_one_replicate_study_and_compare_ladder_give_the_same_metrics(init):
 def test_compare_ladder_rejects_an_empty_ladder():
     with pytest.raises(ValueError, match=r"nonempty 1-d sequence, got shape \(0,\)"):
         compare_ladder(study_base(n_particles=10, t_end=0.02), ackley(1), 0, [])
+
+
+def test_compare_ladder_snapshot_tables_hold_the_every_step_columns():
+    # t_end = 0.2 on dt = 0.01: times past either end clamp to steps 0 and 20,
+    # and the repeated 0.1 is one snapshot
+    p = study_base(t_end=0.2, dt=0.01, n_particles=80)
+    ladder = (0.2, 0.1, 0.05)
+    every = compare_ladder(p, ackley(1), 6, ladder)
+    snaps = compare_ladder(p, ackley(1), 6, ladder,
+                           snapshot_times=[0.2, 0.0, 0.1, 0.1, -5.0, 1e9])
+    steps = [0, 10, 20]
+    for snap, full in zip(snaps, every):
+        assert len(full.times) == p.n_steps + 1
+        assert np.array_equal(snap.times, full.times[steps])
+        assert np.array_equal(snap.w2, full.w2[steps])
+        assert np.array_equal(snap.kl, full.kl[steps])
+        assert snap.bins == full.bins
+
+
+def test_compare_ladder_rejects_a_non_finite_snapshot_time_before_any_draw(
+        drawn_blocks):
+    p = study_base(n_particles=10, t_end=0.02)
+    with pytest.raises(ValueError, match="snapshot_times must be finite"):
+        compare_ladder(p, ackley(1), 0, (0.2, 0.1), snapshot_times=[0.0, np.nan])
+    # the snapshot times are checked before the ladder
+    with pytest.raises(ValueError, match="snapshot_times must be finite"):
+        compare_ladder(p, ackley(1), 0, [], snapshot_times=[0.0, np.nan])
+    assert not drawn_blocks
