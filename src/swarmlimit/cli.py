@@ -13,11 +13,12 @@ command line overrides its config key (``--seed`` -> ``seed``, ``--out`` ->
 objective.  A subcommand maps the resolved config to its CSV comments,
 header and rows and touches no file; ``main`` writes them.
 
-Exit codes: 0 success, 2 bad configuration or command line (a grid past the
-noise tape's 64-bit index, which ``Params`` rejects, and a run too large for
-memory included), 3 numerical abort, 4 I/O failure.  Errors print one
-machine-parsable line ``error: <category>: <detail>``; NumPy overflow
-warnings are silenced, so a blow-up is reported by that line alone.
+Exit codes: 0 success, 2 bad configuration or command line (a grid or study
+past the noise tape's 64-bit index, which ``Params`` and ``LimitStudyConfig``
+reject, and a run too large for memory included), 3 numerical abort, 4 I/O
+failure.  Errors print one machine-parsable line ``error: <category>:
+<detail>``; NumPy overflow warnings are silenced, so a blow-up is reported by
+that line alone.
 """
 
 from __future__ import annotations
@@ -230,8 +231,10 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        sizes = ", ".join(f"{key}={format_value(cfg.get(key))}"
-                          for key in ("N", "dim", "dt", "T"))
+        # a study holds every replicate at once, so its size scales with them
+        keys = ("N", "dim", "dt", "T") + (
+            ("replicates",) if args.command == "limit-study" else ())
+        sizes = ", ".join(f"{key}={format_value(cfg.get(key))}" for key in keys)
         print(f"error: config: out of memory for {sizes}", file=sys.stderr)
         return 2
     except NonFiniteStateError as exc:

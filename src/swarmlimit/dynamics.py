@@ -23,10 +23,13 @@ update is the second-order one with the denominator 1 and the positions in
 place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
 
-A ``(K, N, d)`` state is a stack of K swarms, and a second-order stack
-carries one inertia per slice as a ``(K, 1, 1)`` column.  Each slice's
-arithmetic is elementwise that of a solo ``(N, d)`` run and every reduction
-stays within one slice, so its bits do not depend on what it is stacked with.
+A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
+replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
+first, so that an ``(R, N, d)`` tape block or first-order reference
+broadcasts against the stack as it is.  A second-order stack carries one
+inertia per rung as a ``(K, 1, ..., 1)`` column.  Each slice's arithmetic is
+elementwise that of a solo ``(N, d)`` run and every reduction stays within
+one slice, so its bits do not depend on what it is stacked with.
 
 ``Xa`` is the softmax consensus of the current positions (of the local bests
 for the memory variants), computed once per step from the pre-step cloud and
@@ -37,11 +40,12 @@ which is what makes their pathwise gap measure the small-inertia coupling
 distance.
 
 ``lockstep`` is the one stepping loop: it advances states that share a seed,
-a tape replicate and ``Params`` together, drawing each tape block once per
-step and handing the same array to every slice of every state, and yields
-the coupled path one time point at a time.  It builds the tape itself, from
-the seed, ``Params`` and the channels the states draw, so the layout a run
-draws from is decided in one place.  A caller reads the path in a ``for``
+the tape replicates they run on and ``Params`` together, drawing each tape
+block once per step (one ``(R, N, d)`` block for all R replicates) and
+handing the same array to every slice of every state, and yields the coupled
+path one time point at a time.  It builds the tape itself, from the seed,
+the replicates, ``Params`` and the channels the states draw, so the layout a
+run draws from is decided in one place.  A caller reads the path in a ``for``
 loop; ``run`` is that loop over a single unstacked state, recording every
 step.
 """
@@ -64,7 +68,8 @@ SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
 class NonFiniteStateError(RuntimeError):
     """A step produced NaN or Inf: carries the step, the array (``x``, ``v``
     or ``y``) and the index of its first non-finite entry, ``(particle,
-    coordinate)`` led by the rung for a stacked state."""
+    coordinate)`` led by the state's stacking axes: ``(rung, replicate,
+    particle, coordinate)`` for a ``(K, R, N, d)`` stack."""
 
     def __init__(self, step: int, array: str, index: tuple[int, ...], value):
         where = f"{array}[{', '.join(map(str, index))}]"
@@ -147,7 +152,7 @@ class Params:
 class SwarmState:
     """``(..., N, d)`` positions (and velocities / local bests where the
     scheme has them); ``m`` is a second-order state's inertia, a float or the
-    ``(K, 1, 1)`` column of a ``(K, N, d)`` stack."""
+    ``(K, 1, ..., 1)`` column of a stack of K rungs."""
 
     t: float
     x: np.ndarray
@@ -191,14 +196,15 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
          cons: Consensus | None = None) -> SwarmState:
     """One step of the scheme the state's arrays select.
 
-    ``theta`` is the step's ``(N, d)`` tape block per channel, from channel 1,
-    shared by every slice.  Velocities select the semi-implicit second-order
-    update with the state's inertia and local bests the memory variant.
-    ``cons`` is the pre-step ``consensus_of(state, p, obj)`` when the caller
-    already holds it.  The update is ``acc + sum_j (c_j / denom) vec_j
-    [theta_j]``, summed left to right: first order starts ``acc`` from ``X``
-    with ``denom = 1`` and returns ``X' = acc``; second order starts it from
-    ``(m / denom) V`` and returns ``V' = acc``, ``X' = X + dt V'``.
+    ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
+    or ``(R, N, d)`` for a state with a replicate axis, shared by every rung.
+    Velocities select the semi-implicit second-order update with the state's
+    inertia and local bests the memory variant.  ``cons`` is the pre-step
+    ``consensus_of(state, p, obj)`` when the caller already holds it.  The
+    update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
+    right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
+    returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
+    returns ``V' = acc``, ``X' = X + dt V'``.
     """
     if cons is None:
         cons = consensus_of(state, p, obj)
@@ -262,9 +268,10 @@ class RunRecord:
 def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
     """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0.
 
-    A second-order scheme needs its inertia ``m``, finite and in (0, 1]: a
-    float gives one swarm, a nonempty 1-d sequence of K inertias a
-    ``(K, N, d)`` stack with ``x0`` in every slice.
+    ``x0`` is one ``(N, d)`` cloud or an ``(R, N, d)`` stack of one per
+    replicate.  A second-order scheme needs its inertia ``m``, finite and in
+    (0, 1]: a float gives one swarm, a nonempty 1-d sequence of K inertias a
+    rung-major ``(K, *x0.shape)`` stack with ``x0`` in every rung.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
@@ -281,34 +288,42 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
         for value in np.ravel(m):
             _check_inertia(float(value))
         if np.ndim(m) == 1:
+            m = np.asarray(m, dtype=np.float64).reshape((-1,) + (1,) * x0.ndim)
             x0 = np.repeat(x0[None], len(m), axis=0)
-            m = np.asarray(m, dtype=np.float64)[:, None, None]
     return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if second_order else None,
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-def lockstep(states, p: Params, obj, seed: int, r: int):
+def lockstep(states, p: Params, obj, seed: int, r):
     """Advance ``states`` on replicate ``r`` of the seed's tape together,
     yielding the coupled path.
 
-    The states share ``p``, each second-order one with its own inertia.  The
-    tape has the grid of ``p`` and the channels the states draw: two if any
-    state has local bests, else one.  Per step, the tape blocks are drawn
-    once and handed to every state, and each state's consensus is computed
-    once.  Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the
-    initial states first, then the states after step ``n - 1``, each time
-    with the consensus points the next step uses.  Non-finite states abort
-    with the offending step index.
+    ``r`` is one replicate, for states of ``(N, d)`` clouds, or a nonempty
+    sequence of R replicates (a ``range`` or a tuple), for states whose
+    clouds are ``(R, N, d)``: row ``j`` runs on replicate ``r[j]``.  It is
+    passed to ``NoiseTape.theta_block`` as given.  The states share ``p``,
+    each second-order one with its own inertia.  The tape has the grid of
+    ``p``, ``max(r) + 1`` replicates and the channels the states draw: two if
+    any state has local bests, else one.  Per step, the tape blocks are
+    drawn once, one ``(R, N, d)`` block per channel for all replicates, and
+    handed to every state, and each state's consensus is computed once.
+    Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the initial
+    states first, then the states after step ``n - 1``, each time with the
+    consensus points the next step uses.  Non-finite states abort with the
+    offending step index.
     """
+    batch = (len(r),) if isinstance(r, (range, tuple)) else ()
+    cloud = batch + (p.n_particles, p.dim)
     for state in states:
         state.check_finite(-1)
-        if state.x.shape[-2:] != (p.n_particles, p.dim):
+        if state.x.shape[-len(cloud):] != cloud:
             raise ValueError(f"x0 shape {state.x.shape} does not match params "
-                             f"({p.n_particles}, {p.dim})")
+                             f"and replicates {cloud}")
     channels = 2 if any(s.y is not None for s in states) else 1
     # the replicate count only bounds r: the row-major index never multiplies
     # it into a variate, so replicate r has the same blocks on any longer tape
-    tape = NoiseTape(seed, r + 1, p.n_particles, p.n_steps, p.dim, channels)
+    tape = NoiseTape(seed, (max(r) if batch else r) + 1, p.n_particles,
+                     p.n_steps, p.dim, channels)
     stepper = _STEPPERS["step"]
 
     cons = [consensus_of(s, p, obj) for s in states]

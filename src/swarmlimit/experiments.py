@@ -12,18 +12,19 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-Both coupled drivers read replicate ``r`` through one pass,
-``_coupled_pass``: one ``dynamics.lockstep`` run on replicate ``r`` of the
-seed's noise tape (``lockstep`` builds it) over two states, the ``(N, d)``
-first-order reference and one ``(K, N, d)`` second-order stack with one slice
-per inertia value, both from cloud ``[seed, r]``.  The reference does not
-depend on ``m``, so it is computed once per replicate, and each noise-tape
-block is drawn once per step and serves every slice.  The pass reads the path
-``lockstep`` yields in a ``for`` loop whose body updates the running sup of
-the paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
+Both coupled drivers make one pass, ``_coupled_pass``, over all their
+replicates: one ``dynamics.lockstep`` run on R replicates of the seed's noise
+tape (``lockstep`` builds one tape for them) over two states, the
+``(R, N, d)`` first-order reference and one rung-major ``(K, R, N, d)``
+second-order stack with one rung per inertia value, replicate ``r`` starting
+from cloud ``[seed, r]``.  The reference does not depend on ``m``, so it is
+computed once per replicate, and each step draws one ``(R, N, d)`` tape block
+per channel that serves every rung.  The pass reads the path ``lockstep``
+yields in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
+paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
 with one call per metric over the whole stack, so no snapshots are stored.
-The study folds the passes over its replicates; ``compare_ladder`` makes one
-on ``r = 0`` and selects its snapshot steps from the per-step columns.  Each
+The study makes the pass over ``range(R)``; ``compare_ladder`` makes it over
+``range(1)`` and selects its snapshot steps from the per-step columns.  Each
 slice's arithmetic is elementwise that of a solo run and every reduction, the
 metrics' included, stays within one slice, which keeps the results
 bit-identical to pairs of ``run`` calls.
@@ -50,12 +51,18 @@ from .consensus import laplace_value
 # wraps it under this module's name
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
-from .noise import initial_positions
+from .noise import NoiseTape, initial_positions
 
 
 @dataclass(frozen=True)
 class LimitStudyConfig:
-    """Ladder study setup: everything but the inertia value itself."""
+    """Ladder study setup: everything but the inertia value itself.
+
+    The study's one tape, with ``replicates`` replicates and the channels of
+    its pair, is built here as ``Params`` builds the one-replicate tape, so a
+    layout past the tape's 64-bit index fails with the tape's message before
+    anything runs.
+    """
 
     m_ladder: tuple[float, ...]
     base: Params
@@ -78,6 +85,9 @@ class LimitStudyConfig:
             raise ValueError(f"scheme_pair must be plain or memory, got {self.scheme_pair!r}")
         if self.scheme_pair == "memory" and self.base.memory is None:
             raise ValueError("memory scheme pair needs base.memory params")
+        base = self.base
+        NoiseTape(0, self.replicates, base.n_particles, base.n_steps, base.dim,
+                  2 if self.scheme_pair == "memory" else 1)
 
 
 @dataclass
@@ -102,29 +112,32 @@ class StudyResult:
     kl_mean: np.ndarray | None
 
 
-def _coupled_pass(p: Params, obj, seed: int, r: int, init, m_values,
+def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values,
                   memory: bool = False):
-    """One coupled replicate: the first-order reference and the second-order
-    stack of ``m_values`` (with local bests if ``memory``) from cloud
-    ``[seed, r]``, on replicate ``r`` of the seed's tape.
+    """The coupled replicates ``reps``: the first-order reference and the
+    second-order stack of ``m_values`` (with local bests if ``memory``), row
+    ``j`` from cloud ``[seed, reps[j]]`` on replicate ``reps[j]`` of the
+    seed's tape.
 
-    Returns ``(times, sup_gap, w2, kl)``: the time of every step, the sup over
-    time of each rung's paired mean-square gap (positions, plus local bests
-    for the memory pair), and each rung's W2 / KL against the reference
+    Returns ``(times, sup_gap, w2, kl)``: the time of every step, the
+    ``(K, R)`` sup over time of each rung's and replicate's paired
+    mean-square gap (positions, plus local bests for the memory pair), and
+    the ``(K, R, n_steps + 1)`` W2 / KL of each against its reference
     position cloud at every step, ``None`` unless the pair is plain and
     ``p.dim == 1``.
     """
-    x0 = initial_positions([seed, r], p.n_particles, p.dim, init)
+    x0 = np.stack([initial_positions([seed, r], p.n_particles, p.dim, init)
+                   for r in reps])
     states = [initial_state("cbo_mem" if memory else "cbo", x0),
               initial_state("pso_mem" if memory else "pso", x0, m_values)]
     times = np.empty(p.n_steps + 1)
     sup_gap = -np.inf
     w2 = kl = None
     if p.dim == 1 and not memory:
-        w2, kl = np.empty((2, len(m_values), p.n_steps + 1))
+        w2, kl = np.empty((2, len(m_values), len(reps), p.n_steps + 1))
         bins = default_bins(p.n_particles)
 
-    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, r):
+    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, reps):
         times[n] = ladder.t
         g = paired_msq_gap(ladder.x, ref.x)
         if memory:
@@ -132,36 +145,41 @@ def _coupled_pass(p: Params, obj, seed: int, r: int, init, m_values,
         # Python's max: keep the running sup unless g is strictly larger
         sup_gap = np.where(g > sup_gap, g, sup_gap)
         if w2 is not None:
-            w2[:, n] = wasserstein2_1d(ladder.x, ref.x)
-            kl[:, n] = kl_histogram(ladder.x, ref.x, bins)
+            w2[..., n] = wasserstein2_1d(ladder.x, ref.x)
+            kl[..., n] = kl_histogram(ladder.x, ref.x, bins)
         # while the next step is computed, only the generator holds this one
         del ref, ladder
     return times, sup_gap, w2, kl
 
 
+def _replicate_mean(per_replicate: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 of a ``(K, R, T)`` array as a fold over ``r = 0, ...,
+    R - 1`` in that order, whose bits do not depend on how NumPy sums.
+
+    The fold starts from replicate 0, bit-equal to one from zeros because
+    neither metric returns -0.0.
+    """
+    mean = per_replicate[:, 0].copy()
+    for r in range(1, per_replicate.shape[1]):
+        mean += per_replicate[:, r]
+    mean /= per_replicate.shape[1]
+    return mean
+
+
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
-    Each replicate is one coupled pass: the first-order reference (it does
-    not depend on the inertia) and the second-order stack of the ladder
-    start from the same initial cloud and consume the same tape blocks.
-    The rate is the least-squares slope of ``ln(mean gap)`` against ``ln m``
-    over all ladder points.
+    All replicates are one coupled pass: on each, the first-order reference
+    (it does not depend on the inertia) and the second-order stack of the
+    ladder start from the same initial cloud and consume the same tape
+    blocks.  The rate is the least-squares slope of ``ln(mean gap)`` against
+    ``ln m`` over all ladder points.
     """
-    sup_gaps = np.empty((len(cfg.m_ladder), cfg.replicates))
-    for r in range(cfg.replicates):
-        _, sup_gaps[:, r], w2_r, kl_r = _coupled_pass(
-            cfg.base, obj, seed, r, cfg.init, cfg.m_ladder, cfg.scheme_pair == "memory")
-        # the fold starts from replicate 0, bit-equal to one from zeros
-        # because neither metric returns -0.0
-        if r == 0 or w2_r is None:
-            w2, kl = w2_r, kl_r
-        else:
-            w2 += w2_r
-            kl += kl_r
+    _, sup_gaps, w2, kl = _coupled_pass(cfg.base, obj, seed, range(cfg.replicates),
+                                        cfg.init, cfg.m_ladder,
+                                        cfg.scheme_pair == "memory")
     if w2 is not None:
-        w2 /= cfg.replicates
-        kl /= cfg.replicates
+        w2, kl = _replicate_mean(w2), _replicate_mean(kl)
 
     gap_mean = sup_gaps.mean(axis=1)
     if len(gap_mean) >= 2 and np.all(gap_mean > 0.0):
@@ -202,7 +220,8 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     any stepping, and are matched to the nearest step, a time past either end
     to the first or last step.  W2 / KL are computed at every step of the
     coupled pass on replicate 0, and each table holds the snapshot steps'
-    columns.
+    columns.  ``m_values`` must be a nonempty 1-d sequence, which is checked,
+    after the snapshot times, before any stepping.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")
@@ -215,10 +234,14 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
         steps = np.unique([
             round(min(p.n_steps, max(0.0, t / p.dt))) for t in snapshot_times
         ]).astype(int)
+    if np.ndim(m_values) != 1 or len(m_values) == 0:
+        raise ValueError("m_values must be a nonempty 1-d sequence, got shape "
+                         f"{np.shape(m_values)}")
 
-    times, _, w2, kl = _coupled_pass(p, obj, seed, 0, init, m_values)
+    times, _, w2, kl = _coupled_pass(p, obj, seed, range(1), init, m_values)
     bins = default_bins(p.n_particles)
-    return [CompareTable(times=times[steps], w2=w2_m[steps], kl=kl_m[steps], bins=bins)
+    return [CompareTable(times=times[steps], w2=w2_m[0, steps], kl=kl_m[0, steps],
+                         bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 
 

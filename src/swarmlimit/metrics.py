@@ -1,21 +1,25 @@
 """Distributional and moment diagnostics for comparing particle clouds.
 
 The three pair metrics (``wasserstein2_1d``, ``kl_histogram``,
-``paired_msq_gap``) share one shape rule.  ``b`` is one reference cloud and
-``a`` is either one cloud of ``b``'s shape or a stack ``(K, *b.shape)`` of
-them; ``kl_histogram`` alone lets the particle count of ``a`` differ from
-that of ``b``.  One cloud gives a float and a stack a ``(K,)`` array whose
-entry ``k`` has the bits of the call on ``a[k]`` alone.  The 1-d metrics take
-a cloud as ``(n,)`` or as an ``(n, 1)`` column, the paired gap as
-``(n, dim)`` or as ``(n,)`` for ``dim = 1``.  The rule goes by shape only, so
-an ``(n, 1)`` ``a`` against an ``(n,)`` ``b`` is a stack of n one-point
-clouds.
+``paired_msq_gap``) share one shape rule.  ``b`` is the reference: one cloud,
+or a batch ``(R, n, dim)`` of R clouds.  ``a`` has ``b``'s shape, and its
+cloud ``r`` is compared with ``b``'s cloud ``r``, or is a stack
+``(K, *b.shape)`` of K such sets; ``kl_histogram`` alone lets the particle
+count of ``a`` differ from that of ``b``.  The result holds one value per
+compared pair of clouds, shaped by the stack and batch axes: ``(K, R)``,
+``(K,)`` or ``(R,)``, and a float for a single pair.  Each value has the bits
+of the call on that pair alone.  A lone cloud is ``(n,)`` or ``(n, 1)`` for
+the 1-d metrics, and ``(n, dim)`` or, for ``dim = 1``, ``(n,)`` for the
+paired gap; a cloud in a batch always has its ``dim`` axis.  The rule goes
+by shape only, so an ``(n, 1)`` ``a`` against an ``(n,)`` ``b`` is a stack of
+n one-point clouds.
 
-``kl_histogram`` bins both clouds on ``bins`` equal-width bins over their
-joint range, with the edges ``np.linspace(lo, hi, bins + 1)``.  Every bin is
-closed on the left and open on the right, except the last, which is closed
-on both ends: the counts ``np.histogram`` gives on that range.  The counts
-are read off the sorted samples with ``np.searchsorted``.
+``kl_histogram`` bins both clouds of a pair on ``bins`` equal-width bins
+over their joint range, with the edges ``np.linspace(lo, hi, bins + 1)``,
+made for all pairs by one call.  Every bin is closed on the left and open on
+the right, except the last, which is closed on both ends: the counts
+``np.histogram`` gives on that range.  The counts are read off the sorted
+samples with ``np.searchsorted``, one call per cloud.
 """
 
 from __future__ import annotations
@@ -28,28 +32,38 @@ KL_SMOOTHING = 1e-10
 
 
 def _pair(a, b, flat: bool, same_n: bool = True):
-    """``(a, b, stacked)`` as float arrays under the module's shape rule.
+    """``(a, b)`` as float arrays under the module's shape rule.
 
     ``flat`` metrics get ``(..., n)`` samples, the others ``(..., n, dim)``
-    clouds; ``same_n`` requires ``a``'s particle count to be ``b``'s.
+    clouds, with the stack and batch axes in front; ``same_n`` requires
+    ``a``'s particle count to be ``b``'s.
     """
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     form = "(n,) or (n, 1)" if flat else "(n,) or (n, dim)"
-    if xb.ndim not in (1, 2) or xb.shape[0] < 1 or (flat and xb.shape[1:] not in ((), (1,))):
-        raise ValueError(f"b must be one {form} cloud with n >= 1, got shape {xb.shape}")
+    particles = max(0, xb.ndim - 2)  # the axis of n in b
+    if (xb.ndim not in (1, 2, 3) or xb.shape[particles] < 1
+            or (flat and xb.shape[particles + 1:] not in ((), (1,)))):
+        raise ValueError(f"b must be one {form} cloud or a batch (R, n, dim) of "
+                         f"them, with n >= 1, got shape {xb.shape}")
     stacked = xa.ndim == xb.ndim + 1
-    cloud = xa.shape[stacked:]
-    if (len(cloud) != xb.ndim or cloud[1:] != xb.shape[1:] or cloud[0] < 1
-            or (same_n and cloud[0] != xb.shape[0])):
+    cloud, ref = list(xa.shape[stacked:]), list(xb.shape)
+    if not same_n and len(cloud) == len(ref) and cloud[particles] >= 1:
+        cloud[particles] = ref[particles]
+    if cloud != ref:
         like = "b's shape" if same_n else "b's shape up to the particle count"
         raise ValueError(f"a must be one cloud of {like} {xb.shape} or a stack "
-                         f"(K, *cloud) of them, got shape {xa.shape}")
-    if flat and xb.ndim == 2:
-        xa, xb = xa[..., 0], xb[:, 0]
+                         f"(K, *b.shape) of them, got shape {xa.shape}")
+    if flat and xb.ndim >= 2:
+        xa, xb = xa[..., 0], xb[..., 0]
     elif not flat and xb.ndim == 1:
         xa, xb = xa[..., None], xb[:, None]
-    return xa, xb, stacked
+    return xa, xb
+
+
+def _result(values):
+    """One entry per pair of clouds; a float for a single pair."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def wasserstein2_1d(a, b):
@@ -58,18 +72,16 @@ def wasserstein2_1d(a, b):
     Sorting both samples realizes the optimal coupling in one dimension, so
     W2 = sqrt( mean_i (a_(i) - b_(i))^2 ).
     """
-    xa, xb, stacked = _pair(a, b, flat=True)
-    diff = np.sort(xa, axis=-1) - np.sort(xb)
-    w2 = np.sqrt(np.mean(diff * diff, axis=-1))
-    return w2 if stacked else float(w2)
+    xa, xb = _pair(a, b, flat=True)
+    diff = np.sort(xa, axis=-1) - np.sort(xb, axis=-1)
+    return _result(np.sqrt(np.mean(diff * diff, axis=-1)))
 
 
 def paired_msq_gap(a, b):
     """Mean squared Euclidean distance between index-matched particles."""
-    xa, xb, stacked = _pair(a, b, flat=False)
+    xa, xb = _pair(a, b, flat=False)
     diff = xa - xb
-    gap = np.mean(np.einsum("...ij,...ij->...i", diff, diff), axis=-1)
-    return gap if stacked else float(gap)
+    return _result(np.mean(np.einsum("...ij,...ij->...i", diff, diff), axis=-1))
 
 
 def default_bins(n: int) -> int:
@@ -77,10 +89,19 @@ def default_bins(n: int) -> int:
 
 
 def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Counts per bin of a sorted sample inside ``[edges[0], edges[-1]]``."""
-    idx = np.searchsorted(sorted_x, edges)
-    idx[-1] = sorted_x.size  # the top bin is closed
-    return np.diff(idx)
+    """Counts per bin of every sorted sample along the last axis of
+    ``sorted_x`` inside ``[edges[..., 0], edges[..., -1]]``, its own edges;
+    ``sorted_x`` broadcasts against the leading axes of ``edges``.
+    """
+    n = sorted_x.shape[-1]
+    samples = sorted_x.reshape(-1, n)
+    rows = edges.reshape(-1, edges.shape[-1])
+    idx = np.empty(rows.shape, dtype=np.intp)
+    # row k of the flattened edges bins the sample it broadcasts to
+    for k, row in enumerate(rows):
+        idx[k] = np.searchsorted(samples[k % len(samples)], row)
+    idx[:, -1] = n  # the top bin is closed
+    return np.diff(idx, axis=-1).reshape(edges.shape[:-1] + (-1,))
 
 
 def kl_histogram(a, b, bins: int):
@@ -88,34 +109,35 @@ def kl_histogram(a, b, bins: int):
 
     Bins span the union range of both samples; masses get additive smoothing
     ``KL_SMOOTHING`` and renormalization so empty bins stay finite.  A fully
-    degenerate range (all points identical in both clouds) puts both clouds
-    in the top bin and so gives 0.
+    degenerate range (all points identical in both clouds) gives 0.
     """
-    xa, xb, stacked = _pair(a, b, flat=True, same_n=False)
+    xa, xb = _pair(a, b, flat=True, same_n=False)
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    sa = np.sort(xa, axis=-1).reshape(-1, xa.shape[-1])
-    sb = np.sort(xb)
-    lo = np.minimum(sa[:, 0], sb[0])
-    hi = np.maximum(sa[:, -1], sb[-1])
+    sa = np.sort(xa, axis=-1)
+    sb = np.sort(xb, axis=-1)
+    lo = np.minimum(sa[..., 0], sb[..., 0])
+    hi = np.maximum(sa[..., -1], sb[..., -1])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("kl_histogram needs finite samples")
-    pa = np.empty((len(sa), bins), dtype=np.intp)
-    qb = np.empty_like(pa)
-    for k, s in enumerate(sa):
-        edges = np.linspace(lo[k], hi[k], bins + 1)
-        pa[k] = _bin_counts(s, edges)
-        qb[k] = _bin_counts(sb, edges)
+    # one linspace for all pairs switches its formula for every pair when one
+    # step is 0, so a degenerate pair bins on [0, 1] and gives 0 (a nonzero
+    # range below bins times the smallest subnormal also has a step of 0)
+    flat = lo == hi
+    edges = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi),
+                        bins + 1, axis=-1)
+    pa = _bin_counts(sa, edges)
+    qb = _bin_counts(sb, edges)
     p = pa / pa.sum(axis=-1, keepdims=True) + KL_SMOOTHING
     q = qb / qb.sum(axis=-1, keepdims=True) + KL_SMOOTHING
     p /= p.sum(axis=-1, keepdims=True)
     q /= q.sum(axis=-1, keepdims=True)
     kl = np.sum(p * np.log(p / q), axis=-1)
-    return kl if stacked else float(kl[0])
+    return _result(np.where(flat, 0.0, kl))
 
 
 def empirical_moments(a) -> tuple[float, float]:
     """(mean |x|^2, mean |x|^4) of an ``(n, dim)`` cloud."""
-    x, _, _ = _pair(a, a, flat=False)
+    x, _ = _pair(a, a, flat=False)
     sq = np.einsum("ij,ij->i", x, x)
     return float(np.mean(sq)), float(np.mean(sq * sq))

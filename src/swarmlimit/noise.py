@@ -104,15 +104,26 @@ class NoiseTape:
         idx = self._linear_index(r, i, n, k, ch - 1)
         return float(_standard_normals(self._seed64(), idx))
 
-    def theta_block(self, r: int, n: int, ch: int = 1) -> np.ndarray:
+    def theta_block(self, r, n: int, ch: int = 1) -> np.ndarray:
         """All per-particle, per-coordinate variates of one step.
 
-        Returns an ``(particles, dim)`` array; entry ``[i, k]`` is bit-identical
-        to ``theta(r, i, n, k, ch)``.
+        ``r`` is one replicate or a nonempty range or tuple of them.  Returns a
+        ``(particles, dim)`` array for one replicate, whose entry ``[i, k]`` is
+        bit-identical to ``theta(r, i, n, k, ch)``, and an ``(len(r),
+        particles, dim)`` stack for a range or tuple, whose row ``j`` is the
+        block of replicate ``r[j]``.
         """
-        self._check("r", r, self.replicates)
+        stacked = isinstance(r, (range, tuple))
+        rows = tuple(r) if stacked else (r,)
+        if not rows:
+            raise ValueError("r must be a replicate or a nonempty range or "
+                             "tuple of them")
+        for value in rows:
+            self._check("r", value, self.replicates)
         self._check("n", n, self.steps)
         self._check("ch", ch, self.channels, base=1)
+        if stacked:
+            r = np.array(rows, dtype=np.uint64)[:, None, None]
         i = np.arange(self.particles, dtype=np.uint64)[:, None]
         k = np.arange(self.dim, dtype=np.uint64)[None, :]
         idx = self._linear_index(r, i, n, k, ch - 1)

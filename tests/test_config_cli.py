@@ -338,6 +338,26 @@ def test_cli_tape_index_overflow_exits_2_naming_the_layout(tmp_path, capsys,
                         r"more than 2\*\*64 indices", line)
 
 
+def test_cli_study_whose_replicates_overflow_the_tape_exits_2(tmp_path, capsys,
+                                                             monkeypatch):
+    # 2**40 particles and 2**20 steps fit one replicate's tape, 17 replicates
+    # do not: the study config rejects them before the study could start
+    def never(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(cli, "zero_inertia_study", never)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("N = 60", "N = 1099511627776")
+                    .replace("dt = 0.01", "dt = 1").replace("T = 0.1", "T = 1048576"))
+    out = tmp_path / "o.csv"
+    code = main(["limit-study", "--config", cfg, "--out", str(out),
+                 "--replicates", "17"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: noise tape layout replicates=17, particles=1099511627776, "
+        "steps=1048576, dim=1, channels=1 has more than 2**64 indices"]
+    assert not out.exists()
+
+
 def test_cli_out_of_memory_exits_2_naming_the_sizes(tmp_path, capsys,
                                                     monkeypatch):
     # dt = 1e-10, T = 1 asks for ~75 GiB of per-step records; the allocation
@@ -352,6 +372,24 @@ def test_cli_out_of_memory_exits_2_naming_the_sizes(tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: config: out of memory for N=60, dim=1, dt=1e-10, T=1"]
+
+
+def test_cli_study_out_of_memory_names_the_replicates(tmp_path, capsys,
+                                                     monkeypatch):
+    # a study steps all its replicates at once; the allocation failure is
+    # simulated, never attempted
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 GiB")
+
+    monkeypatch.setattr(cli, "zero_inertia_study", out_of_memory)
+    cfg = write_cfg(tmp_path)
+    code = main(["limit-study", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                 "--replicates", "200000"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: out of memory for N=60, dim=1, dt=0.01, "
+        "T=0.10000000000000001, replicates=200000"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -327,6 +327,50 @@ def test_non_finite_stacked_state_names_rung_particle_and_coordinate():
         (-1, "v", (1, 2, 1))
 
 
+def test_non_finite_replicate_stack_names_rung_replicate_particle_and_coordinate():
+    # a rung-major (K, R, N, d) stack over R = 2 replicates of 3 particles
+    p = plain_params(n_particles=3, dim=2)
+    x0 = np.zeros((2, 3, 2))
+    ladder = initial_state("pso", x0, (0.4, 0.2, 0.1))
+    assert ladder.x.shape == (3, 2, 3, 2)
+    assert ladder.m.shape == (3, 1, 1, 1)
+    ladder.x[2, 1, 0, 1] = -np.inf
+    ladder.x[2, 1, 2, 0] = np.nan
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
+                       r"step -1: x\[2, 1, 0, 1\] is -inf$") as excinfo:
+        next(lockstep([initial_state("cbo", x0), ladder], p, linear_cost(2), 0,
+                      range(2)))
+    assert excinfo.value.index == (2, 1, 0, 1)
+
+
+def test_lockstep_rejects_states_without_one_row_per_replicate():
+    p = plain_params(n_particles=3, dim=1)
+    with pytest.raises(ValueError, match=r"does not match params and "
+                       r"replicates \(2, 3, 1\)"):
+        next(lockstep([initial_state("cbo", np.zeros((3, 3, 1)))], p,
+                      linear_cost(), 0, (0, 1)))
+
+
+def test_replicate_stack_steps_each_row_as_its_solo_run(drawn_blocks):
+    # rows 0 and 1 of a stack on replicates (3, 1) are the solo runs on
+    # replicates 3 and 1, bit for bit, from one tape block per step
+    p = plain_params(m=0.2, sigma=0.5, lam=1.0, alpha=30.0, n_particles=6,
+                     dim=2, t_end=0.05)
+    reps = (3, 1)
+    x0 = np.stack([initial_positions([4, r], p.n_particles, p.dim) for r in reps])
+    stacked = list(lockstep([initial_state("pso", x0, (0.2, 0.1))], p,
+                            ackley(2), 4, reps))
+    assert len(drawn_blocks) == p.n_steps
+    assert {key[1] for key in drawn_blocks} == {reps}
+    for j, r in enumerate(reps):
+        for k, m in enumerate((0.2, 0.1)):
+            solo = lockstep([initial_state("pso", x0[j], m)], p, ackley(2), 4, r)
+            for (_, (s,), (point,)), (_, (st,), (points,)) in zip(solo, stacked):
+                assert np.array_equal(st.x[k, j], s.x)
+                assert np.array_equal(st.v[k, j], s.v)
+                assert np.array_equal(points[k, j], point)
+
+
 def test_run_is_deterministic():
     p = plain_params(m=0.2, sigma=0.5, lam=1.0, alpha=30.0,
                      n_particles=64, t_end=0.2)

@@ -22,6 +22,7 @@ from swarmlimit import (
     wasserstein2_1d,
     zero_inertia_study,
 )
+from swarmlimit.experiments import _coupled_pass
 
 from conftest import linear_cost, trajectory
 
@@ -272,17 +273,19 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
         assert np.array_equal(res.kl_mean, kl)
 
     channels = 2 if memory else 1
-    # counted across the per-replicate tapes of the seed
-    assert len(draws) == cfg.replicates * base.n_steps * channels
+    # one block per step and channel holds the rows of every replicate
+    assert len(draws) == base.n_steps * channels
     assert set(draws.values()) == {1}
+    assert {key[1] for key in draws} == {range(cfg.replicates)}
     # two states, the reference and the stack of rungs, and one consensus
     # per state per time point; the memory pair adds one evaluation of the
     # new positions per step for the local-best update
     n_states = 2
     per_state = base.n_steps + 1 + (base.n_steps if memory else 0)
-    assert len(calls) == cfg.replicates * n_states * per_state
-    # each call takes every particle of its state: N for the reference and
-    # K N for the stack of K rungs
+    assert len(calls) == n_states * per_state
+    # each call takes every particle of its state on every replicate: R N for
+    # the reference and K R N for the stack of K rungs
+    assert set(calls[::2]) == {cfg.replicates * base.n_particles}
     assert sum(calls) == cfg.replicates * per_state * base.n_particles \
         * (1 + len(cfg.m_ladder))
 
@@ -347,3 +350,60 @@ def test_compare_ladder_rejects_a_non_finite_snapshot_time_before_any_draw(
     with pytest.raises(ValueError, match="snapshot_times must be finite"):
         compare_ladder(p, ackley(1), 0, [], snapshot_times=[0.0, np.nan])
     assert not drawn_blocks
+
+
+@pytest.mark.parametrize("pair", ["plain", "memory"])
+def test_coupled_pass_is_bit_identical_however_replicates_are_split(pair):
+    memory = pair == "memory"
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0) if memory else None
+    p = study_base(n_particles=40, t_end=0.1, memory=mem,
+                   lam=0.0 if memory else 1.0)
+    ladder = (0.2, 0.1, 0.05)
+    init = ("uniform", -2.0, 3.0)
+
+    def coupled(reps):
+        return _coupled_pass(p, ackley(1), 8, reps, init, ladder, memory)
+
+    times, sup, w2, kl = coupled(range(3))
+    assert sup.shape == (3, 3)
+    for reps, cols in (((1, 2), [1, 2]), ((2,), [2]), ((2, 0), [2, 0])):
+        times_s, sup_s, w2_s, kl_s = coupled(reps)
+        assert np.array_equal(times_s, times)
+        assert np.array_equal(sup_s, sup[:, cols])
+        if memory:
+            assert w2 is w2_s is kl is kl_s is None
+        else:
+            assert w2.shape == (3, 3, p.n_steps + 1)
+            assert np.array_equal(w2_s, w2[:, cols])
+            assert np.array_equal(kl_s, kl[:, cols])
+
+
+def test_compare_ladder_rejects_a_float_ladder_before_any_draw(drawn_blocks):
+    p = study_base(n_particles=10, t_end=0.02)
+    for m_values, shape in ((0.2, r"\(\)"), ([[0.2, 0.1]], r"\(1, 2\)")):
+        with pytest.raises(ValueError, match=r"^m_values must be a nonempty 1-d "
+                           rf"sequence, got shape {shape}$"):
+            compare_ladder(p, ackley(1), 0, m_values)
+    assert not drawn_blocks
+
+
+def test_study_config_checks_the_tape_of_all_its_replicates():
+    # 2**40 particles times 2**20 steps is 2**60 indices per replicate, which
+    # Params accepts; a study of 16 replicates fills the 64-bit index and 17
+    # overflow it.  Nothing is allocated: the configs are only built.
+    base = study_base(n_particles=2**40, dt=1.0, t_end=2.0**20)
+    assert base.n_steps == 2**20
+    LimitStudyConfig(m_ladder=(0.2,), replicates=16, base=base)
+    with pytest.raises(ValueError, match=r"^noise tape layout replicates=17, "
+                       r"particles=1099511627776, steps=1048576, dim=1, "
+                       r"channels=1 has more than 2\*\*64 indices$"):
+        LimitStudyConfig(m_ladder=(0.2,), replicates=17, base=base)
+    # the memory pair draws two channels, so half as many replicates fit
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0)
+    base = replace(base, memory=mem)
+    LimitStudyConfig(m_ladder=(0.2,), replicates=8, base=base, scheme_pair="memory")
+    with pytest.raises(ValueError, match=r"replicates=9, .* channels=2 has more"):
+        LimitStudyConfig(m_ladder=(0.2,), replicates=9, base=base,
+                         scheme_pair="memory")

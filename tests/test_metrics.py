@@ -237,3 +237,56 @@ def test_kl_rejects_non_finite_samples():
             kl_histogram(np.array([0.0, bad]), np.zeros(3), 2)
         with pytest.raises(ValueError, match="finite"):
             kl_histogram(np.zeros((2, 3)), np.array([1.0, bad]), 2)
+
+
+@pytest.mark.parametrize("k, r", [(1, 1), (3, 2), (5, 4)])
+def test_batched_pair_metrics_equal_per_pair_calls_bitwise(rng, k, r):
+    # a (K, R, n, 1) stack against an (R, n, 1) batch of references: entry
+    # [k, r] has the bits of the call on a[k, r] and b[r] alone, given as
+    # (n,) samples or (n, 1) columns; pair [0, r - 1] is one repeated point
+    for n in (1, 2, 9, 130, 1000):
+        a = rng.uniform(0.1, 3.0, (k, r, 1, 1)) * rng.standard_normal((k, r, n, 1))
+        b = rng.standard_normal((r, n, 1))
+        a[0, r - 1] = b[r - 1] = 1.5
+        other = rng.standard_normal((r, n // 2 + 1, 1))
+        bins = default_bins(n)
+        w2 = wasserstein2_1d(a, b)
+        kl = kl_histogram(a, b, bins)
+        kl_other = kl_histogram(a, other, bins)
+        assert w2.shape == kl.shape == kl_other.shape == (k, r)
+        assert w2[0, r - 1] == kl[0, r - 1] == 0.0
+        for i in range(k):
+            for j in range(r):
+                for x, y, z in ((a[i, j, :, 0], b[j, :, 0], other[j, :, 0]),
+                                (a[i, j], b[j], other[j])):
+                    assert w2[i, j] == wasserstein2_1d(x, y)
+                    assert kl[i, j] == kl_histogram(x, y, bins)
+                    assert kl_other[i, j] == kl_histogram(x, z, bins)
+                assert kl[i, j] == kl_histogram_oracle(a[i, j, :, 0], b[j, :, 0], bins)
+        # one set of R clouds against the batch: one value per replicate
+        assert np.array_equal(wasserstein2_1d(a[1 % k], b), w2[1 % k])
+        assert np.array_equal(kl_histogram(a[1 % k], b, bins), kl[1 % k])
+        for dim in (1, 3):
+            clouds = rng.standard_normal((k, r, n, dim))
+            refs = rng.standard_normal((r, n, dim))
+            gap = paired_msq_gap(clouds, refs)
+            assert gap.shape == (k, r)
+            for i in range(k):
+                for j in range(r):
+                    assert gap[i, j] == paired_msq_gap(clouds[i, j], refs[j])
+                    if dim == 1:
+                        assert gap[i, j] == paired_msq_gap(clouds[i, j, :, 0],
+                                                           refs[j, :, 0])
+
+
+def test_a_batch_of_references_needs_its_dim_axis():
+    # (R, n) is one (n, dim) cloud for the paired gap, and no cloud at all
+    # for the 1-d metrics unless n = 1
+    a, b = np.zeros((2, 3, 5)), np.zeros((3, 5))
+    assert paired_msq_gap(a, b).shape == (2,)
+    with pytest.raises(ValueError, match=r"batch \(R, n, dim\).*\(3, 5\)"):
+        wasserstein2_1d(a, b)
+    with pytest.raises(ValueError, match=r"\(3, 5, 2\)"):
+        kl_histogram(np.zeros((2, 3, 5, 1)), np.zeros((3, 5, 2)), 2)
+    with pytest.raises(ValueError, match=r"\(4, 5, 1\)"):
+        wasserstein2_1d(np.zeros((2, 3, 5, 1)), np.zeros((4, 5, 1)))

@@ -120,3 +120,27 @@ def test_blocks_of_a_replicate_do_not_depend_on_the_replicate_count(channels):
             for ch in range(1, channels + 1):
                 assert np.array_equal(short.theta_block(r, n, ch),
                                       wide.theta_block(r, n, ch))
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_block_of_a_replicate_sequence_stacks_the_solo_blocks(channels):
+    # row j of the block of a sequence is the block of replicate r[j], bit for
+    # bit, whatever the order or the other rows
+    tape = NoiseTape(6, 4, 7, 5, 3, channels)
+    for reps in ((0, 2), (2, 0), range(4), (3,), (1, 1)):
+        for n in (0, 4):
+            for ch in range(1, channels + 1):
+                block = tape.theta_block(reps, n, ch)
+                assert block.shape == (len(reps), 7, 3)
+                for row, r in zip(block, reps):
+                    assert np.array_equal(row, tape.theta_block(r, n, ch))
+
+
+def test_block_of_a_replicate_sequence_checks_every_replicate():
+    tape = NoiseTape(seed=0, replicates=3, particles=2, steps=2, dim=1)
+    with pytest.raises(IndexError, match=r"r=3 outside \[0, 3\)"):
+        tape.theta_block((0, 3), 0)
+    with pytest.raises(IndexError, match=r"r=-1 outside"):
+        tape.theta_block(range(-1, 2), 0)
+    with pytest.raises(ValueError, match="nonempty range or tuple"):
+        tape.theta_block((), 0)

@@ -42,16 +42,16 @@ def test_traced_driver_names_resolve():
         assert callable(getattr(experiments, name))
 
 
-# a study of L = 2 rungs and R = 2 replicates steps two states on every
-# replicate, the reference and the stack of rungs; compare steps CBO and one
-# PSO stack; optimize one scheme
+# a study of L = 2 rungs and R = 2 replicates steps two states, the
+# reference and the stack of rungs, each holding every replicate; compare
+# steps CBO and one PSO stack; optimize one scheme
 STUDY = LimitStudyConfig(
     m_ladder=(0.2, 0.1), replicates=2,
     base=Params(m=0.2, lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, t_end=0.03,
                 n_particles=10, dim=1))
 DRIVER_CALLS = {
     "zero_inertia_study": (lambda: experiments.zero_inertia_study(
-        STUDY, ackley(1), seed=0), 2 * 2),
+        STUDY, ackley(1), seed=0), 2),
     "compare_distributions": (lambda: experiments.compare_distributions(
         STUDY.base, ackley(1), seed=0), 2),
     "optimize": (lambda: experiments.optimize(
