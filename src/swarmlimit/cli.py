@@ -52,6 +52,12 @@ _MEMORY_KEYS = ("lambda1", "lambda2", "sigma1", "sigma2", "nu", "beta")
 _FLAG_KEYS = {"seed": "seed", "out": "out_path", "replicates": "replicates"}
 
 
+def _shortest(value) -> str:
+    """A config value as the user wrote it: a float in the shortest form that
+    reads back as the same value (``0.1``, ``1e-10``, ``1`` for ``1.0``)."""
+    return repr(value).removesuffix(".0") if isinstance(value, float) else str(value)
+
+
 def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# schema={SCHEMA_VERSION}\n")
@@ -234,7 +240,7 @@ def main(argv=None) -> int:
         # a study holds every replicate at once, so its size scales with them
         keys = ("N", "dim", "dt", "T") + (
             ("replicates",) if args.command == "limit-study" else ())
-        sizes = ", ".join(f"{key}={format_value(cfg.get(key))}" for key in keys)
+        sizes = ", ".join(f"{key}={_shortest(cfg.get(key))}" for key in keys)
         print(f"error: config: out of memory for {sizes}", file=sys.stderr)
         return 2
     except NonFiniteStateError as exc:

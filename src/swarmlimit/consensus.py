@@ -40,6 +40,11 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     that already holds ``costs_of(points, obj)`` passes it as ``costs``.  The
     result is clamped into the coordinatewise hull of the points, so
     convex-hull membership holds exactly instead of up to a rounding ulp.
+    The hull's bounds reduce the contiguous ``(..., dim, n)`` coordinate
+    rows, which at ``dim == 1`` are the points themselves, uncopied.  A
+    zero bound is taken from the ``(..., n, dim)`` points instead: which
+    of ``0.0`` and ``-0.0`` a reduction returns depends on its order, and
+    ``np.clip`` returns a bound that equals the average.
     """
     pts = _as_points(points)
     if alpha < 0:
@@ -47,7 +52,11 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     vals = costs_of(pts, obj) if costs is None else costs
     weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
     avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
-    return np.clip(avg, pts.min(axis=-2), pts.max(axis=-2))
+    rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
+    lo, hi = rows.min(axis=-1), rows.max(axis=-1)
+    if np.count_nonzero(lo) + np.count_nonzero(hi) < 2 * lo.size:
+        lo, hi = pts.min(axis=-2), pts.max(axis=-2)
+    return np.clip(avg, lo, hi)
 
 
 def laplace_value(points, obj, alpha: float) -> float:

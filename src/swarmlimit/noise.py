@@ -8,11 +8,16 @@ PSO-vs-CBO gap a meaningful coupling estimate instead of Monte Carlo noise.
 
 The generator is a counter hash (splitmix64 finalizer on the linearized index)
 followed by the inverse normal CDF, so there is no stream state to replay.
+The hash key of linear index ``idx`` is ``seed + (idx + 1) * GOLDEN mod
+2**64``, and the index is affine in the step, so a block's keys are its step-0
+keys plus ``n * dim * channels * GOLDEN mod 2**64``.  A tape keeps the step-0
+keys of the last replicates it drew on each channel and adds that scalar per
+step; no block depends on which blocks were drawn before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -26,18 +31,28 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _standard_normals(seed: np.uint64, idx: np.ndarray) -> np.ndarray:
-    """Map linear counters to N(0,1) variates via hash + inverse CDF."""
-    with np.errstate(over="ignore"):
-        h = _mix64(seed + (idx + np.uint64(1)) * _GOLDEN)
+def _keys(seed: np.uint64, idx: np.ndarray) -> np.ndarray:
+    """Hash keys ``seed + (idx + 1) * GOLDEN mod 2**64`` of linear indices."""
+    return seed + (idx + np.uint64(1)) * _GOLDEN
+
+
+def _standard_normals(keys: np.ndarray) -> np.ndarray:
+    """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF."""
+    h = _mix64(keys)
     # 53-bit uniform shifted into (0,1) so ndtri never sees 0 or 1
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,11 @@ class NoiseTape:
     particle 0 on replicate 0.  Two tapes that differ only in ``steps`` agree
     on that one particle and differ everywhere else, even at step 0, so a
     longer horizon does not extend a shorter one.
+
+    ``theta_block`` keeps, per channel, the step-0 keys of the replicates it
+    last drew and adds the step's scalar to them.  These cached keys are not
+    part of the tape's value: they enter neither ``==``, ``hash`` nor
+    ``repr``.
     """
 
     seed: int
@@ -62,6 +82,8 @@ class NoiseTape:
     steps: int
     dim: int
     channels: int = 1
+    _step0_keys: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.channels not in (1, 2):
@@ -101,8 +123,10 @@ class NoiseTape:
         self._check("n", n, self.steps)
         self._check("k", k, self.dim)
         self._check("ch", ch, self.channels, base=1)
-        idx = self._linear_index(r, i, n, k, ch - 1)
-        return float(_standard_normals(self._seed64(), idx))
+        # a one-element index keeps the uint64 arithmetic in arrays, which
+        # wrap mod 2**64 without the overflow warning of NumPy scalars
+        idx = self._linear_index([r], i, n, k, ch - 1)
+        return float(_standard_normals(_keys(self._seed64(), idx))[0])
 
     def theta_block(self, r, n: int, ch: int = 1) -> np.ndarray:
         """All per-particle, per-coordinate variates of one step.
@@ -111,7 +135,8 @@ class NoiseTape:
         ``(particles, dim)`` array for one replicate, whose entry ``[i, k]`` is
         bit-identical to ``theta(r, i, n, k, ch)``, and an ``(len(r),
         particles, dim)`` stack for a range or tuple, whose row ``j`` is the
-        block of replicate ``r[j]``.
+        block of replicate ``r[j]``.  The step-0 keys of ``(r, ch)`` are built
+        on the first draw and kept until another ``r`` is drawn on ``ch``.
         """
         stacked = isinstance(r, (range, tuple))
         rows = tuple(r) if stacked else (r,)
@@ -122,12 +147,17 @@ class NoiseTape:
             self._check("r", value, self.replicates)
         self._check("n", n, self.steps)
         self._check("ch", ch, self.channels, base=1)
-        if stacked:
-            r = np.array(rows, dtype=np.uint64)[:, None, None]
-        i = np.arange(self.particles, dtype=np.uint64)[:, None]
-        k = np.arange(self.dim, dtype=np.uint64)[None, :]
-        idx = self._linear_index(r, i, n, k, ch - 1)
-        return _standard_normals(self._seed64(), idx)
+        cached = self._step0_keys.get(ch)
+        if cached is None or cached[0] != r:
+            rr = np.array(rows, dtype=np.uint64)[:, None, None] if stacked else r
+            i = np.arange(self.particles, dtype=np.uint64)[:, None]
+            k = np.arange(self.dim, dtype=np.uint64)[None, :]
+            idx = self._linear_index(rr, i, 0, k, ch - 1)
+            cached = self._step0_keys[ch] = (r, _keys(self._seed64(), idx))
+        # idx(n) = idx(0) + n * dim * channels, so each key moves by that
+        # many GOLDEN steps, mod 2**64 as in the key itself
+        shift = n * self.dim * self.channels * int(_GOLDEN) & _U64_MASK
+        return _standard_normals(cached[1] + np.uint64(shift))
 
 
 _DIST_PARAMS = {"gaussian": ("mean", "var"), "uniform": ("a", "b")}

@@ -388,7 +388,7 @@ def test_cli_study_out_of_memory_names_the_replicates(tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: config: out of memory for N=60, dim=1, dt=0.01, "
-        "T=0.10000000000000001, replicates=200000"]
+        "T=0.1, replicates=200000"]
     assert not (tmp_path / "o.csv").exists()
 
 

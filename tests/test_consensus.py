@@ -33,14 +33,50 @@ def test_two_point_weighted_average_oracle():
 
 
 def test_convex_hull_membership_exact(rng):
+    # solo clouds and (K, R, n, dim) stacks, whose points lie in the hull of
+    # their own slice
     obj = ackley(3)
-    for _ in range(300):
-        n = rng.integers(1, 40)
-        pts = rng.uniform(-3, 3, (n, 3))
-        for alpha in (0.0, 1.0, 30.0, 1000.0):
-            out = consensus_point(pts, obj, alpha)
-            assert np.all(out >= pts.min(axis=0))
-            assert np.all(out <= pts.max(axis=0))
+    for lead, trials in (((), 300), ((2, 3), 50)):
+        for _ in range(trials):
+            n = rng.integers(1, 40)
+            pts = rng.uniform(-3, 3, lead + (n, 3))
+            for alpha in (0.0, 1.0, 30.0, 1000.0):
+                out = consensus_point(pts, obj, alpha)
+                assert out.shape == lead + (3,)
+                assert np.all(out >= pts.min(axis=-2))
+                assert np.all(out <= pts.max(axis=-2))
+
+
+def clamped_average_oracle(pts, obj, alpha):
+    """The consensus point as a reduction over the particle axis of the
+    ``(..., n, dim)`` points, hull bounds included."""
+    vals = obj(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+    weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
+    avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
+    return np.clip(avg, pts.min(axis=-2), pts.max(axis=-2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_hull_clamp_equals_the_oracle_and_slices_bitwise(rng, dim):
+    # the bounds reduce contiguous coordinate rows; a zero bound's sign
+    # depends on the reduction order and reaches the output when the average
+    # equals it, so clouds whose coordinates hold both 0.0 and -0.0 (and
+    # all-zero coordinates) pin it, next to single-particle clouds
+    obj = lambda x: np.abs(x).sum(axis=1)
+    values = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -2.0, 1e-300])
+    for n in (1, 2, 9, 64):
+        for trial in range(20):
+            stack = rng.choice(values, (2, 3, n, dim))
+            if trial % 2:
+                stack[0, 1] = rng.choice(values[:2], (n, dim))
+            for alpha in (0.0, 1.0, 1e4):
+                out = consensus_point(stack, obj, alpha)
+                oracle = clamped_average_oracle(stack, obj, alpha)
+                assert out.tobytes() == oracle.tobytes()
+                for k in range(2):
+                    for r in range(3):
+                        solo = consensus_point(stack[k, r], obj, alpha)
+                        assert solo.tobytes() == out[k, r].tobytes()
 
 
 def test_shift_stability_bitwise_for_exact_shifts(rng):

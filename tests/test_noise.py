@@ -144,3 +144,39 @@ def test_block_of_a_replicate_sequence_checks_every_replicate():
         tape.theta_block(range(-1, 2), 0)
     with pytest.raises(ValueError, match="nonempty range or tuple"):
         tape.theta_block((), 0)
+
+
+def test_cached_step0_keys_match_theta_where_the_keys_wrap():
+    # seed 2**64 - 1 and a step count at the 64-bit index bound: every key
+    # wraps mod 2**64, and the last step's indices are the largest the
+    # layout has; solo and stacked replicates switch the cached keys, and
+    # step 5 is drawn before step 0
+    replicates, particles, dim, channels = 3, 2, 2, 2
+    steps = 2**64 // (replicates * particles * dim * channels)
+    tape = NoiseTape(2**64 - 1, replicates, particles, steps, dim, channels)
+    for r in (range(3), 1, (2, 0), 1, range(3)):
+        rows = tuple(r) if isinstance(r, (range, tuple)) else (r,)
+        for n in (5, 0, 1, steps - 1):
+            for ch in (1, 2):
+                block = tape.theta_block(r, n, ch).reshape(len(rows),
+                                                           particles, dim)
+                for row, rep in zip(block, rows):
+                    for i in range(particles):
+                        for k in range(dim):
+                            assert row[i, k] == tape.theta(rep, i, n, k, ch)
+
+
+def test_a_tape_that_has_drawn_blocks_equals_a_fresh_one():
+    # the cached keys are not part of the tape's value: the tracer keeps
+    # (tape, r, n, ch) in a set, and drawing must not change its hash
+    fresh = NoiseTape(seed=4, replicates=2, particles=3, steps=6, dim=2,
+                      channels=2)
+    used = NoiseTape(seed=4, replicates=2, particles=3, steps=6, dim=2,
+                     channels=2)
+    before = hash(used)
+    used.theta_block(range(2), 3, 1)
+    used.theta_block(1, 0, 2)
+    assert used == fresh
+    assert hash(used) == hash(fresh) == before
+    assert repr(used) == repr(fresh)
+    assert len({(used, 0, 3, 1), (fresh, 0, 3, 1)}) == 1
