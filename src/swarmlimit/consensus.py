@@ -31,6 +31,17 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _costs(pts: np.ndarray, obj, costs) -> np.ndarray:
+    """``costs_of(pts, obj)``, or the caller's ``costs`` once their shape
+    is checked to be ``pts.shape[:-1]``."""
+    if costs is None:
+        return costs_of(pts, obj)
+    if np.shape(costs) != pts.shape[:-1]:
+        raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
+                         f"got {np.shape(costs)}")
+    return costs
+
+
 def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     """Softmax-weighted average of ``points`` with weights exp(-alpha E).
 
@@ -49,7 +60,7 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     pts = _as_points(points)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    vals = costs_of(pts, obj) if costs is None else costs
+    vals = _costs(pts, obj, costs)
     weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
     avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
     rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
@@ -59,16 +70,17 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     return np.clip(avg, lo, hi)
 
 
-def laplace_value(points, obj, alpha: float) -> float:
+def laplace_value(points, obj, alpha: float, costs=None) -> float:
     """-(1/alpha) log( mean_i exp(-alpha E(x_i)) ), max-shift stabilized.
 
     Decreases toward min_i E(x_i) as alpha grows (Laplace asymptotics of the
-    exponential average).
+    exponential average).  A caller that already holds
+    ``costs_of(points, obj)`` passes it as ``costs``.
     """
     pts = _as_points(points)
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    vals = costs_of(pts, obj)
+    vals = _costs(pts, obj, costs)
     low = vals.min(axis=-1)
     weights = np.exp(-alpha * (vals - low[..., None]))
     return low - np.log(np.mean(weights, axis=-1)) / alpha

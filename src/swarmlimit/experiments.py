@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import laplace_value
+from .consensus import costs_of, laplace_value
 # ``run`` is not called here; the benchmark's tracer (perfbench/tracing.py)
 # wraps it under this module's name
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
@@ -281,11 +281,11 @@ def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be increasing")
     pts = np.asarray(points, dtype=np.float64)
-    costs = np.asarray(obj(pts), dtype=np.float64)
+    costs = costs_of(pts, obj)
     low = float(costs.min())
     rows = []
     for a in alphas:
-        value = laplace_value(pts, obj, a)
+        value = laplace_value(pts, obj, a, costs)
         if not np.isfinite(value):
             raise ValueError(f"laplace value at alpha={a} is not finite, "
                              f"got {value}")

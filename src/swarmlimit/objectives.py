@@ -4,6 +4,23 @@ Each objective is a name, a dimension, a batched evaluator and the exact
 minimizer.  The bound and weighted-Lipschitz constants that the paper's
 limit theorem assumes are checked by the test suite, which keeps them in
 ``tests/certified.py``; nothing here reads them.
+
+Bit contract.  The evaluators return the bits of the textbook NumPy forms
+(``z = x - x*``, ``np.einsum`` for ``|z|^2``, ``np.mean`` or ``np.sum`` over
+the coordinates, then the closed form left to right), which
+``tests/certified.py`` keeps as oracles, with fewer temporaries:
+
+* Up to ``dim = 2`` (``_FOLD_MAX_DIM``) the per-coordinate terms are
+  computed on the columns ``z[:, k]`` and added as written.  A sum of at most
+  two terms rounds once, so it has the bits of any order a NumPy reduction
+  takes.
+* From ``dim = 3`` the coordinate sums are NumPy's own reductions, whose
+  order (pairwise from 8 terms, and for ``einsum`` dependent on the layout
+  of its operand) a written fold does not follow.
+
+One exception: on a Fortran-ordered batch ``einsum`` adds a row's two squares
+in its own operand order, so a row whose two coordinates are both NaN may get
+the other NaN's sign.
 """
 
 from __future__ import annotations
@@ -13,13 +30,19 @@ from typing import Callable
 
 import numpy as np
 
+_TWO_PI = 2.0 * np.pi
+# the largest dimension whose coordinate sums are written out column by
+# column; a sum of more terms follows NumPy's own reduction order
+_FOLD_MAX_DIM = 2
+
 
 @dataclass(frozen=True, eq=False)
 class Objective:
     """Immutable cost function with its exact minimizer.
 
-    ``eval`` maps an ``(n, dim)`` batch to an ``(n,)`` cost array; calling the
-    objective accepts a single ``(dim,)`` point as well.
+    ``eval`` maps an ``(n, dim)`` batch to an ``(n,)`` cost array and trusts
+    that shape; calling the objective checks it and accepts a single
+    ``(dim,)`` point as well.
     """
 
     name: str
@@ -29,6 +52,10 @@ class Objective:
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"{self.name} takes a point of shape ({self.dim},) "
+                             f"or a batch of shape (n, {self.dim}), "
+                             f"got shape {x.shape}")
         if x.ndim == 1:
             return float(self.eval(x[None, :])[0])
         return self.eval(x)
@@ -48,6 +75,33 @@ def _minimizer(dim: int, shift) -> np.ndarray:
     return shift
 
 
+def _row_sum(z: np.ndarray, term) -> np.ndarray:
+    """``np.sum(term(z), axis=1)`` for an ``(n, dim)`` batch, column by
+    column up to ``_FOLD_MAX_DIM``."""
+    if z.shape[1] > _FOLD_MAX_DIM:
+        return np.sum(term(z), axis=1)
+    out = term(z[:, 0])
+    for k in range(1, z.shape[1]):
+        out += term(z[:, k])
+    return out
+
+
+def _square(z: np.ndarray) -> np.ndarray:
+    return z * z
+
+
+def _square_norm(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` per row, with ``np.einsum("ij,ij->i", z, z)``'s bits."""
+    if z.shape[1] > _FOLD_MAX_DIM:
+        return np.einsum("ij,ij->i", z, z)
+    return _row_sum(z, _square)
+
+
+def _cos_2pi(z: np.ndarray) -> np.ndarray:
+    w = _TWO_PI * z
+    return np.cos(w, out=w)
+
+
 def ackley(dim: int, shift=None) -> Objective:
     """Ackley benchmark, minimum 0 at ``shift``.
 
@@ -55,13 +109,22 @@ def ackley(dim: int, shift=None) -> Objective:
            - exp(mean_k cos(2 pi (x_k - x*_k))) + e + 20
     """
     x_star = _minimizer(dim, shift)
-    inv_sqrt_d = 1.0 / np.sqrt(dim)
+    scale = -0.2 * (1.0 / np.sqrt(dim))
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         z = x - x_star
-        r = np.sqrt(np.einsum("ij,ij->i", z, z))
-        c = np.mean(np.cos(2.0 * np.pi * z), axis=1)
-        return -20.0 * np.exp(-0.2 * inv_sqrt_d * r) - np.exp(c) + np.e + 20.0
+        r = _square_norm(z)
+        np.sqrt(r, out=r)
+        r *= scale
+        np.exp(r, out=r)
+        r *= -20.0
+        c = _row_sum(z, _cos_2pi)
+        c /= dim
+        np.exp(c, out=c)
+        r -= c
+        r += np.e
+        r += 20.0
+        return r
 
     return Objective(name="ackley", dim=dim, eval=evaluate, minimizer=x_star)
 
@@ -71,8 +134,7 @@ def sphere(dim: int, shift=None) -> Objective:
     x_star = _minimizer(dim, shift)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        z = x - x_star
-        return np.einsum("ij,ij->i", z, z)
+        return _square_norm(x - x_star)
 
     return Objective(name="sphere", dim=dim, eval=evaluate, minimizer=x_star)
 
@@ -82,8 +144,8 @@ def rastrigin(dim: int, shift=None) -> Objective:
     x_star = _minimizer(dim, shift)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        z = x - x_star
-        return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
+        return _row_sum(x - x_star,
+                        lambda t: t * t - 10.0 * np.cos(_TWO_PI * t) + 10.0)
 
     return Objective(name="rastrigin", dim=dim, eval=evaluate, minimizer=x_star)
 

@@ -10,8 +10,9 @@ half-width 3, which matches the uniform initialization range of the
 experiments.  Every shipped cost has its exact minimum 0 at the minimizer, so
 its bound gap is its upper envelope.
 
-It also keeps ``kl_histogram_oracle``, the ``np.histogram`` form of the
-histogram KL that the library's sorted-sample counts must equal bit for bit.
+It also keeps two kinds of oracle that library code must equal bit for bit:
+``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL, and
+``KERNEL_ORACLES``, the textbook NumPy forms of the three benchmark costs.
 """
 
 import math
@@ -103,3 +104,29 @@ def kl_histogram_oracle(a, b, bins: int) -> float:
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))
+
+
+def ackley_oracle(x, x_star):
+    inv_sqrt_d = 1.0 / np.sqrt(x_star.size)
+    z = x - x_star
+    r = np.sqrt(np.einsum("ij,ij->i", z, z))
+    c = np.mean(np.cos(2.0 * np.pi * z), axis=1)
+    return -20.0 * np.exp(-0.2 * inv_sqrt_d * r) - np.exp(c) + np.e + 20.0
+
+
+def sphere_oracle(x, x_star):
+    z = x - x_star
+    return np.einsum("ij,ij->i", z, z)
+
+
+def rastrigin_oracle(x, x_star):
+    z = x - x_star
+    return np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=1)
+
+
+# the costs on an (n, dim) batch ``x`` with minimizer ``x_star``, by name
+KERNEL_ORACLES = {
+    "ackley": ackley_oracle,
+    "sphere": sphere_oracle,
+    "rastrigin": rastrigin_oracle,
+}

@@ -265,6 +265,18 @@ def test_cli_laplace_check_delta_cloud(tmp_path):
     assert all(float(r[2]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("dim, golden", [
+    (1, "laplace_check_golden.csv"),
+    (2, "laplace_check_2d_golden.csv"),
+])
+def test_cli_laplace_check_matches_golden_file(tmp_path, dim, golden):
+    # golden produced by the first validated run of this configuration
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("dim = 1", f"dim = {dim}"))
+    out = tmp_path / "lap.csv"
+    assert main(["laplace-check", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_cli_out_path_from_config(tmp_path):
     out = tmp_path / "fromcfg.csv"
     cfg = write_cfg(tmp_path, BASE_CFG + f"out_path = {out}\n")

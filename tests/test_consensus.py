@@ -174,6 +174,19 @@ def test_input_validation():
         laplace_value(np.array([[0.0]]), linear_cost(), 0.0)
 
 
+@pytest.mark.parametrize("costs", [np.arange(3.0), np.arange(5.0)[:, None],
+                                   np.arange(5.0)[None, :]])
+def test_consensus_point_rejects_costs_of_another_shape(costs):
+    with pytest.raises(ValueError, match=r"costs must have shape \(5,\)"):
+        consensus_point(np.ones((5, 1)), ackley(1), 1.0, costs=costs)
+
+
+@pytest.mark.parametrize("costs", [np.arange(3.0), np.arange(5.0)[:, None]])
+def test_laplace_value_rejects_costs_of_another_shape(costs):
+    with pytest.raises(ValueError, match=r"costs must have shape \(5,\)"):
+        laplace_value(np.ones((5, 1)), ackley(1), 1.0, costs=costs)
+
+
 def test_laplace_single_point_collapses():
     for alpha in (1.0, 10.0, 1000.0):
         assert laplace_value(np.array([[0.37]]), linear_cost(), alpha) == 0.37

@@ -15,6 +15,7 @@ from swarmlimit import (
     initial_positions,
     kl_histogram,
     laplace_sweep,
+    laplace_value,
     optimize,
     paired_msq_gap,
     run,
@@ -178,6 +179,23 @@ def test_laplace_sweep_gap_nonincreasing():
     gaps = [gap for _, _, gap in rows]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert all(g >= 0.0 for g in gaps)
+
+
+def test_laplace_sweep_evaluates_the_objective_once(monkeypatch):
+    calls = []
+    call = Objective.__call__
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return call(self, x)
+
+    monkeypatch.setattr(Objective, "__call__", counted)
+    pts = initial_positions(3, 100, 1, ("uniform", -3.0, 3.0))
+    rows = laplace_sweep(pts, ackley(1), (1.0, 10.0, 100.0, 1000.0))
+    assert calls == [(100, 1)]
+    monkeypatch.setattr(Objective, "__call__", call)
+    assert [value for _, value, _ in rows] == [
+        laplace_value(pts, ackley(1), a) for a in (1.0, 10.0, 100.0, 1000.0)]
 
 
 def test_laplace_sweep_validation():

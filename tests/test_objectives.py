@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from swarmlimit import ackley, make_objective, rastrigin, sphere
+from swarmlimit import ackley, consensus_point, make_objective, rastrigin, sphere
+from swarmlimit.consensus import costs_of
 
-from certified import box_of, c_alpha, lipschitz_l, upper_bound
+from certified import KERNEL_ORACLES, box_of, c_alpha, lipschitz_l, upper_bound
 
 # independent high-precision evaluation of the closed form at x = 0.5, d = 1:
 # -20 exp(-0.1) - exp(cos(pi)) + e + 20
@@ -102,3 +105,88 @@ def test_sphere_and_rastrigin_minima():
     assert rastrigin(2)(np.zeros(2)) == 0.0
     s = sphere(2, shift=(1.0, 1.0))
     assert s(np.array([2.0, 1.0])) == pytest.approx(1.0)
+
+
+# every float class the kernels can meet: signed zeros and infinities, NaNs
+# of both signs, subnormals, and magnitudes whose square over- or underflows
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                           5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300,
+                           -1e-300, 0.5])
+
+
+def special_batch(shape, seed=0):
+    """Uniform points over six decades, a fifth of them special values."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
+    mask = rng.random(shape) < 0.2
+    x[mask] = rng.choice(SPECIAL_VALUES, np.count_nonzero(mask))
+    return x
+
+
+def kernel_case(name, dim, shift):
+    """The objective and its textbook oracle, with no, a nonzero or an
+    all -0.0 shift."""
+    shift = {"none": None,
+             "nonzero": np.linspace(-1.5, 2.0, dim),
+             "negative-zero": np.full(dim, -0.0)}[shift]
+    obj = make_objective(name, dim, shift)
+    return obj, lambda x: KERNEL_ORACLES[name](x, obj.minimizer)
+
+
+KERNEL_CASES = [(name, dim, shift) for name in KERNEL_ORACLES
+                for dim in (1, 2, 3, 8)
+                for shift in ("none", "nonzero", "negative-zero")]
+
+
+@pytest.mark.parametrize("name,dim,shift", KERNEL_CASES)
+def test_kernel_equals_its_oracle_bit_for_bit(name, dim, shift):
+    # the row counts straddle SIMD widths and their tails
+    obj, oracle = kernel_case(name, dim, shift)
+    with np.errstate(all="ignore"):
+        for n in (1, 7, 8, 9, 1000, 1003):
+            x = special_batch((n, dim), seed=n)
+            got, want = obj.eval(x), oracle(x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            row_strided = np.repeat(x, 2, axis=0)[::2]
+            assert np.array_equal(obj.eval(row_strided).view(np.uint64),
+                                  want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name,dim,shift", KERNEL_CASES)
+def test_costs_of_a_stack_equals_the_oracle_bit_for_bit(name, dim, shift):
+    obj, oracle = kernel_case(name, dim, shift)
+    stack = special_batch((3, 2, 50, dim), seed=dim)
+    with np.errstate(all="ignore"):
+        got = costs_of(stack, obj)
+        want = oracle(stack.reshape(-1, dim)).reshape(3, 2, 50)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ORACLES))
+def test_fortran_ordered_batch_matches_the_oracle_up_to_the_nan_sign(name):
+    # einsum adds a Fortran-ordered pair in its own operand order, so a row
+    # of two NaNs may get the other NaN; every other value keeps its bits
+    obj, oracle = kernel_case(name, 2, "none")
+    x = np.asfortranarray(special_batch((1000, 2)))
+    with np.errstate(all="ignore"):
+        got, want = obj.eval(x), oracle(x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    kept = ~np.isnan(want)
+    assert np.array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
+
+
+@pytest.mark.parametrize("factory", [ackley, sphere, rastrigin])
+@pytest.mark.parametrize("dim, shape", [
+    (1, (3, 2)), (2, (3, 1)), (1, (3, 4)), (2, (3,)), (1, ()), (1, (2, 3, 1)),
+])
+def test_call_rejects_a_batch_of_the_wrong_shape(factory, dim, shape):
+    obj = factory(dim)
+    expected = re.escape(f"shape ({dim},) or a batch of shape (n, {dim}), "
+                         f"got shape {shape}")
+    with pytest.raises(ValueError, match=expected):
+        obj(np.ones(shape))
+
+
+def test_consensus_point_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError, match=re.escape("got shape (5, 3)")):
+        consensus_point(np.ones((5, 3)), ackley(1), 30.0)
