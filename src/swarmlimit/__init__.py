@@ -2,7 +2,7 @@
 first-order consensus limit, and the experiments that measure the gap
 between them under shared noise."""
 
-from .consensus import consensus_point, laplace_value
+from .consensus import consensus_point, costs_of, laplace_value
 from .dynamics import (
     MemoryParams,
     NonFiniteStateError,
@@ -59,6 +59,7 @@ __all__ = [
     "compare_ladder",
     "consensus_of",
     "consensus_point",
+    "costs_of",
     "default_bins",
     "empirical_moments",
     "initial_positions",

@@ -1,6 +1,7 @@
 """Regularized weighted average (consensus point) over an empirical measure.
 
-Weights are exp(-alpha * E(x)).  Both operations shift costs by the sample
+Weights are exp(-alpha * E(x)), from the costs that ``costs_of`` returns: an
+objective meets a cloud only there.  Both operations shift costs by the sample
 minimum before exponentiating, which keeps the denominator >= 1 and makes the
 computation overflow-free for arbitrarily large alpha; the shift cancels
 exactly in the weighted average, so the result is mathematically identical to
@@ -21,34 +22,12 @@ def costs_of(points, obj) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64).reshape(pts.shape[:-1])
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim < 2:
-        raise ValueError(f"points must be an (..., n, dim) array, "
-                         f"got shape {pts.shape}")
-    if pts.shape[-2] < 1:
-        raise ValueError("measure must contain at least one point")
-    return pts
-
-
-def _costs(pts: np.ndarray, obj, costs) -> np.ndarray:
-    """``costs_of(pts, obj)``, or the caller's ``costs`` once their shape
-    is checked to be ``pts.shape[:-1]``."""
-    if costs is None:
-        return costs_of(pts, obj)
-    if np.shape(costs) != pts.shape[:-1]:
-        raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
-                         f"got {np.shape(costs)}")
-    return costs
-
-
-def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
+def consensus_point(points, costs, alpha: float) -> np.ndarray:
     """Softmax-weighted average of ``points`` with weights exp(-alpha E).
 
-    ``obj`` is a batch-callable cost (an ``Objective`` or any map from
-    ``(n, dim)`` to ``(n,)``).  A stack of clouds ``(..., n, dim)`` gives one
-    point per cloud with the bits of a call on that cloud alone.  A caller
-    that already holds ``costs_of(points, obj)`` passes it as ``costs``.  The
+    ``costs`` holds E at every point, shaped ``points.shape[:-1]``, as
+    ``costs_of`` returns it.  A stack of clouds ``(..., n, dim)`` gives one
+    point per cloud with the bits of a call on that cloud alone.  The
     result is clamped into the coordinatewise hull of the points, so
     convex-hull membership holds exactly instead of up to a rounding ulp.
     The hull's bounds reduce the contiguous ``(..., dim, n)`` coordinate
@@ -57,10 +36,18 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     of ``0.0`` and ``-0.0`` a reduction returns depends on its order, and
     ``np.clip`` returns a bound that equals the average.
     """
-    pts = _as_points(points)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim < 2:
+        raise ValueError(f"points must be an (..., n, dim) array, "
+                         f"got shape {pts.shape}")
+    if pts.shape[-2] < 1:
+        raise ValueError("measure must contain at least one point")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    vals = _costs(pts, obj, costs)
+    vals = np.asarray(costs, dtype=np.float64)
+    if vals.shape != pts.shape[:-1]:
+        raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
+                         f"got {vals.shape}")
     weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
     avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
     rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
@@ -70,17 +57,18 @@ def consensus_point(points, obj, alpha: float, costs=None) -> np.ndarray:
     return np.clip(avg, lo, hi)
 
 
-def laplace_value(points, obj, alpha: float, costs=None) -> float:
+def laplace_value(costs, alpha: float) -> float:
     """-(1/alpha) log( mean_i exp(-alpha E(x_i)) ), max-shift stabilized.
 
-    Decreases toward min_i E(x_i) as alpha grows (Laplace asymptotics of the
-    exponential average).  A caller that already holds
-    ``costs_of(points, obj)`` passes it as ``costs``.
+    ``costs`` holds the ``E(x_i)`` of an ``(..., n)`` stack of measures, one
+    value per measure.  Decreases toward min_i E(x_i) as alpha grows (Laplace
+    asymptotics of the exponential average).
     """
-    pts = _as_points(points)
+    vals = np.asarray(costs, dtype=np.float64)
+    if vals.ndim < 1 or vals.shape[-1] < 1:
+        raise ValueError("measure must contain at least one point")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    vals = _costs(pts, obj, costs)
     low = vals.min(axis=-1)
     weights = np.exp(-alpha * (vals - low[..., None]))
     return low - np.log(np.mean(weights, axis=-1)) / alpha

@@ -84,6 +84,14 @@ def _check_inertia(m: float) -> None:
         raise ValueError(f"inertia m must be in (0, 1], got {m}")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1, naming its field."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class MemoryParams:
     lam1: float
@@ -131,10 +139,8 @@ class Params:
                              f"{self.t_end} / {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be >= dt, got {self.t_end}")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_count("n_particles", self.n_particles)
+        _check_count("dim", self.dim)
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.lam < 0.0 or self.sigma < 0.0:
@@ -189,25 +195,23 @@ def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
     """The consensus the next step of ``state`` uses, one point per slice."""
     cloud = state.x if state.y is None else state.y
     costs = costs_of(cloud, obj)
-    return Consensus(consensus_point(cloud, obj, p.alpha, costs=costs), costs)
+    return Consensus(consensus_point(cloud, costs, p.alpha), costs)
 
 
 def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-         cons: Consensus | None = None) -> SwarmState:
+         cons: Consensus) -> SwarmState:
     """One step of the scheme the state's arrays select.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
     or ``(R, N, d)`` for a state with a replicate axis, shared by every rung.
     Velocities select the semi-implicit second-order update with the state's
     inertia and local bests the memory variant.  ``cons`` is the pre-step
-    ``consensus_of(state, p, obj)`` when the caller already holds it.  The
+    ``consensus_of(state, p, obj)``.  The
     update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
     right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
     returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
     returns ``V' = acc``, ``X' = X + dt V'``.
     """
-    if cons is None:
-        cons = consensus_of(state, p, obj)
     sqrt_dt = sqrt(p.dt)
     to_global = cons.point[..., None, :] - state.x
     if state.y is None:

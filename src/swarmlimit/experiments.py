@@ -49,7 +49,7 @@ import numpy as np
 from .consensus import costs_of, laplace_value
 # ``run`` is not called here; the benchmark's tracer (perfbench/tracing.py)
 # wraps it under this module's name
-from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
+from .dynamics import Params, _check_count, initial_state, lockstep, run  # noqa: F401
 from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
 from .noise import NoiseTape, initial_positions
 
@@ -79,8 +79,7 @@ class LimitStudyConfig:
             raise ValueError(f"m_ladder values must lie in (0, 1/2], got {ladder}")
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"m_ladder must be strictly decreasing, got {ladder}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _check_count("replicates", self.replicates)
         if self.scheme_pair not in ("plain", "memory"):
             raise ValueError(f"scheme_pair must be plain or memory, got {self.scheme_pair!r}")
         if self.scheme_pair == "memory" and self.base.memory is None:
@@ -285,7 +284,7 @@ def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     low = float(costs.min())
     rows = []
     for a in alphas:
-        value = laplace_value(pts, obj, a, costs)
+        value = laplace_value(costs, a)
         if not np.isfinite(value):
             raise ValueError(f"laplace value at alpha={a} is not finite, "
                              f"got {value}")

@@ -44,6 +44,12 @@ def _keys(seed: np.uint64, idx: np.ndarray) -> np.ndarray:
     return seed + (idx + np.uint64(1)) * _GOLDEN
 
 
+def _check_seed(seed) -> None:
+    # a wider or fractional seed would draw the noise of another seed
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
 def _standard_normals(keys: np.ndarray) -> np.ndarray:
     """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF."""
     h = _mix64(keys)
@@ -86,6 +92,7 @@ class NoiseTape:
                               compare=False)
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.channels not in (1, 2):
             raise ValueError(f"channels must be 1 or 2, got {self.channels}")
         sizes = ("replicates", "particles", "steps", "dim", "channels")
@@ -98,9 +105,6 @@ class NoiseTape:
             layout = ", ".join(f"{name}={getattr(self, name)}" for name in sizes)
             raise ValueError(f"noise tape layout {layout} has more than 2**64 "
                              "indices")
-
-    def _seed64(self) -> np.uint64:
-        return np.uint64(self.seed & _U64_MASK)
 
     def _check(self, name: str, value: int, bound: int, base: int = 0) -> None:
         if not base <= value < base + bound:
@@ -126,7 +130,7 @@ class NoiseTape:
         # a one-element index keeps the uint64 arithmetic in arrays, which
         # wrap mod 2**64 without the overflow warning of NumPy scalars
         idx = self._linear_index([r], i, n, k, ch - 1)
-        return float(_standard_normals(_keys(self._seed64(), idx))[0])
+        return float(_standard_normals(_keys(np.uint64(self.seed), idx))[0])
 
     def theta_block(self, r, n: int, ch: int = 1) -> np.ndarray:
         """All per-particle, per-coordinate variates of one step.
@@ -153,7 +157,7 @@ class NoiseTape:
             i = np.arange(self.particles, dtype=np.uint64)[:, None]
             k = np.arange(self.dim, dtype=np.uint64)[None, :]
             idx = self._linear_index(rr, i, 0, k, ch - 1)
-            cached = self._step0_keys[ch] = (r, _keys(self._seed64(), idx))
+            cached = self._step0_keys[ch] = (r, _keys(np.uint64(self.seed), idx))
         # idx(n) = idx(0) + n * dim * channels, so each key moves by that
         # many GOLDEN steps, mod 2**64 as in the key itself
         shift = n * self.dim * self.channels * int(_GOLDEN) & _U64_MASK
@@ -168,7 +172,8 @@ def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np
 
     ``dist`` is ``("gaussian", mean, var)`` or ``("uniform", a, b)``.  ``seed``
     may be an int or a sequence of ints (handy for per-replicate derivation,
-    e.g. ``[seed, r]``); the same seed always reproduces the same cloud.
+    e.g. ``[seed, r]``), each in ``[0, 2**64)``; the same seed always
+    reproduces the same cloud.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -178,8 +183,9 @@ def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np
     for name, value in zip(_DIST_PARAMS.get(kind, ()), dist[1:]):
         if not np.isfinite(value):
             raise ValueError(f"{kind} {name} must be finite, got {value}")
-    entropy = [s & _U64_MASK for s in seed] if np.iterable(seed) else seed & _U64_MASK
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    for value in seed if np.iterable(seed) else (seed,):
+        _check_seed(value)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind == "gaussian":
         _, mean, var = dist
         if var <= 0:

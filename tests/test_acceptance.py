@@ -18,7 +18,9 @@ from swarmlimit import (
     SwarmState,
     ackley,
     compare_distributions,
+    consensus_of,
     consensus_point,
+    costs_of,
     initial_positions,
     laplace_sweep,
     optimize,
@@ -122,18 +124,19 @@ def test_criterion_5_invariant_suites():
     # consensus: convex hull, shift stability, argmin attraction
     for _ in range(100):
         pts = rng.uniform(-3, 3, (rng.integers(2, 40), 2))
-        out = consensus_point(pts, obj, 30.0)
+        out = consensus_point(pts, costs_of(pts, obj), 30.0)
         if not (np.all(out >= pts.min(axis=0)) and np.all(out <= pts.max(axis=0))):
             failures.append("convex hull")
             break
     pts = rng.uniform(-3, 3, (50, 2))
-    dyadic = np.floor(obj.eval(pts) * 8) / 8.0
-    base = consensus_point(pts, lambda x: dyadic[: len(x)], ALPHA)
-    shifted = consensus_point(pts, lambda x: dyadic[: len(x)] + 2.0, ALPHA)
+    costs = costs_of(pts, obj)
+    dyadic = np.floor(costs * 8) / 8.0
+    base = consensus_point(pts, dyadic, ALPHA)
+    shifted = consensus_point(pts, dyadic + 2.0, ALPHA)
     if not np.array_equal(base, shifted):
         failures.append("shift stability")
-    best = pts[np.argmin(obj.eval(pts))]
-    dists = [np.linalg.norm(consensus_point(pts, obj, a) - best)
+    best = pts[np.argmin(costs)]
+    dists = [np.linalg.norm(consensus_point(pts, costs, a) - best)
              for a in (1.0, 10.0, 100.0, 1000.0)]
     if not all(b <= a + 1e-12 for a, b in zip(dists, dists[1:])):
         failures.append("argmin attraction")
@@ -143,8 +146,9 @@ def test_criterion_5_invariant_suites():
     for _ in range(1000):
         pts = rng.uniform(-3, 3, (rng.integers(2, 25), 2))
         m4 = np.mean(np.sum(pts * pts, axis=1) ** 2)
+        costs = costs_of(pts, obj)
         for alpha in (0.0, 1.0):
-            xa = consensus_point(pts, obj, alpha)
+            xa = consensus_point(pts, costs, alpha)
             lhs = np.mean(np.sum((xa - pts) ** 2, axis=1) ** 2)
             if lhs > 16.0 * c_alpha(gap, alpha) * m4:
                 failures.append("jensen bound")
@@ -211,8 +215,9 @@ def test_criterion_6_scheme_oracles():
     p = Params(m=0.5, lam=1.0, sigma=0.0, alpha=0.0, dt=0.01, t_end=1.0,
                n_particles=2, dim=1)
     tape = NoiseTape(0, 1, 2, p.n_steps, 1, channels=2)
-    out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]]),
-                          v=np.zeros((2, 1)), m=p.m), p, obj, blocks(tape, 0))
+    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
+                       m=p.m)
+    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
     den = mp.mpf("0.5") + mp.mpf("0.5") * mp.mpf("0.01")
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         v_exp = mp.mpf("0.01") / den * (mp.mpf("0.5") - x)
@@ -221,8 +226,8 @@ def test_criterion_6_scheme_oracles():
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
 
     # Euler-Maruyama two-particle step, sigma = 0
-    out = step(SwarmState(t=0.0, x=np.array([[0.0], [1.0]])), p, obj,
-                   blocks(tape, 0))
+    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
+    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         x_exp = x + mp.mpf("0.01") * (mp.mpf("0.5") - x)
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
@@ -232,8 +237,8 @@ def test_criterion_6_scheme_oracles():
                 n_particles=1, dim=1,
                 memory=MemoryParams(lam1=1.0, lam2=0.0, sigma1=0.0,
                                     sigma2=0.0, nu=0.5, beta=30.0))
-    out = step(SwarmState(t=0.0, x=np.array([[0.0]]),
-                                     y=np.array([[1.0]])), pm, obj, blocks(tape, 0))
+    state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
+    out = step(state, pm, obj, blocks(tape, 0), consensus_of(state, pm, obj))
     x_exp = mp.mpf("0.01")
     y_exp = 1 + mp.mpf("0.005") * (x_exp - 1) * mp.tanh(30 * (x_exp - 1))
     worst = max(worst, abs(out.x[0, 0] - float(x_exp)) / abs(float(x_exp)))

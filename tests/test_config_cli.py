@@ -464,10 +464,22 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
     (["run"], "the following arguments are required: --config"),
     (["run", "--config", "x.cfg", "--seed", "one"],
      "argument --seed: invalid int value: 'one'"),
+    # a seed outside [0, 2**64) would alias another seed mod 2**64
+    *((["run", "--config", "CFG", "--seed", seed, "--out", "OUT"],
+       f"seed must be an integer in [0, 2**64), got {seed}")
+      for seed in ("-1", "18446744073709551616", "18446744073709551617")),
+    *(([command, "--config", "CFG", "--seed", "-1", "--out", "OUT"],
+       "seed must be an integer in [0, 2**64), got -1")
+      for command in ("limit-study", "compare", "laplace-check")),
 ])
-def test_cli_bad_command_line_exits_2_with_one_line(capsys, argv, message):
-    assert main(argv) == 2
+def test_cli_bad_command_line_exits_2_with_one_line(tmp_path, capsys, argv,
+                                                    message):
+    # "CFG" stands for a valid config file and "OUT" for a fresh output path
+    out = tmp_path / "o.csv"
+    paths = {"CFG": write_cfg(tmp_path), "OUT": str(out)}
+    assert main([paths.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, bad", [("--m-ladder", "0.1,x", "'x'"),

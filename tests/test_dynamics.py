@@ -87,7 +87,8 @@ def test_pso_singleton_velocity_decays_geometrically():
     tape = tape_for(p)
     state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]), m=p.m)
     factor = p.m / (p.m + (1 - p.m) * p.dt)
-    out = step(state, p, ackley(1), blocks(tape, 0))
+    obj = ackley(1)
+    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
     # consensus of a singleton is the particle itself: drift and noise vanish
     assert out.v[0, 0] == factor * 1.0
     assert out.x[0, 0] == 0.4 + p.dt * out.v[0, 0]
@@ -98,7 +99,8 @@ def test_pso_frozen_dynamics_is_identity_on_positions():
     tape = tape_for(p)
     x = np.array([[0.1], [0.9]])
     state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)), m=p.m)
-    out = step(state, p, linear_cost(), blocks(tape, 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
     assert np.array_equal(out.x, x)
     assert np.array_equal(out.v, np.zeros((2, 1)))
     assert out.t == p.dt
@@ -114,7 +116,8 @@ def test_pso_step_matches_hand_oracle():
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
                        m=p.m)
-    out = step(state, p, linear_cost(), blocks(tape_for(p), 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
     assert out.v[:, 0] == pytest.approx(PSO_V_NEW, rel=1e-12)
     assert out.x[:, 0] == pytest.approx(PSO_X_NEW, rel=1e-12)
 
@@ -122,7 +125,8 @@ def test_pso_step_matches_hand_oracle():
 def test_cbo_step_matches_hand_oracle():
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
-    out = step(state, p, linear_cost(), blocks(tape_for(p), 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
     assert out.x[:, 0] == pytest.approx(CBO_X_NEW, rel=1e-12)
 
 
@@ -131,22 +135,26 @@ def test_cbo_fixed_point_when_collapsed():
     tape = tape_for(p)
     x = np.full((5, 1), 1.25)
     state = SwarmState(t=0.0, x=x.copy())
+    obj = ackley(1)
     for n in range(10):
-        state = step(state, p, ackley(1), blocks(tape, n))
+        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
     assert np.array_equal(state.x, x)
 
 
 def test_cbo_null_dynamics_is_identity():
     p = plain_params(sigma=0.0, lam=0.0)
     x = np.array([[0.3], [0.7]])
-    out = step(SwarmState(t=0.0, x=x.copy()), p, linear_cost(), blocks(tape_for(p), 0))
+    state, obj = SwarmState(t=0.0, x=x.copy()), linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
     assert np.array_equal(out.x, x)
 
 
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
     state = initial_state("pso_mem", np.array([[0.2], [0.8]]), p.m)
-    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
+               consensus_of(state, p, obj))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
     assert np.array_equal(out.y, state.y)
     assert np.array_equal(out.x, state.x)
@@ -158,8 +166,9 @@ def test_memory_nu_zero_freezes_local_bests():
     state = SwarmState(t=0.0, x=np.array([[0.1], [0.6]]), v=np.zeros((2, 1)),
                        y=np.array([[0.0], [1.0]]), m=p.m)
     y0 = state.y.copy()
+    obj = linear_cost()
     for n in range(5):
-        state = step(state, p, linear_cost(), blocks(tape, n))
+        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
     assert np.array_equal(state.y, y0)
 
 
@@ -170,7 +179,8 @@ def test_memory_singleton_reduces_to_combined_drift():
     tape = tape_for(p, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.2]]), v=np.array([[0.1]]),
                        y=np.array([[0.9]]), m=p.m)
-    out = step(state, p, linear_cost(), blocks(tape, 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
     den = p.m + (1 - p.m) * p.dt
     v_expected = (p.m / den) * 0.1 + ((0.7 + 0.5) * p.dt / den) * (0.9 - 0.2)
     assert out.v[0, 0] == pytest.approx(v_expected, rel=1e-15)
@@ -186,8 +196,10 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     mem_state = initial_state("pso_mem", x0, pm.m)
     plain_state = initial_state("pso", x0, pp.m)
     obj = linear_cost()
-    out_mem = step(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0))
-    out_plain = step(plain_state, pp, obj, blocks(tape_for(pp), 0))
+    out_mem = step(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0),
+                   consensus_of(mem_state, pm, obj))
+    out_plain = step(plain_state, pp, obj, blocks(tape_for(pp), 0),
+                     consensus_of(plain_state, pp, obj))
     assert out_mem.x[:, 0] == pytest.approx(out_plain.x[:, 0], abs=1e-15)
     assert out_mem.v[:, 0] == pytest.approx(out_plain.v[:, 0], abs=1e-15)
 
@@ -201,7 +213,9 @@ def test_cbo_memory_step_matches_hand_oracle():
 
     p = memory_params(lam1=1.0, lam2=0.0, nu=0.5, beta=30.0, n_particles=1)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
-    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
+               consensus_of(state, p, obj))
     assert out.x[0, 0] == pytest.approx(CBOMEM_X_NEW, rel=1e-12)
     assert out.y[0, 0] == pytest.approx(CBOMEM_Y_NEW, rel=1e-12)
 
@@ -211,8 +225,9 @@ def test_cbo_memory_fixed_point():
     tape = tape_for(p, channels=2)
     x = np.full((2, 1), 0.5)
     state = SwarmState(t=0.0, x=x.copy(), y=x.copy())
+    obj = ackley(1)
     for n in range(5):
-        state = step(state, p, ackley(1), blocks(tape, n))
+        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
     assert np.array_equal(state.x, x)
     assert np.array_equal(state.y, x)
 
@@ -224,7 +239,9 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     x0 = np.array([[0.0], [1.0]])
     y0 = np.array([[0.25], [0.75]])
     state = SwarmState(t=0.0, x=x0.copy(), y=y0.copy())
-    out = step(state, p, linear_cost(), blocks(tape_for(p, channels=2), 0))
+    obj = linear_cost()
+    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
+               consensus_of(state, p, obj))
     ya = 0.5  # plain mean of the frozen local bests at alpha = 0
     expected = x0 + p.dt * 1.0 * (ya - x0)
     assert np.array_equal(out.x, expected)
@@ -440,8 +457,8 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
                         n_particles=50)
     tape = tape_for(base, seed=17)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = step(initial_state("cbo", x0), base, obj, blocks(tape, 0))
     cons = consensus_of(initial_state("cbo", x0), base, obj)
+    cbo_out = step(initial_state("cbo", x0), base, obj, blocks(tape, 0), cons)
     increment = np.max(np.abs(cbo_out.x - x0))
     assert increment > 0.0
 

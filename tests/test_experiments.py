@@ -11,6 +11,7 @@ from swarmlimit import (
     ackley,
     compare_distributions,
     compare_ladder,
+    costs_of,
     default_bins,
     initial_positions,
     kl_histogram,
@@ -43,6 +44,11 @@ def test_config_validation():
         LimitStudyConfig(m_ladder=(0.8, 0.1), replicates=1, base=base)
     with pytest.raises(ValueError):
         LimitStudyConfig(m_ladder=(0.2,), replicates=0, base=base)
+    with pytest.raises(ValueError, match="replicates must be an integer, got 2.5"):
+        LimitStudyConfig(m_ladder=(0.2,), replicates=2.5, base=base)
+    # a NumPy integer is a count
+    assert LimitStudyConfig(m_ladder=(0.2,), replicates=np.int64(2),
+                            base=base).replicates == 2
     with pytest.raises(ValueError, match="scheme_pair"):
         LimitStudyConfig(m_ladder=(0.2,), replicates=1, base=base,
                          scheme_pair="hybrid")
@@ -195,7 +201,7 @@ def test_laplace_sweep_evaluates_the_objective_once(monkeypatch):
     assert calls == [(100, 1)]
     monkeypatch.setattr(Objective, "__call__", call)
     assert [value for _, value, _ in rows] == [
-        laplace_value(pts, ackley(1), a) for a in (1.0, 10.0, 100.0, 1000.0)]
+        laplace_value(costs_of(pts, ackley(1)), a) for a in (1.0, 10.0, 100.0, 1000.0)]
 
 
 def test_laplace_sweep_validation():

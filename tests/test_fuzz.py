@@ -39,6 +39,8 @@ config_lines = st.dictionaries(
 
 # arbitrary floats, with the ranges Params accepts drawn often enough to pass
 any_float = st.floats() | st.floats(min_value=0.0, max_value=2.0)
+# counts, and floats in their range that no count may be
+any_count = st.integers(-1, 4) | st.floats(-1.0, 4.0)
 
 
 def test_every_config_key_has_a_value_strategy():
@@ -65,8 +67,8 @@ def test_serialized_config_parses_back_to_the_same_values(values):
 @FUZZ
 @given(
     scalars=st.tuples(*[any_float] * 6),
-    n_particles=st.integers(-1, 4),
-    dim=st.integers(-1, 4),
+    n_particles=any_count,
+    dim=any_count,
     memory=st.none() | st.builds(MemoryParams, *[any_float] * 6),
 )
 def test_params_builds_in_range_or_raises_value_error(scalars, n_particles,
@@ -82,4 +84,5 @@ def test_params_builds_in_range_or_raises_value_error(scalars, n_particles,
     assert 0.0 < p.m <= 1.0
     assert p.lam >= 0.0 and p.sigma >= 0.0 and p.alpha >= 0.0
     assert p.dt > 0.0 and p.t_end >= p.dt
+    assert isinstance(p.n_particles, int) and isinstance(p.dim, int)
     assert p.n_particles >= 1 and p.dim >= 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ def test_initial_positions_validation():
         initial_positions(0, 10, 1, ("poisson", 1.0, 2.0))
     with pytest.raises(ValueError):
         initial_positions(0, 0, 1, ("gaussian", 0.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 2**70, 1.5])
+def test_a_seed_that_is_not_a_64_bit_integer_is_rejected_naming_it(seed):
+    # reduced mod 2**64, or truncated, it would draw the noise and cloud of
+    # another seed
+    message = re.escape(f"seed must be an integer in [0, 2**64), got {seed}")
+    with pytest.raises(ValueError, match=message):
+        NoiseTape(seed, 1, 2, 3, 1)
+    with pytest.raises(ValueError, match=message):
+        initial_positions(seed, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        initial_positions([0, seed], 2, 1)
 
 
 def test_block_depends_on_the_step_count_except_particle_0_of_replicate_0():

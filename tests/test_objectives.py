@@ -188,5 +188,7 @@ def test_call_rejects_a_batch_of_the_wrong_shape(factory, dim, shape):
 
 
 def test_consensus_point_rejects_points_of_another_dimension():
+    # the objective meets the points in ``costs_of``, which checks them
+    pts = np.ones((5, 3))
     with pytest.raises(ValueError, match=re.escape("got shape (5, 3)")):
-        consensus_point(np.ones((5, 3)), ackley(1), 30.0)
+        consensus_point(pts, costs_of(pts, ackley(1)), 30.0)
