@@ -18,6 +18,7 @@ from .dynamics import (
 from .experiments import (
     CompareTable,
     LimitStudyConfig,
+    NonFiniteValueError,
     StudyResult,
     compare_distributions,
     compare_ladder,
@@ -30,6 +31,7 @@ from .metrics import (
     empirical_moments,
     kl_histogram,
     paired_msq_gap,
+    w2_and_kl,
     wasserstein2_1d,
 )
 from .noise import NoiseTape, initial_positions
@@ -49,6 +51,7 @@ __all__ = [
     "MemoryParams",
     "NoiseTape",
     "NonFiniteStateError",
+    "NonFiniteValueError",
     "Objective",
     "Params",
     "RunRecord",
@@ -75,6 +78,7 @@ __all__ = [
     "run",
     "sphere",
     "step",
+    "w2_and_kl",
     "wasserstein2_1d",
     "zero_inertia_study",
 ]

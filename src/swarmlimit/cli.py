@@ -15,10 +15,10 @@ header and rows and touches no file; ``main`` writes them.
 
 Exit codes: 0 success, 2 bad configuration or command line (a grid or study
 past the noise tape's 64-bit index, which ``Params`` and ``LimitStudyConfig``
-reject, and a run too large for memory included), 3 numerical abort, 4 I/O
-failure.  Errors print one machine-parsable line ``error: <category>:
-<detail>``; NumPy overflow warnings are silenced, so a blow-up is reported by
-that line alone.
+reject, and a run too large for memory included), 3 numerical abort (a
+non-finite state or Laplace value), 4 I/O failure.  Errors print one
+machine-parsable line ``error: <category>: <detail>``; NumPy overflow
+warnings are silenced, so a blow-up is reported by that line alone.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .config import ConfigError, format_value, load_config, require_keys
 from .dynamics import MemoryParams, NonFiniteStateError, Params, run
 from .experiments import (
     LimitStudyConfig,
+    NonFiniteValueError,
     compare_ladder,
     laplace_sweep,
     zero_inertia_study,
@@ -233,6 +234,9 @@ def main(argv=None) -> int:
             comments, header, rows = _COMMANDS[args.command](
                 cfg, args, obj, cfg["seed"])
         _write_csv(cfg["out_path"], comments, header, rows)
+    except (NonFiniteStateError, NonFiniteValueError) as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
@@ -243,9 +247,6 @@ def main(argv=None) -> int:
         sizes = ", ".join(f"{key}={_shortest(cfg.get(key))}" for key in keys)
         print(f"error: config: out of memory for {sizes}", file=sys.stderr)
         return 2
-    except NonFiniteStateError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 4

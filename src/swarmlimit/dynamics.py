@@ -45,9 +45,11 @@ block once per step (one ``(R, N, d)`` block for all R replicates) and
 handing the same array to every slice of every state, and yields the coupled
 path one time point at a time.  It builds the tape itself, from the seed,
 the replicates, ``Params`` and the channels the states draw, so the layout a
-run draws from is decided in one place.  A caller reads the path in a ``for``
-loop; ``run`` is that loop over a single unstacked state, recording every
-step.
+run draws from is decided in one place.  Its steps write into two sets of
+arrays per state, used in turn, and scratch arrays shared by all states, so
+no state-sized array is allocated per step.  A caller reads the path in a
+``for`` loop; ``run`` is that loop over a single unstacked state, recording
+every step.
 """
 
 from __future__ import annotations
@@ -198,8 +200,24 @@ def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
     return Consensus(consensus_point(cloud, costs, p.alpha), costs)
 
 
+class _Buffers(NamedTuple):
+    """The arrays a step writes into: the new state's ``x``, ``v`` and ``y``,
+    and scratch for the vectors to the global and local consensus and for
+    one update term; ``None`` allocates a fresh array."""
+
+    x: np.ndarray | None = None
+    v: np.ndarray | None = None
+    y: np.ndarray | None = None
+    to_global: np.ndarray | None = None
+    to_local: np.ndarray | None = None
+    term: np.ndarray | None = None
+
+
+_ALLOCATE = _Buffers()
+
+
 def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-         cons: Consensus) -> SwarmState:
+         cons: Consensus, out: _Buffers = _ALLOCATE) -> SwarmState:
     """One step of the scheme the state's arrays select.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
@@ -210,10 +228,13 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
     right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
     returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
-    returns ``V' = acc``, ``X' = X + dt V'``.
+    returns ``V' = acc``, ``X' = X + dt V'``.  ``out`` holds the arrays
+    ``lockstep`` has the step write, of the new state's shape and none of
+    them the state's own; by default every operation allocates its result,
+    so a state may also broadcast up against a larger tape block.
     """
     sqrt_dt = sqrt(p.dt)
-    to_global = cons.point[..., None, :] - state.x
+    to_global = np.subtract(cons.point[..., None, :], state.x, out=out.to_global)
     if state.y is None:
         terms = [(p.lam * p.dt, to_global, None),
                  (p.sigma * sqrt_dt, to_global, theta[0])]
@@ -221,29 +242,34 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
         mem = p.memory
         if mem is None:
             raise ValueError("a state with local bests needs memory params")
-        to_local = state.y - state.x
+        to_local = np.subtract(state.y, state.x, out=out.to_local)
         terms = [(mem.lam1 * p.dt, to_local, None),
                  (mem.lam2 * p.dt, to_global, None),
                  (mem.sigma1 * sqrt_dt, to_local, theta[0]),
                  (mem.sigma2 * sqrt_dt, to_global, theta[1])]
     if state.v is None:
-        denom, acc = 1.0, state.x
+        denom, acc, acc_out = 1.0, state.x, out.x
     else:
         denom = state.m + (1.0 - state.m) * p.dt
-        acc = (state.m / denom) * state.v
+        acc, acc_out = np.multiply(state.m / denom, state.v, out=out.v), out.v
     for coef, vec, noise in terms:
-        term = (coef / denom) * vec
-        acc = acc + (term if noise is None else term * noise)
+        term = np.multiply(coef / denom, vec, out=out.term)
+        if noise is not None:
+            term = np.multiply(term, noise, out=out.term)
+        acc = np.add(acc, term, out=acc_out)
     if state.v is None:
         x_new, v_new = acc, None
     else:
-        x_new, v_new = state.x + p.dt * acc, acc
+        x_new = np.add(state.x, np.multiply(p.dt, acc, out=out.x), out=out.x)
+        v_new = acc
     y_new = None
     if state.y is not None:
         # local bests relax toward the new positions, weighted by the cost gap
         gap = costs_of(x_new, obj) - cons.costs
-        y_new = state.y + mem.nu * p.dt * (x_new - state.y) \
-            * np.tanh(mem.beta * gap)[..., None]
+        pull = np.multiply(mem.nu * p.dt,
+                           np.subtract(x_new, state.y, out=out.term), out=out.term)
+        pull = np.multiply(pull, np.tanh(mem.beta * gap)[..., None], out=out.term)
+        y_new = np.add(state.y, pull, out=out.y)
     return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
 
 
@@ -298,6 +324,17 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
+def _buffers(state: SwarmState, scratch: dict) -> _Buffers:
+    """Fresh arrays for the state a step of ``state`` makes, and views of the
+    flat ``scratch`` arrays, shared by every state, shaped like them."""
+    shape = state.x.shape
+    return _Buffers(
+        x=np.empty(shape), v=None if state.v is None else np.empty(shape),
+        y=None if state.y is None else np.empty(shape),
+        **{name: flat[:state.x.size].reshape(shape)
+           for name, flat in scratch.items()})
+
+
 def lockstep(states, p: Params, obj, seed: int, r):
     """Advance ``states`` on replicate ``r`` of the seed's tape together,
     yielding the coupled path.
@@ -315,13 +352,18 @@ def lockstep(states, p: Params, obj, seed: int, r):
     states first, then the states after step ``n - 1``, each time with the
     consensus points the next step uses.  Non-finite states abort with the
     offending step index.
+
+    The steps write into two sets of arrays per state, used in turn, so the
+    arrays of a yielded state are overwritten two steps later: copy a state
+    to keep it.  The initial states are read, never written, and nothing
+    here holds them after the first step.
     """
     batch = (len(r),) if isinstance(r, (range, tuple)) else ()
     cloud = batch + (p.n_particles, p.dim)
-    for state in states:
-        state.check_finite(-1)
-        if state.x.shape[-len(cloud):] != cloud:
-            raise ValueError(f"x0 shape {state.x.shape} does not match params "
+    for s in states:
+        s.check_finite(-1)
+        if s.x.shape[-len(cloud):] != cloud:
+            raise ValueError(f"x0 shape {s.x.shape} does not match params "
                              f"and replicates {cloud}")
     channels = 2 if any(s.y is not None for s in states) else 1
     # the replicate count only bounds r: the row-major index never multiplies
@@ -329,12 +371,21 @@ def lockstep(states, p: Params, obj, seed: int, r):
     tape = NoiseTape(seed, (max(r) if batch else r) + 1, p.n_particles,
                      p.n_steps, p.dim, channels)
     stepper = _STEPPERS["step"]
+    size = max((s.x.size for s in states), default=0)
+    scratch = {name: np.empty(size) for name in (
+        "to_global", "term", *(("to_local",) if channels == 2 else ()))}
+    sets = []  # the buffers of steps 0, 2, 4, ... and of steps 1, 3, 5, ...
 
     cons = [consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
-        states = [stepper(s, p, obj, theta, c) for s, c in zip(states, cons)]
+        if len(sets) < 2:
+            # set 1 is made at step 1, once step 0 has freed the initial
+            # states (unless the caller holds them)
+            sets.append([_buffers(s, scratch) for s in states])
+        states = [stepper(s, p, obj, theta, c, b)
+                  for s, c, b in zip(states, cons, sets[n % 2])]
         for s in states:
             s.check_finite(n)
         cons = [consensus_of(s, p, obj) for s in states]

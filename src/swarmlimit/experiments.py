@@ -23,8 +23,10 @@ per channel that serves every rung.  The pass reads the path ``lockstep``
 yields in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
 paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
 with one call per metric over the whole stack, so no snapshots are stored.
+W2 and KL come from one ``w2_and_kl`` call, which sorts each cloud once.
 The study makes the pass over ``range(R)``; ``compare_ladder`` makes it over
-``range(1)`` and selects its snapshot steps from the per-step columns.  Each
+``range(1)``, computes no gap, and selects its snapshot steps from the
+per-step columns.  Each
 slice's arithmetic is elementwise that of a solo run and every reduction, the
 metrics' included, stays within one slice, which keeps the results
 bit-identical to pairs of ``run`` calls.
@@ -47,11 +49,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import costs_of, laplace_value
-# ``run`` is not called here; the benchmark's tracer (perfbench/tracing.py)
-# wraps it under this module's name
+# ``run``, ``wasserstein2_1d`` and ``kl_histogram`` are not called here; the
+# benchmark's tracer (perfbench/tracing.py) wraps them under this module's name
 from .dynamics import Params, _check_count, initial_state, lockstep, run  # noqa: F401
-from .metrics import default_bins, kl_histogram, paired_msq_gap, wasserstein2_1d
+from .metrics import (  # noqa: F401
+    default_bins,
+    kl_histogram,
+    paired_msq_gap,
+    w2_and_kl,
+    wasserstein2_1d,
+)
 from .noise import NoiseTape, initial_positions
+
+
+class NonFiniteValueError(ValueError):
+    """A value computed from the inputs is not finite: a numerical failure,
+    not a bad argument, though a ``ValueError`` like the rejected inputs."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +125,7 @@ class StudyResult:
 
 
 def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values,
-                  memory: bool = False):
+                  memory: bool = False, gap: bool = True):
     """The coupled replicates ``reps``: the first-order reference and the
     second-order stack of ``m_values`` (with local bests if ``memory``), row
     ``j`` from cloud ``[seed, reps[j]]`` on replicate ``reps[j]`` of the
@@ -120,32 +133,35 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
 
     Returns ``(times, sup_gap, w2, kl)``: the time of every step, the
     ``(K, R)`` sup over time of each rung's and replicate's paired
-    mean-square gap (positions, plus local bests for the memory pair), and
-    the ``(K, R, n_steps + 1)`` W2 / KL of each against its reference
-    position cloud at every step, ``None`` unless the pair is plain and
-    ``p.dim == 1``.
+    mean-square gap (positions, plus local bests for the memory pair),
+    ``None`` unless ``gap``, and the ``(K, R, n_steps + 1)`` W2 / KL of each
+    against its reference position cloud at every step, ``None`` unless the
+    pair is plain and ``p.dim == 1``.
     """
-    x0 = np.stack([initial_positions([seed, r], p.n_particles, p.dim, init)
-                   for r in reps])
-    states = [initial_state("cbo_mem" if memory else "cbo", x0),
-              initial_state("pso_mem" if memory else "pso", x0, m_values)]
     times = np.empty(p.n_steps + 1)
-    sup_gap = -np.inf
+    sup_gap = -np.inf if gap else None
     w2 = kl = None
     if p.dim == 1 and not memory:
         w2, kl = np.empty((2, len(m_values), len(reps), p.n_steps + 1))
         bins = default_bins(p.n_particles)
 
-    for n, (ref, ladder), _ in lockstep(states, p, obj, seed, reps):
+    x0 = np.stack([initial_positions([seed, r], p.n_particles, p.dim, init)
+                   for r in reps])
+    path = lockstep([initial_state("cbo_mem" if memory else "cbo", x0),
+                     initial_state("pso_mem" if memory else "pso", x0, m_values)],
+                    p, obj, seed, reps)
+    # lockstep alone holds the initial states, and drops them after a step
+    del x0
+    for n, (ref, ladder), _ in path:
         times[n] = ladder.t
-        g = paired_msq_gap(ladder.x, ref.x)
-        if memory:
-            g += paired_msq_gap(ladder.y, ref.y)
-        # Python's max: keep the running sup unless g is strictly larger
-        sup_gap = np.where(g > sup_gap, g, sup_gap)
+        if gap:
+            g = paired_msq_gap(ladder.x, ref.x)
+            if memory:
+                g += paired_msq_gap(ladder.y, ref.y)
+            # Python's max: keep the running sup unless g is strictly larger
+            sup_gap = np.where(g > sup_gap, g, sup_gap)
         if w2 is not None:
-            w2[..., n] = wasserstein2_1d(ladder.x, ref.x)
-            kl[..., n] = kl_histogram(ladder.x, ref.x, bins)
+            w2[..., n], kl[..., n] = w2_and_kl(ladder.x, ref.x, bins)
         # while the next step is computed, only the generator holds this one
         del ref, ladder
     return times, sup_gap, w2, kl
@@ -237,7 +253,8 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
         raise ValueError("m_values must be a nonempty 1-d sequence, got shape "
                          f"{np.shape(m_values)}")
 
-    times, _, w2, kl = _coupled_pass(p, obj, seed, range(1), init, m_values)
+    times, _, w2, kl = _coupled_pass(p, obj, seed, range(1), init, m_values,
+                                     gap=False)
     bins = default_bins(p.n_particles)
     return [CompareTable(times=times[steps], w2=w2_m[0, steps], kl=kl_m[0, steps],
                          bins=bins)
@@ -271,8 +288,9 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
 def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     """Rows (alpha, exponential-average value, gap to the sample minimum).
 
-    A value that is not finite (NaN costs, or every cost infinite) is an
-    error naming its ``alpha``; points that cost ``+inf`` only get weight 0.
+    A value that is not finite (NaN costs, or every cost infinite) is a
+    ``NonFiniteValueError`` naming its ``alpha``; points that cost ``+inf``
+    only get weight 0.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
@@ -286,7 +304,7 @@ def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     for a in alphas:
         value = laplace_value(costs, a)
         if not np.isfinite(value):
-            raise ValueError(f"laplace value at alpha={a} is not finite, "
-                             f"got {value}")
+            raise NonFiniteValueError(f"laplace value at alpha={a} is not "
+                                      f"finite, got {value}")
         rows.append((a, value, value - low))
     return rows

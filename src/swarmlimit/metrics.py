@@ -20,6 +20,10 @@ made for all pairs by one call.  Every bin is closed on the left and open on
 the right, except the last, which is closed on both ends: the counts
 ``np.histogram`` gives on that range.  The counts are read off the sorted
 samples with ``np.searchsorted``, one call per cloud.
+
+Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
+``(wasserstein2_1d, kl_histogram)`` of equal-size samples from one sort of
+each, with the bits of the two calls.
 """
 
 from __future__ import annotations
@@ -66,6 +70,13 @@ def _result(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _w2_sorted(sa, sb):
+    """W2 of every pair of sorted equal-size samples along the last axis."""
+    sq = sa - sb
+    sq *= sq
+    return np.sqrt(np.mean(sq, axis=-1))
+
+
 def wasserstein2_1d(a, b):
     """Exact W2 between equal-size 1-d samples via order statistics.
 
@@ -73,8 +84,7 @@ def wasserstein2_1d(a, b):
     W2 = sqrt( mean_i (a_(i) - b_(i))^2 ).
     """
     xa, xb = _pair(a, b, flat=True)
-    diff = np.sort(xa, axis=-1) - np.sort(xb, axis=-1)
-    return _result(np.sqrt(np.mean(diff * diff, axis=-1)))
+    return _result(_w2_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1)))
 
 
 def paired_msq_gap(a, b):
@@ -104,18 +114,8 @@ def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(idx, axis=-1).reshape(edges.shape[:-1] + (-1,))
 
 
-def kl_histogram(a, b, bins: int):
-    """KL divergence between histogram densities on shared equal-width bins.
-
-    Bins span the union range of both samples; masses get additive smoothing
-    ``KL_SMOOTHING`` and renormalization so empty bins stay finite.  A fully
-    degenerate range (all points identical in both clouds) gives 0.
-    """
-    xa, xb = _pair(a, b, flat=True, same_n=False)
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    sa = np.sort(xa, axis=-1)
-    sb = np.sort(xb, axis=-1)
+def _kl_sorted(sa, sb, bins: int):
+    """Histogram KL of every pair of sorted samples along the last axis."""
     lo = np.minimum(sa[..., 0], sb[..., 0])
     hi = np.maximum(sa[..., -1], sb[..., -1])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -133,7 +133,36 @@ def kl_histogram(a, b, bins: int):
     p /= p.sum(axis=-1, keepdims=True)
     q /= q.sum(axis=-1, keepdims=True)
     kl = np.sum(p * np.log(p / q), axis=-1)
-    return _result(np.where(flat, 0.0, kl))
+    return np.where(flat, 0.0, kl)
+
+
+def _check_bins(bins: int) -> None:
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+
+
+def kl_histogram(a, b, bins: int):
+    """KL divergence between histogram densities on shared equal-width bins.
+
+    Bins span the union range of both samples; masses get additive smoothing
+    ``KL_SMOOTHING`` and renormalization so empty bins stay finite.  A fully
+    degenerate range (all points identical in both clouds) gives 0.
+    """
+    xa, xb = _pair(a, b, flat=True, same_n=False)
+    _check_bins(bins)
+    return _result(_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins))
+
+
+def w2_and_kl(a, b, bins: int):
+    """``(wasserstein2_1d(a, b), kl_histogram(a, b, bins))`` from one sort of
+    each sample, each value with the bits of its own call.
+
+    The samples must have the same size, as for ``wasserstein2_1d``.
+    """
+    xa, xb = _pair(a, b, flat=True)
+    _check_bins(bins)
+    sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
+    return _result(_w2_sorted(sa, sb)), _result(_kl_sorted(sa, sb, bins))
 
 
 def empirical_moments(a) -> tuple[float, float]:

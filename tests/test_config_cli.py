@@ -237,16 +237,16 @@ def test_cli_compare_header_schema(tmp_path):
     assert header == "t,w2,kl,m,seed,bins"
 
 
-def test_cli_laplace_check_with_nan_costs_exits_2_and_writes_nothing(
+def test_cli_laplace_check_with_nan_costs_exits_3_and_writes_nothing(
         tmp_path, capsys):
     # 2 pi x overflows at x ~ 1e308, so ackley's cosine term is NaN at
-    # every point; run on the same config ends in a numerical abort
+    # every point; like run on the same config, a numerical abort
     cfg = write_cfg(tmp_path, BASE_CFG.replace("init = gaussian,0,1",
                                                "init = gaussian,1e308,1"))
     out = tmp_path / "lap.csv"
-    assert main(["laplace-check", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["laplace-check", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: config: laplace value at alpha=1.0 is not finite, got nan"]
+        "error: numerical: laplace value at alpha=1.0 is not finite, got nan"]
     assert not out.exists()
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
 

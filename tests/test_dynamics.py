@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -375,16 +377,18 @@ def test_replicate_stack_steps_each_row_as_its_solo_run(drawn_blocks):
                      dim=2, t_end=0.05)
     reps = (3, 1)
     x0 = np.stack([initial_positions([4, r], p.n_particles, p.dim) for r in reps])
-    stacked = list(lockstep([initial_state("pso", x0, (0.2, 0.1))], p,
-                            ackley(2), 4, reps))
+    # lockstep reuses a state's arrays two steps on: keep copies
+    stacked = [(st.x.copy(), st.v.copy(), points) for _, (st,), (points,) in
+               lockstep([initial_state("pso", x0, (0.2, 0.1))], p, ackley(2),
+                        4, reps)]
     assert len(drawn_blocks) == p.n_steps
     assert {key[1] for key in drawn_blocks} == {reps}
     for j, r in enumerate(reps):
         for k, m in enumerate((0.2, 0.1)):
             solo = lockstep([initial_state("pso", x0[j], m)], p, ackley(2), 4, r)
-            for (_, (s,), (point,)), (_, (st,), (points,)) in zip(solo, stacked):
-                assert np.array_equal(st.x[k, j], s.x)
-                assert np.array_equal(st.v[k, j], s.v)
+            for (_, (s,), (point,)), (x, v, points) in zip(solo, stacked):
+                assert np.array_equal(x[k, j], s.x)
+                assert np.array_equal(v[k, j], s.v)
                 assert np.array_equal(points[k, j], point)
 
 
@@ -513,3 +517,54 @@ def test_initial_state_rejects_an_inertia_params_rejects(m, stacked):
     with pytest.raises(ValueError) as state_exc:
         initial_state("pso", np.zeros((2, 1)), [0.2, m] if stacked else m)
     assert str(state_exc.value) == str(params_exc.value)
+
+
+@pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
+def test_lockstep_steps_into_two_buffers_per_state_bit_for_bit(scheme, stacked):
+    # six steps of lockstep against six allocating step calls on the same
+    # tape blocks; stacked is (K, R, N, d) for pso, (R, N, d) for cbo
+    mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
+                       beta=30.0)
+    p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=7, dim=2,
+                     t_end=0.06, memory=mem if scheme.endswith("_mem") else None)
+    assert p.n_steps == 6
+    r = range(2) if stacked else 0
+    x0 = initial_positions([9, 0], p.n_particles, p.dim)
+    if stacked:
+        x0 = np.stack([x0, initial_positions([9, 1], p.n_particles, p.dim)])
+    start = initial_state(scheme, x0, (0.2, 0.05) if stacked else 0.2)
+    kept = {name: getattr(start, name).copy() for name in ("x", "v", "y")
+            if getattr(start, name) is not None}
+    tape = NoiseTape(9, 2, p.n_particles, p.n_steps, p.dim,
+                     2 if p.memory else 1)
+    ref, xs = start, []
+    for n, (s,), _ in lockstep([start], p, ackley(2), 9, r):
+        if n > 0:
+            ref = step(ref, p, ackley(2), blocks(tape, n - 1, r),
+                       consensus_of(ref, p, ackley(2)))
+            xs.append(s.x)
+        for name in kept:
+            got, want = getattr(s, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the yielded positions, all still referenced, live in two buffers
+    assert len({x.__array_interface__["data"][0] for x in xs}) == 2
+    assert np.shares_memory(xs[0], xs[2]) and np.shares_memory(xs[1], xs[5])
+    assert not np.shares_memory(xs[0], xs[1])
+    # the states passed in are read, never written
+    for name, array in kept.items():
+        assert np.array_equal(getattr(start, name).view(np.uint64),
+                              array.view(np.uint64))
+
+
+def test_lockstep_holds_no_initial_state_after_the_first_step():
+    p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.03)
+    x0 = initial_positions([3, 0], p.n_particles, p.dim)
+    path = lockstep([initial_state("cbo", x0), initial_state("pso", x0, 0.2)],
+                    p, ackley(1), 3, 0)
+    _, start, _ = next(path)
+    gone = [weakref.ref(s.x) for s in start]
+    del start
+    next(path)
+    assert [ref() for ref in gone] == [None, None]

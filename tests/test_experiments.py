@@ -24,6 +24,7 @@ from swarmlimit import (
     wasserstein2_1d,
     zero_inertia_study,
 )
+import swarmlimit.experiments as experiments
 from swarmlimit.experiments import _coupled_pass
 
 from conftest import linear_cost, trajectory
@@ -431,3 +432,26 @@ def test_study_config_checks_the_tape_of_all_its_replicates():
     with pytest.raises(ValueError, match=r"replicates=9, .* channels=2 has more"):
         LimitStudyConfig(m_ladder=(0.2,), replicates=9, base=base,
                          scheme_pair="memory")
+
+
+def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
+        monkeypatch):
+    p = study_base(t_end=0.05, n_particles=20)
+
+    def no_gap(a, b):
+        raise AssertionError("compare_ladder computed a paired gap")
+
+    monkeypatch.setattr(experiments, "paired_msq_gap", no_gap)
+    tables = compare_ladder(p, ackley(1), 3, (0.2, 0.1))
+    assert [len(t.times) for t in tables] == [p.n_steps + 1] * 2
+
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return paired_msq_gap(a, b)
+
+    monkeypatch.setattr(experiments, "paired_msq_gap", counted)
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=p)
+    zero_inertia_study(cfg, ackley(1), 3)
+    assert calls == [(2, 2, p.n_particles, 1)] * (p.n_steps + 1)

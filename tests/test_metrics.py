@@ -10,6 +10,7 @@ from swarmlimit import (
     empirical_moments,
     kl_histogram,
     paired_msq_gap,
+    w2_and_kl,
     wasserstein2_1d,
 )
 
@@ -290,3 +291,40 @@ def test_a_batch_of_references_needs_its_dim_axis():
         kl_histogram(np.zeros((2, 3, 5, 1)), np.zeros((3, 5, 2)), 2)
     with pytest.raises(ValueError, match=r"\(4, 5, 1\)"):
         wasserstein2_1d(np.zeros((2, 3, 5, 1)), np.zeros((4, 5, 1)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("k, r", [(1, 1), (3, 2)])
+def test_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
+    # ties and signed zeros in both clouds, and a degenerate pair [0, r - 1]
+    # (one repeated point in both clouds, so lo == hi)
+    for n in (1, 2, 9, 400):
+        a = rng.integers(-4, 5, (k, r, n, 1)) / 2.0
+        b = rng.integers(-4, 5, (r, n, 1)) / 2.0
+        a[a == 0.0] = -0.0
+        a[0, r - 1] = b[r - 1] = 1.5
+        bins = default_bins(n)
+        w2, kl = w2_and_kl(a, b, bins)
+        assert np.array_equal(_bits(w2), _bits(wasserstein2_1d(a, b)))
+        assert np.array_equal(_bits(kl), _bits(kl_histogram(a, b, bins)))
+        assert w2[0, r - 1] == kl[0, r - 1] == 0.0
+        for i in range(k):
+            for j in range(r):
+                oracle = kl_histogram_oracle(a[i, j, :, 0], b[j, :, 0], bins)
+                assert _bits(kl[i, j]) == _bits(oracle)
+                pair = w2_and_kl(a[i, j], b[j], bins)
+                assert _bits(pair).tolist() == _bits([w2[i, j], kl[i, j]]).tolist()
+                assert all(isinstance(value, float) for value in pair)
+
+
+def test_w2_and_kl_validation():
+    with pytest.raises(ValueError, match="bins must be >= 2"):
+        w2_and_kl(np.zeros(3), np.zeros(3), 1)
+    # W2 needs samples of one size, unlike kl_histogram alone
+    with pytest.raises(ValueError):
+        w2_and_kl(np.zeros(3), np.zeros(4), 2)
+    with pytest.raises(ValueError, match="finite samples"):
+        w2_and_kl(np.array([0.0, np.inf]), np.zeros(2), 2)
