@@ -42,8 +42,8 @@ def consensus_point(points, costs, alpha: float) -> np.ndarray:
                          f"got shape {pts.shape}")
     if pts.shape[-2] < 1:
         raise ValueError("measure must contain at least one point")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     vals = np.asarray(costs, dtype=np.float64)
     if vals.shape != pts.shape[:-1]:
         raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
@@ -67,8 +67,8 @@ def laplace_value(costs, alpha: float) -> float:
     vals = np.asarray(costs, dtype=np.float64)
     if vals.ndim < 1 or vals.shape[-1] < 1:
         raise ValueError("measure must contain at least one point")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     low = vals.min(axis=-1)
     weights = np.exp(-alpha * (vals - low[..., None]))
     return low - np.log(np.mean(weights, axis=-1)) / alpha

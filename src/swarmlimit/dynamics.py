@@ -45,9 +45,9 @@ block once per step (one ``(R, N, d)`` block for all R replicates) and
 handing the same array to every slice of every state, and yields the coupled
 path one time point at a time.  It builds the tape itself, from the seed,
 the replicates, ``Params`` and the channels the states draw, so the layout a
-run draws from is decided in one place.  Its steps write into two sets of
-arrays per state, used in turn, and scratch arrays shared by all states, so
-no state-sized array is allocated per step.  A caller reads the path in a
+run draws from is decided in one place.  It advances the arrays of the
+states passed in, in place, with scratch arrays shared by all states, so no
+state-sized array is allocated per step.  A caller reads the path in a
 ``for`` loop; ``run`` is that loop over a single unstacked state, recording
 every step.
 """
@@ -62,7 +62,7 @@ import numpy as np
 
 from .consensus import consensus_point, costs_of
 from .metrics import empirical_moments
-from .noise import NoiseTape
+from .noise import NoiseTape, _replicate_rows
 
 SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
 
@@ -202,8 +202,9 @@ def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
 
 class _Buffers(NamedTuple):
     """The arrays a step writes into: the new state's ``x``, ``v`` and ``y``,
-    and scratch for the vectors to the global and local consensus and for
-    one update term; ``None`` allocates a fresh array."""
+    which may be the state's own, and scratch for the vectors to the global
+    and local consensus and for one update term; ``None`` allocates a fresh
+    array."""
 
     x: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -213,11 +214,8 @@ class _Buffers(NamedTuple):
     term: np.ndarray | None = None
 
 
-_ALLOCATE = _Buffers()
-
-
 def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-         cons: Consensus, out: _Buffers = _ALLOCATE) -> SwarmState:
+         cons: Consensus, out: _Buffers = _Buffers()) -> SwarmState:
     """One step of the scheme the state's arrays select.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
@@ -229,9 +227,11 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
     returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
     returns ``V' = acc``, ``X' = X + dt V'``.  ``out`` holds the arrays
-    ``lockstep`` has the step write, of the new state's shape and none of
-    them the state's own; by default every operation allocates its result,
-    so a state may also broadcast up against a larger tape block.
+    ``lockstep`` has the step write, of the new state's shape: the state's
+    own ``x``, ``v`` and ``y``, which the step then advances in place, as no
+    operation reads an entry of them after writing it.  By default every
+    operation allocates its result, so a state may also broadcast up against
+    a larger tape block.
     """
     sqrt_dt = sqrt(p.dt)
     to_global = np.subtract(cons.point[..., None, :], state.x, out=out.to_global)
@@ -260,8 +260,8 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     if state.v is None:
         x_new, v_new = acc, None
     else:
-        x_new = np.add(state.x, np.multiply(p.dt, acc, out=out.x), out=out.x)
-        v_new = acc
+        term = np.multiply(p.dt, acc, out=out.term)
+        x_new, v_new = np.add(state.x, term, out=out.x), acc
     y_new = None
     if state.y is not None:
         # local bests relax toward the new positions, weighted by the cost gap
@@ -324,17 +324,6 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-def _buffers(state: SwarmState, scratch: dict) -> _Buffers:
-    """Fresh arrays for the state a step of ``state`` makes, and views of the
-    flat ``scratch`` arrays, shared by every state, shaped like them."""
-    shape = state.x.shape
-    return _Buffers(
-        x=np.empty(shape), v=None if state.v is None else np.empty(shape),
-        y=None if state.y is None else np.empty(shape),
-        **{name: flat[:state.x.size].reshape(shape)
-           for name, flat in scratch.items()})
-
-
 def lockstep(states, p: Params, obj, seed: int, r):
     """Advance ``states`` on replicate ``r`` of the seed's tape together,
     yielding the coupled path.
@@ -353,39 +342,48 @@ def lockstep(states, p: Params, obj, seed: int, r):
     consensus points the next step uses.  Non-finite states abort with the
     offending step index.
 
-    The steps write into two sets of arrays per state, used in turn, so the
-    arrays of a yielded state are overwritten two steps later: copy a state
-    to keep it.  The initial states are read, never written, and nothing
-    here holds them after the first step.
+    ``lockstep`` advances the arrays of the states passed in, a yielded
+    state's arrays change at the next step, and a caller copies whatever it
+    wants to keep.  Before any draw, a state it cannot step in place is a
+    ``ValueError`` naming the state and the array: one that is not a float64
+    array, is read-only, or may share memory with another array of the
+    states.
     """
-    batch = (len(r),) if isinstance(r, (range, tuple)) else ()
-    cloud = batch + (p.n_particles, p.dim)
+    rows, stacked = _replicate_rows(r)
+    channels = 2 if any(s.y is not None for s in states) else 1
+    # the replicate count only bounds r: the row-major index never multiplies
+    # it into a variate, so replicate r has the same blocks on any longer tape
+    tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
+                     channels)
+    cloud = ((len(rows),) if stacked else ()) + (p.n_particles, p.dim)
     for s in states:
         s.check_finite(-1)
         if s.x.shape[-len(cloud):] != cloud:
             raise ValueError(f"x0 shape {s.x.shape} does not match params "
                              f"and replicates {cloud}")
-    channels = 2 if any(s.y is not None for s in states) else 1
-    # the replicate count only bounds r: the row-major index never multiplies
-    # it into a variate, so replicate r has the same blocks on any longer tape
-    tape = NoiseTape(seed, (max(r) if batch else r) + 1, p.n_particles,
-                     p.n_steps, p.dim, channels)
+    arrays = [(f"state {j} {k}", a) for j, s in enumerate(states)
+              for k in ("x", "v", "y") if (a := getattr(s, k)) is not None]
+    for i, (name, a) in enumerate(arrays):
+        if a.dtype != np.float64 or not a.flags.writeable:
+            raise ValueError(f"cannot step {name} in place: not a writeable float64 array")
+        for other, b in arrays[:i]:
+            if np.may_share_memory(a, b):
+                raise ValueError(f"cannot step {name} in place: may share memory with {other}")
     stepper = _STEPPERS["step"]
     size = max((s.x.size for s in states), default=0)
     scratch = {name: np.empty(size) for name in (
         "to_global", "term", *(("to_local",) if channels == 2 else ()))}
-    sets = []  # the buffers of steps 0, 2, 4, ... and of steps 1, 3, 5, ...
+    # each state's own arrays, and views of the scratch shaped like them
+    bufs = [_Buffers(s.x, s.v, s.y, **{name: flat[:s.x.size].reshape(s.x.shape)
+                                       for name, flat in scratch.items()})
+            for s in states]
 
     cons = [consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
-        if len(sets) < 2:
-            # set 1 is made at step 1, once step 0 has freed the initial
-            # states (unless the caller holds them)
-            sets.append([_buffers(s, scratch) for s in states])
         states = [stepper(s, p, obj, theta, c, b)
-                  for s, c, b in zip(states, cons, sets[n % 2])]
+                  for s, c, b in zip(states, cons, bufs)]
         for s in states:
             s.check_finite(n)
         cons = [consensus_of(s, p, obj) for s in states]
@@ -403,10 +401,9 @@ def run(scheme: str, p: Params, obj, seed: int, x0: np.ndarray) -> RunRecord:
     the offending step index.
     """
     state = initial_state(scheme, x0, p.m)
-    rows = p.n_steps + 1
-    times = np.empty(rows)
-    cons = np.empty((rows, p.dim))
-    moments = {name: np.empty((rows, 2)) for name in ("x", "v", "y")
+    times = np.empty(p.n_steps + 1)
+    cons = np.empty((len(times), p.dim))
+    moments = {name: np.empty((len(times), 2)) for name in ("x", "v", "y")
                if getattr(state, name) is not None}
 
     for n, (s,), (point,) in lockstep([state], p, obj, seed, 0):

@@ -23,6 +23,8 @@ per channel that serves every rung.  The pass reads the path ``lockstep``
 yields in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
 paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
 with one call per metric over the whole stack, so no snapshots are stored.
+``lockstep`` advances the two states in place, so the pass holds one set of
+arrays per state.
 W2 and KL come from one ``w2_and_kl`` call, which sorts each cloud once.
 The study makes the pass over ``range(R)``; ``compare_ladder`` makes it over
 ``range(1)``, computes no gap, and selects its snapshot steps from the
@@ -150,7 +152,7 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     path = lockstep([initial_state("cbo_mem" if memory else "cbo", x0),
                      initial_state("pso_mem" if memory else "pso", x0, m_values)],
                     p, obj, seed, reps)
-    # lockstep alone holds the initial states, and drops them after a step
+    # the states hold their own copies of x0 and lockstep steps those
     del x0
     for n, (ref, ladder), _ in path:
         times[n] = ladder.t
@@ -162,8 +164,6 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
             sup_gap = np.where(g > sup_gap, g, sup_gap)
         if w2 is not None:
             w2[..., n], kl[..., n] = w2_and_kl(ladder.x, ref.x, bins)
-        # while the next step is computed, only the generator holds this one
-        del ref, ladder
     return times, sup_gap, w2, kl
 
 
@@ -293,8 +293,8 @@ def laplace_sweep(points, obj, alphas) -> list[tuple[float, float, float]]:
     only get weight 0.
     """
     alphas = [float(a) for a in alphas]
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be positive")
+    if not all(0.0 < a < np.inf for a in alphas):
+        raise ValueError(f"alphas must be finite and positive, got {alphas}")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be increasing")
     pts = np.asarray(points, dtype=np.float64)

@@ -50,6 +50,16 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
+def _replicate_rows(r) -> tuple[tuple, bool]:
+    """The replicates ``r`` names, one or a nonempty range or tuple of them,
+    and whether ``r`` stacks them (is a range or tuple)."""
+    stacked = isinstance(r, (range, tuple))
+    rows = tuple(r) if stacked else (r,)
+    if not rows:
+        raise ValueError("r must be a replicate or a nonempty range or tuple of them")
+    return rows, stacked
+
+
 def _standard_normals(keys: np.ndarray) -> np.ndarray:
     """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF."""
     h = _mix64(keys)
@@ -142,11 +152,7 @@ class NoiseTape:
         block of replicate ``r[j]``.  The step-0 keys of ``(r, ch)`` are built
         on the first draw and kept until another ``r`` is drawn on ``ch``.
         """
-        stacked = isinstance(r, (range, tuple))
-        rows = tuple(r) if stacked else (r,)
-        if not rows:
-            raise ValueError("r must be a replicate or a nonempty range or "
-                             "tuple of them")
+        rows, stacked = _replicate_rows(r)
         for value in rows:
             self._check("r", value, self.replicates)
         self._check("n", n, self.steps)

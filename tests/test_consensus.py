@@ -193,6 +193,19 @@ def test_input_validation():
             laplace_value(empty, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_consensus_point_rejects_a_non_finite_alpha(alpha):
+    # NaN passes every comparison, and inf gave a NaN point
+    with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {alpha}"):
+        consensus_point(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), alpha)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_laplace_value_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {alpha}"):
+        laplace_value(np.array([0.0, 1.0]), alpha)
+
+
 @pytest.mark.parametrize("costs", [np.arange(3.0), np.arange(5.0)[:, None],
                                    np.arange(5.0)[None, :]])
 def test_consensus_point_rejects_costs_of_another_shape(costs):

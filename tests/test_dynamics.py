@@ -1,4 +1,4 @@
-import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,7 +377,7 @@ def test_replicate_stack_steps_each_row_as_its_solo_run(drawn_blocks):
                      dim=2, t_end=0.05)
     reps = (3, 1)
     x0 = np.stack([initial_positions([4, r], p.n_particles, p.dim) for r in reps])
-    # lockstep reuses a state's arrays two steps on: keep copies
+    # lockstep advances a state's arrays in place: keep copies
     stacked = [(st.x.copy(), st.v.copy(), points) for _, (st,), (points,) in
                lockstep([initial_state("pso", x0, (0.2, 0.1))], p, ackley(2),
                         4, reps)]
@@ -521,9 +521,10 @@ def test_initial_state_rejects_an_inertia_params_rejects(m, stacked):
 
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
 @pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
-def test_lockstep_steps_into_two_buffers_per_state_bit_for_bit(scheme, stacked):
-    # six steps of lockstep against six allocating step calls on the same
-    # tape blocks; stacked is (K, R, N, d) for pso, (R, N, d) for cbo
+def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
+    # six steps of lockstep against six allocating step calls on a copy of
+    # the start state and the same tape blocks; stacked is (K, R, N, d) for
+    # pso, (R, N, d) for cbo
     mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
                        beta=30.0)
     p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=7, dim=2,
@@ -534,37 +535,58 @@ def test_lockstep_steps_into_two_buffers_per_state_bit_for_bit(scheme, stacked):
     if stacked:
         x0 = np.stack([x0, initial_positions([9, 1], p.n_particles, p.dim)])
     start = initial_state(scheme, x0, (0.2, 0.05) if stacked else 0.2)
-    kept = {name: getattr(start, name).copy() for name in ("x", "v", "y")
-            if getattr(start, name) is not None}
+    names = [name for name in ("x", "v", "y") if getattr(start, name) is not None]
+    ref = replace(start, **{name: getattr(start, name).copy() for name in names})
     tape = NoiseTape(9, 2, p.n_particles, p.n_steps, p.dim,
                      2 if p.memory else 1)
-    ref, xs = start, []
     for n, (s,), _ in lockstep([start], p, ackley(2), 9, r):
         if n > 0:
             ref = step(ref, p, ackley(2), blocks(tape, n - 1, r),
                        consensus_of(ref, p, ackley(2)))
-            xs.append(s.x)
-        for name in kept:
+        assert s.t == ref.t
+        for name in names:
             got, want = getattr(s, name), getattr(ref, name)
+            # every yielded array is the one passed in, stepped in place
+            assert got is getattr(start, name)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # the yielded positions, all still referenced, live in two buffers
-    assert len({x.__array_interface__["data"][0] for x in xs}) == 2
-    assert np.shares_memory(xs[0], xs[2]) and np.shares_memory(xs[1], xs[5])
-    assert not np.shares_memory(xs[0], xs[1])
-    # the states passed in are read, never written
-    for name, array in kept.items():
-        assert np.array_equal(getattr(start, name).view(np.uint64),
-                              array.view(np.uint64))
+    assert n == p.n_steps
 
 
-def test_lockstep_holds_no_initial_state_after_the_first_step():
-    p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.03)
-    x0 = initial_positions([3, 0], p.n_particles, p.dim)
-    path = lockstep([initial_state("cbo", x0), initial_state("pso", x0, 0.2)],
-                    p, ackley(1), 3, 0)
-    _, start, _ = next(path)
-    gone = [weakref.ref(s.x) for s in start]
-    del start
-    next(path)
-    assert [ref() for ref in gone] == [None, None]
+def _unsteppable(case):
+    """States lockstep cannot step in place, and the message naming why."""
+    x0 = initial_positions([3, 0], 5, 1)
+    if case == "float32":
+        return ([SwarmState(t=0.0, x=x0.astype(np.float32))],
+                "state 0 x in place: not a writeable float64 array")
+    if case == "read-only":
+        pso = initial_state("pso", x0, 0.2)
+        pso.v.flags.writeable = False
+        return ([initial_state("cbo", x0), pso],
+                "state 1 v in place: not a writeable float64 array")
+    if case == "twice":
+        cbo = initial_state("cbo", x0)
+        return [cbo, cbo], "state 1 x in place: may share memory with state 0 x"
+    # case "x is y"
+    return ([SwarmState(t=0.0, x=x0, y=x0)],
+            "state 0 y in place: may share memory with state 0 x")
+
+
+@pytest.mark.parametrize("case", ["float32", "read-only", "twice", "x is y"])
+def test_lockstep_rejects_a_state_it_cannot_step_in_place(case, drawn_blocks):
+    states, why = _unsteppable(case)
+    with pytest.raises(ValueError) as excinfo:
+        next(lockstep(states, memory_params(n_particles=5), ackley(1), 3, 0))
+    assert str(excinfo.value) == f"cannot step {why}"
+    assert not drawn_blocks
+
+
+@pytest.mark.parametrize("r", [range(0), ()], ids=["range", "tuple"])
+def test_lockstep_rejects_no_replicates_with_the_tapes_message(r, drawn_blocks):
+    p = plain_params(n_particles=5)
+    start = initial_state("cbo", np.zeros((1, 5, 1)))
+    with pytest.raises(ValueError) as excinfo:
+        next(lockstep([start], p, ackley(1), 3, r))
+    assert str(excinfo.value) == ("r must be a replicate or a nonempty range "
+                                  "or tuple of them")
+    assert not drawn_blocks

@@ -213,6 +213,14 @@ def test_laplace_sweep_validation():
         laplace_sweep(pts, linear_cost(), (-1.0, 2.0))
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_laplace_sweep_rejects_a_non_finite_alpha_as_an_input(alpha):
+    # a bad input, not the numerical failure of a value that is not finite
+    with pytest.raises(ValueError, match="alphas must be finite and positive") as excinfo:
+        laplace_sweep(np.zeros((2, 1)), linear_cost(), (1.0, alpha))
+    assert not isinstance(excinfo.value, experiments.NonFiniteValueError)
+
+
 def test_laplace_sweep_rejects_a_value_that_is_not_finite():
     # a NaN cost poisons the value at every alpha: the first one is named
     pts = np.array([[0.0], [np.nan]])
