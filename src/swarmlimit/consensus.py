@@ -30,11 +30,20 @@ def consensus_point(points, costs, alpha: float) -> np.ndarray:
     point per cloud with the bits of a call on that cloud alone.  The
     result is clamped into the coordinatewise hull of the points, so
     convex-hull membership holds exactly instead of up to a rounding ulp.
-    The hull's bounds reduce the contiguous ``(..., dim, n)`` coordinate
-    rows, which at ``dim == 1`` are the points themselves, uncopied.  A
+
+    The hull bounds and the weighted sum share the contiguous
+    ``(..., dim, n)`` coordinate rows.  The bounds reduce them first.  A
     zero bound is taken from the ``(..., n, dim)`` points instead: which
     of ``0.0`` and ``-0.0`` a reduction returns depends on its order, and
-    ``np.clip`` returns a bound that equals the average.
+    ``np.clip`` returns a bound that equals the average.  Where the rows
+    are a copy of C-ordered points (``dim >= 2`` and ``n >= 2``), the
+    weighted products are written into them and summed over the particles
+    in index order, ``s[i] = s[i - 1] + w[i] x[i]``, by ``np.add.accumulate``.
+    That is the order in which the strided ``(w * x).sum(axis=-2)`` over a
+    C-ordered product runs.  Otherwise, where the rows are the points
+    themselves, uncopied, or the points have another layout, the sum is
+    that strided ``.sum(axis=-2)`` in the order NumPy picks from the
+    layout: pairwise over the particles at ``dim == 1``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim < 2:
@@ -49,11 +58,16 @@ def consensus_point(points, costs, alpha: float) -> np.ndarray:
         raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
                          f"got {vals.shape}")
     weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
-    avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
     rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
     lo, hi = rows.min(axis=-1), rows.max(axis=-1)
     if np.count_nonzero(lo) + np.count_nonzero(hi) < 2 * lo.size:
         lo, hi = pts.min(axis=-2), pts.max(axis=-2)
+    if pts.flags.c_contiguous and not np.may_share_memory(rows, pts):
+        np.multiply(rows, weights[..., None, :], out=rows)
+        total = np.add.accumulate(rows, axis=-1)[..., -1]
+    else:
+        total = (weights[..., None] * pts).sum(axis=-2)
+    avg = total / weights.sum(axis=-1)[..., None]
     return np.clip(avg, lo, hi)
 
 

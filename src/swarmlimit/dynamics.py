@@ -45,11 +45,11 @@ block once per step (one ``(R, N, d)`` block for all R replicates) and
 handing the same array to every slice of every state, and yields the coupled
 path one time point at a time.  It builds the tape itself, from the seed,
 the replicates, ``Params`` and the channels the states draw, so the layout a
-run draws from is decided in one place.  It advances the arrays of the
-states passed in, in place, with scratch arrays shared by all states, so no
-state-sized array is allocated per step.  A caller reads the path in a
-``for`` loop; ``run`` is that loop over a single unstacked state, recording
-every step.
+run draws from is decided in one place.  It advances the states passed in,
+their arrays in place and their time with them, with scratch arrays (and
+the finiteness mask) shared by all states, so no state-sized array is
+allocated per step.  A caller reads the path in a ``for`` loop; ``run`` is
+that loop over a single unstacked state, recording every step.
 """
 
 from __future__ import annotations
@@ -169,11 +169,7 @@ class SwarmState:
     m: float | np.ndarray | None = None
 
     def check_finite(self, step: int) -> None:
-        for name in ("x", "v", "y"):
-            arr = getattr(self, name)
-            if arr is not None and not np.isfinite(arr).all():
-                index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-                raise NonFiniteStateError(step, name, index, arr[index])
+        _check_finite(self, step, None)
 
     @property
     def mean_speed(self):
@@ -181,6 +177,20 @@ class SwarmState:
         if self.v is None:
             return 0.0
         return np.linalg.norm(self.v, axis=-1).mean(axis=-1)
+
+
+def _check_finite(state: SwarmState, step: int, finite) -> None:
+    """Raise ``NonFiniteStateError`` at the first non-finite entry of the
+    state's ``x``, ``v`` or ``y``.  ``finite`` is a boolean array of their
+    shape that takes each array's mask, or ``None`` to allocate the masks."""
+    for name in ("x", "v", "y"):
+        arr = getattr(state, name)
+        if arr is None:
+            continue
+        mask = np.isfinite(arr, out=finite)
+        if not mask.all():
+            index = tuple(int(i) for i in np.argwhere(~mask)[0])
+            raise NonFiniteStateError(step, name, index, arr[index])
 
 
 class Consensus(NamedTuple):
@@ -337,19 +347,25 @@ def lockstep(states, p: Params, obj, seed: int, r):
     any state has local bests, else one.  Per step, the tape blocks are
     drawn once, one ``(R, N, d)`` block per channel for all replicates, and
     handed to every state, and each state's consensus is computed once.
-    Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the initial
-    states first, then the states after step ``n - 1``, each time with the
+    Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states
+    passed in, first as given, then after step ``n - 1``, each time with the
     consensus points the next step uses.  Non-finite states abort with the
     offending step index.
 
-    ``lockstep`` advances the arrays of the states passed in, a yielded
-    state's arrays change at the next step, and a caller copies whatever it
-    wants to keep.  Before any draw, a state it cannot step in place is a
-    ``ValueError`` naming the state and the array: one that is not a float64
+    ``lockstep`` advances the states passed in: their arrays in place and
+    their time ``t`` by ``dt`` a step, so a state's time always matches its
+    arrays.  A yielded state changes at the next step, and a caller copies
+    whatever it wants to keep.  Before any draw, a replicate that is not an
+    integer >= 0 is a ``ValueError`` naming it, and so is a state it cannot
+    step in place, naming the state and the array: one that is not a float64
     array, is read-only, or may share memory with another array of the
     states.
     """
     rows, stacked = _replicate_rows(r)
+    for value in rows:
+        # NoiseTape's index would truncate a fractional replicate to another
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"replicates must be integers >= 0, got r={value}")
     channels = 2 if any(s.y is not None for s in states) else 1
     # the replicate count only bounds r: the row-major index never multiplies
     # it into a variate, so replicate r has the same blocks on any longer tape
@@ -377,15 +393,17 @@ def lockstep(states, p: Params, obj, seed: int, r):
     bufs = [_Buffers(s.x, s.v, s.y, **{name: flat[:s.x.size].reshape(s.x.shape)
                                        for name, flat in scratch.items()})
             for s in states]
+    masks = np.empty(size, dtype=bool)
+    finite = [masks[:s.x.size].reshape(s.x.shape) for s in states]
 
     cons = [consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
-        states = [stepper(s, p, obj, theta, c, b)
-                  for s, c, b in zip(states, cons, bufs)]
-        for s in states:
-            s.check_finite(n)
+        for s, c, b, f in zip(states, cons, bufs, finite):
+            # the step writes the new arrays into the state's own
+            s.t = stepper(s, p, obj, theta, c, b).t
+            _check_finite(s, n, f)
         cons = [consensus_of(s, p, obj) for s in states]
         yield n + 1, states, [c.point for c in cons]
 

@@ -10,10 +10,11 @@ Bit contract.  The evaluators return the bits of the textbook NumPy forms
 the coordinates, then the closed form left to right), which
 ``tests/certified.py`` keeps as oracles, with fewer temporaries:
 
-* Up to ``dim = 2`` (``_FOLD_MAX_DIM``) the per-coordinate terms are
-  computed on the columns ``z[:, k]`` and added as written.  A sum of at most
-  two terms rounds once, so it has the bits of any order a NumPy reduction
-  takes.
+* A per-coordinate term is evaluated once on the whole ``(n, dim)`` batch,
+  one ufunc call per operation whatever ``dim`` is.
+* Up to ``dim = 2`` (``_FOLD_MAX_DIM``) the term's columns are then added as
+  written, ``t[:, 0] + t[:, 1]``.  A sum of at most two terms rounds once,
+  so it has the bits of any order a NumPy reduction takes.
 * From ``dim = 3`` the coordinate sums are NumPy's own reductions, whose
   order (pairwise from 8 terms, and for ``einsum`` dependent on the layout
   of its operand) a written fold does not follow.
@@ -31,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
-# the largest dimension whose coordinate sums are written out column by
-# column; a sum of more terms follows NumPy's own reduction order
+# the largest dimension whose coordinate sums are written out as a column
+# fold; a sum of more terms follows NumPy's own reduction order
 _FOLD_MAX_DIM = 2
 
 
@@ -76,14 +77,15 @@ def _minimizer(dim: int, shift) -> np.ndarray:
 
 
 def _row_sum(z: np.ndarray, term) -> np.ndarray:
-    """``np.sum(term(z), axis=1)`` for an ``(n, dim)`` batch, column by
-    column up to ``_FOLD_MAX_DIM``."""
+    """``np.sum(term(z), axis=1)`` for an ``(n, dim)`` batch: the term is
+    evaluated once on the whole batch, and up to ``_FOLD_MAX_DIM`` its
+    columns are added as written."""
+    t = term(z)
     if z.shape[1] > _FOLD_MAX_DIM:
-        return np.sum(term(z), axis=1)
-    out = term(z[:, 0])
-    for k in range(1, z.shape[1]):
-        out += term(z[:, k])
-    return out
+        return np.sum(t, axis=1)
+    if z.shape[1] == 1:
+        return t[:, 0]
+    return t[:, 0] + t[:, 1]
 
 
 def _square(z: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ half-width 3, which matches the uniform initialization range of the
 experiments.  Every shipped cost has its exact minimum 0 at the minimizer, so
 its bound gap is its upper envelope.
 
-It also keeps two kinds of oracle that library code must equal bit for bit:
-``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL, and
+It also keeps three kinds of oracle that library code must equal bit for
+bit: ``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL,
+``consensus_oracle``, the strided-sum form of the consensus point, and
 ``KERNEL_ORACLES``, the textbook NumPy forms of the three benchmark costs.
 """
 
@@ -104,6 +105,21 @@ def kl_histogram_oracle(a, b, bins: int) -> float:
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))
+
+
+def consensus_oracle(points, costs, alpha):
+    """The consensus point of an ``(..., n, dim)`` cloud with costs ``costs``
+    as the weighted product summed over the strided particle axis, divided
+    by the weight sum, then clamped into the hull of the points."""
+    pts = np.asarray(points, dtype=np.float64)
+    vals = np.asarray(costs, dtype=np.float64)
+    weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
+    avg = (weights[..., None] * pts).sum(axis=-2) / weights.sum(axis=-1)[..., None]
+    rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
+    lo, hi = rows.min(axis=-1), rows.max(axis=-1)
+    if np.count_nonzero(lo) + np.count_nonzero(hi) < 2 * lo.size:
+        lo, hi = pts.min(axis=-2), pts.max(axis=-2)
+    return np.clip(avg, lo, hi)
 
 
 def ackley_oracle(x, x_star):

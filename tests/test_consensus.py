@@ -5,7 +5,7 @@ from mpmath import mp
 from swarmlimit import (ackley, consensus_point, costs_of, laplace_value,
                         rastrigin, sphere)
 
-from certified import c_alpha, upper_bound
+from certified import c_alpha, consensus_oracle, upper_bound
 
 # 1/(1 + e): weights exp(0) and exp(-1) on points 0 and 1
 CONSENSUS_TWO_POINT = 0.26894142136999512
@@ -77,6 +77,25 @@ def test_stacked_hull_clamp_equals_the_oracle_and_slices_bitwise(rng, dim):
                     for r in range(3):
                         solo = consensus_point(stack[k, r], costs[k, r], alpha)
                         assert solo.tobytes() == out[k, r].tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_consensus_point_equals_the_strided_sum_oracle_bitwise(rng, dim, order):
+    # at dim >= 2 a C-ordered cloud is summed by np.add.accumulate over its
+    # coordinate rows, which must add in the order of the oracle's strided
+    # sum; every other layout keeps that sum itself.  The points are only
+    # read, also where the rows are a view of them.
+    obj = ackley(dim)
+    for lead in ((), (2, 3)):
+        for n in (1, 2, 8, 9, 1000, 10000):
+            pts = np.asarray(rng.uniform(-3, 3, lead + (n, dim)), order=order)
+            before = pts.copy()
+            costs = costs_of(pts, obj)
+            for alpha in (0.0, 30.0, 1e6):
+                out = consensus_point(pts, costs, alpha)
+                assert out.tobytes() == consensus_oracle(pts, costs, alpha).tobytes()
+            assert np.array_equal(pts, before)
 
 
 def test_shift_stability_bitwise_for_exact_shifts(rng):

@@ -483,18 +483,25 @@ def test_lockstep_yields_the_path_from_the_initial_states_on(drawn_blocks):
     p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.05)
     x0 = initial_positions([3, 0], p.n_particles, p.dim)
     start = [initial_state("cbo", x0), initial_state("pso", x0, (0.2, 0.1))]
-    items = list(lockstep(start, p, ackley(1), 3, 0))
-    assert [n for n, _, _ in items] == list(range(p.n_steps + 1))
-    _, states, points = items[0]
-    assert states is start and all(s.t == 0.0 for s in states)
-    assert [pt.shape for pt in points] == [(1,), (2, 1)]
-    assert items[-1][1][0].t == pytest.approx(p.t_end)
-    # the path is lazy: two items are the initial states and one step
+    t = 0.0
+    for n, states, points in lockstep(start, p, ackley(1), 3, 0):
+        # every item yields the states passed in, their time advanced with
+        # their arrays by one dt a step
+        assert states is start
+        assert [pt.shape for pt in points] == [(1,), (2, 1)]
+        assert all(s.t == t for s in states)
+        t += p.dt
+    assert n == p.n_steps
+    assert start[0].t == pytest.approx(p.t_end)
+    # the path is lazy: two items are the states as given and one step, and
+    # a second path goes on from the states' own time
     drawn_blocks.clear()
+    t_end = start[0].t
     path = lockstep(start, p, ackley(1), 3, 0)
     next(path)
     next(path)
     assert sorted(drawn_blocks) == [(3, 0, 0, 1)]
+    assert all(s.t == t_end + p.dt for s in start)
 
 
 @pytest.mark.parametrize("m, shape", [([[0.1, 0.2]], "(1, 2)"), ([], "(0,)")],
@@ -589,4 +596,20 @@ def test_lockstep_rejects_no_replicates_with_the_tapes_message(r, drawn_blocks):
         next(lockstep([start], p, ackley(1), 3, r))
     assert str(excinfo.value) == ("r must be a replicate or a nonempty range "
                                   "or tuple of them")
+    assert not drawn_blocks
+
+
+@pytest.mark.parametrize("r, bad", [(-1, -1), (range(-1, 1), -1), ((0, -2), -2),
+                                    (1.5, 1.5), ((0, 1.0), 1.0)],
+                         ids=["solo", "range", "tuple", "fraction", "float"])
+def test_lockstep_rejects_a_replicate_that_is_no_count_before_it_yields(
+        r, bad, drawn_blocks):
+    # max(r) + 1 bounds the tape's replicates only from above, so the first
+    # draw was the first to see a negative replicate, after step 0's item;
+    # a fractional one ran on the replicate the tape index truncated it to
+    p = plain_params(n_particles=5)
+    x0 = np.zeros((len(r), 5, 1) if isinstance(r, (range, tuple)) else (5, 1))
+    with pytest.raises(ValueError) as excinfo:
+        next(lockstep([initial_state("cbo", x0)], p, ackley(1), 3, r))
+    assert str(excinfo.value) == f"replicates must be integers >= 0, got r={bad}"
     assert not drawn_blocks

@@ -166,13 +166,33 @@ def test_costs_of_a_stack_equals_the_oracle_bit_for_bit(name, dim, shift):
 def test_fortran_ordered_batch_matches_the_oracle_up_to_the_nan_sign(name):
     # einsum adds a Fortran-ordered pair in its own operand order, so a row
     # of two NaNs may get the other NaN; every other value keeps its bits
-    obj, oracle = kernel_case(name, 2, "none")
-    x = np.asfortranarray(special_batch((1000, 2)))
-    with np.errstate(all="ignore"):
-        got, want = obj.eval(x), oracle(x)
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    kept = ~np.isnan(want)
-    assert np.array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
+    for dim, shift in [(d, s) for d in (1, 2) for s in ("none", "nonzero")]:
+        obj, oracle = kernel_case(name, dim, shift)
+        for n in (1, 9, 1000, 1003):
+            x = np.asfortranarray(special_batch((n, dim), seed=n))
+            with np.errstate(all="ignore"):
+                got, want = obj.eval(x), oracle(x)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            kept = ~np.isnan(want)
+            assert np.array_equal(got[kept].view(np.uint64),
+                                  want[kept].view(np.uint64))
+
+
+@pytest.mark.parametrize("name,dim,shift", [case for case in KERNEL_CASES
+                                            if case[1] <= 2])
+def test_strided_view_batch_equals_the_oracle_bit_for_bit(name, dim, shift):
+    # views whose columns or rows and columns are strided, and a reversed
+    # one: the whole-batch term and its column fold see the same values in
+    # any layout (row-strided views are in the test above)
+    obj, oracle = kernel_case(name, dim, shift)
+    for n in (1, 8, 9, 1000, 1003):
+        wide = special_batch((2 * n, 2 * dim), seed=n)
+        views = {"columns": wide[:n, ::2], "both": wide[1::2, 1::2],
+                 "reversed": wide[::-1, :dim]}
+        with np.errstate(all="ignore"):
+            for layout, x in views.items():
+                got, want = obj.eval(x), oracle(x)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), layout
 
 
 @pytest.mark.parametrize("factory", [ackley, sphere, rastrigin])
