@@ -57,7 +57,10 @@ def consensus_point(points, costs, alpha: float) -> np.ndarray:
     if vals.shape != pts.shape[:-1]:
         raise ValueError(f"costs must have shape {pts.shape[:-1]}, "
                          f"got {vals.shape}")
-    weights = np.exp(-alpha * (vals - vals.min(axis=-1, keepdims=True)))
+    # exp(-alpha (E - min E)), computed in one array
+    weights = np.subtract(vals, vals.min(axis=-1, keepdims=True))
+    weights *= -alpha
+    np.exp(weights, out=weights)
     rows = np.ascontiguousarray(pts.swapaxes(-1, -2))
     lo, hi = rows.min(axis=-1), rows.max(axis=-1)
     if np.count_nonzero(lo) + np.count_nonzero(hi) < 2 * lo.size:
@@ -68,7 +71,8 @@ def consensus_point(points, costs, alpha: float) -> np.ndarray:
     else:
         total = (weights[..., None] * pts).sum(axis=-2)
     avg = total / weights.sum(axis=-1)[..., None]
-    return np.clip(avg, lo, hi)
+    # the method np.clip calls, without its ~2 us dispatch wrapper
+    return avg.clip(lo, hi)
 
 
 def laplace_value(costs, alpha: float) -> float:

@@ -63,6 +63,7 @@ import numpy as np
 from .consensus import consensus_point, costs_of
 from .metrics import empirical_moments
 from .noise import NoiseTape, _replicate_rows
+from .objectives import _along_particles
 
 SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
 
@@ -242,9 +243,16 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     operation reads an entry of them after writing it.  By default every
     operation allocates its result, so a state may also broadcast up against
     a larger tape block.
+
+    The two broadcasts, of the consensus point over the particles
+    (``Xa - X``) and of the local bests' tanh weight over the coordinates,
+    run along the particle axis (``_along_particles``): d inner loops of
+    length N, not N of length d, with the same elementwise bits.
     """
     sqrt_dt = sqrt(p.dt)
-    to_global = np.subtract(cons.point[..., None, :], state.x, out=out.to_global)
+    to_global = _along_particles(
+        np.subtract, cons.point[..., None, :], state.x,
+        np.empty_like(state.x) if out.to_global is None else out.to_global)
     if state.y is None:
         terms = [(p.lam * p.dt, to_global, None),
                  (p.sigma * sqrt_dt, to_global, theta[0])]
@@ -278,7 +286,8 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
         gap = costs_of(x_new, obj) - cons.costs
         pull = np.multiply(mem.nu * p.dt,
                            np.subtract(x_new, state.y, out=out.term), out=out.term)
-        pull = np.multiply(pull, np.tanh(mem.beta * gap)[..., None], out=out.term)
+        pull = _along_particles(np.multiply, pull,
+                                np.tanh(mem.beta * gap)[..., None], pull)
         y_new = np.add(state.y, pull, out=out.y)
     return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
 

@@ -117,6 +117,10 @@ class NoiseTape:
                              "indices")
 
     def _check(self, name: str, value: int, bound: int, base: int = 0) -> None:
+        # the uint64 index would truncate a fractional index to another one
+        if not isinstance(value, (int, np.integer)):
+            raise IndexError(f"noise tape layout violation: {name}={value} "
+                             "is not an integer")
         if not base <= value < base + bound:
             raise IndexError(
                 f"noise tape layout violation: {name}={value} outside "
@@ -158,15 +162,19 @@ class NoiseTape:
         self._check("n", n, self.steps)
         self._check("ch", ch, self.channels, base=1)
         cached = self._step0_keys.get(ch)
-        if cached is None or cached[0] != r:
+        # keyed on the rows, not on r: a NumPy scalar r would compare with a
+        # tuple elementwise
+        if cached is None or cached[0] != (rows, stacked):
             rr = np.array(rows, dtype=np.uint64)[:, None, None] if stacked else r
             i = np.arange(self.particles, dtype=np.uint64)[:, None]
             k = np.arange(self.dim, dtype=np.uint64)[None, :]
             idx = self._linear_index(rr, i, 0, k, ch - 1)
-            cached = self._step0_keys[ch] = (r, _keys(np.uint64(self.seed), idx))
+            cached = self._step0_keys[ch] = ((rows, stacked),
+                                             _keys(np.uint64(self.seed), idx))
         # idx(n) = idx(0) + n * dim * channels, so each key moves by that
-        # many GOLDEN steps, mod 2**64 as in the key itself
-        shift = n * self.dim * self.channels * int(_GOLDEN) & _U64_MASK
+        # many GOLDEN steps, mod 2**64 as in the key itself (in Python ints,
+        # which a NumPy integer step would overflow)
+        shift = int(n) * self.dim * self.channels * int(_GOLDEN) & _U64_MASK
         return _standard_normals(cached[1] + np.uint64(shift))
 
 

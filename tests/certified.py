@@ -10,16 +10,18 @@ half-width 3, which matches the uniform initialization range of the
 experiments.  Every shipped cost has its exact minimum 0 at the minimizer, so
 its bound gap is its upper envelope.
 
-It also keeps three kinds of oracle that library code must equal bit for
-bit: ``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL,
-``consensus_oracle``, the strided-sum form of the consensus point, and
-``KERNEL_ORACLES``, the textbook NumPy forms of the three benchmark costs.
+It also keeps the oracles that library code must equal bit for bit:
+``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL,
+``consensus_oracle``, the strided-sum form of the consensus point,
+``KERNEL_ORACLES``, the textbook NumPy forms of the three benchmark costs,
+and ``step_oracle``, the broadcast form of one step.
 """
 
 import math
 
 import numpy as np
 
+from swarmlimit.consensus import costs_of
 from swarmlimit.metrics import KL_SMOOTHING
 
 BOX_HALF_WIDTH = 3.0
@@ -146,3 +148,40 @@ KERNEL_ORACLES = {
     "sphere": sphere_oracle,
     "rastrigin": rastrigin_oracle,
 }
+
+
+def step_oracle(state, p, obj, theta, cons):
+    """The new ``(x, v, y)`` of ``step(state, p, obj, theta, cons)`` in the
+    broadcast form, every operation allocating its result: ``Xa - X``
+    broadcasts each consensus point over the rows of its cloud, and the
+    local bests' tanh weight over the coordinates of each particle."""
+    sqrt_dt = math.sqrt(p.dt)
+    to_global = cons.point[..., None, :] - state.x
+    if state.y is None:
+        terms = [(p.lam * p.dt, to_global, None),
+                 (p.sigma * sqrt_dt, to_global, theta[0])]
+    else:
+        mem = p.memory
+        to_local = state.y - state.x
+        terms = [(mem.lam1 * p.dt, to_local, None),
+                 (mem.lam2 * p.dt, to_global, None),
+                 (mem.sigma1 * sqrt_dt, to_local, theta[0]),
+                 (mem.sigma2 * sqrt_dt, to_global, theta[1])]
+    if state.v is None:
+        denom, acc = 1.0, state.x
+    else:
+        denom = state.m + (1.0 - state.m) * p.dt
+        acc = (state.m / denom) * state.v
+    for coef, vec, noise in terms:
+        term = (coef / denom) * vec
+        if noise is not None:
+            term = term * noise
+        acc = acc + term
+    x_new, v_new = (acc, None) if state.v is None else (state.x + p.dt * acc, acc)
+    y_new = None
+    if state.y is not None:
+        gap = costs_of(x_new, obj) - cons.costs
+        pull = (mem.nu * p.dt) * (x_new - state.y)
+        y_new = state.y + pull * np.tanh(mem.beta * gap)[..., None]
+    return x_new, v_new, y_new
+

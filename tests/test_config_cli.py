@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swarmlimit.cli as cli
@@ -15,6 +16,31 @@ from swarmlimit.config import (
 )
 
 DATA = Path(__file__).parent / "data"
+# a NumPy build and SIMD dispatch under which every golden file holds
+GOLDEN_BUILD = ("numpy 2.4.6 with SIMD targets "
+                "X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def simd_targets() -> list[str]:
+    """The SIMD targets this NumPy runs with: its baseline, then the
+    dispatched targets this machine and ``NPY_DISABLE_CPU_FEATURES`` leave
+    enabled."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [*umath.__cpu_baseline__,
+            *(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))]
+
+
+def assert_matches_golden(out: Path, golden: str) -> None:
+    """The bytes at ``out`` equal the golden file's, naming the NumPy build
+    and SIMD targets on failure: the goldens hold the bits of one NumPy
+    build and dispatch, and ``np.exp`` and ``np.log`` round differently
+    under another."""
+    assert out.read_bytes() == (DATA / golden).read_bytes(), (
+        f"{golden} differs under numpy {np.__version__} with SIMD targets "
+        f"{' '.join(simd_targets())}; the goldens hold under {GOLDEN_BUILD}")
 
 BASE_CFG = """\
 scheme = pso
@@ -197,8 +223,7 @@ def test_cli_compare_matches_golden_file(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--config", cfg, "--m-ladder", "0.8,0.1",
                  "--snapshot-times", "0,0.05,0.1", "--out", str(out)]) == 0
-    golden = (DATA / "compare_golden.csv").read_bytes()
-    assert out.read_bytes() == golden
+    assert_matches_golden(out, "compare_golden.csv")
 
 
 MEMORY_CFG = BASE_CFG.replace("scheme = pso", "scheme = pso_mem") + (
@@ -215,7 +240,7 @@ def test_cli_memory_outputs_match_golden_files(tmp_path, argv, golden):
     cfg = write_cfg(tmp_path, MEMORY_CFG)
     out = tmp_path / "o.csv"
     assert main([argv[0], "--config", cfg, *argv[1:], "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert_matches_golden(out, golden)
 
 
 def test_cli_single_replicate_study_names_gap_and_estimator(tmp_path):
@@ -274,7 +299,7 @@ def test_cli_laplace_check_matches_golden_file(tmp_path, dim, golden):
     cfg = write_cfg(tmp_path, BASE_CFG.replace("dim = 1", f"dim = {dim}"))
     out = tmp_path / "lap.csv"
     assert main(["laplace-check", "--config", cfg, "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert_matches_golden(out, golden)
 
 
 def test_cli_out_path_from_config(tmp_path):

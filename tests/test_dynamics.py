@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,9 @@ from swarmlimit import (
     step,
 )
 
+from swarmlimit.dynamics import _Buffers
+
+from certified import step_oracle
 from conftest import blocks, linear_cost
 
 # hand evaluation of the semi-implicit update for particles {0, 1}, V = 0,
@@ -613,3 +617,96 @@ def test_lockstep_rejects_a_replicate_that_is_no_count_before_it_yields(
         next(lockstep([initial_state("cbo", x0)], p, ackley(1), 3, r))
     assert str(excinfo.value) == f"replicates must be integers >= 0, got r={bad}"
     assert not drawn_blocks
+
+
+def _oracle_case(scheme, dim, stacked, order):
+    """Params, a state off rest in the given memory order and its tape.
+
+    A stacked pso state is a rung-major ``(2, 3, N, dim)`` ladder over three
+    replicates, a stacked cbo state ``(3, N, dim)``."""
+    mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
+                       beta=30.0)
+    p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=9, dim=dim,
+                     t_end=0.02, memory=mem if scheme.endswith("_mem") else None)
+    x0 = np.stack([initial_positions([5, r], 9, dim) for r in range(3)])
+    state = initial_state(scheme, x0 if stacked else x0[0],
+                          (0.2, 0.05) if stacked else 0.2)
+    rng = np.random.default_rng(dim)
+    for name in ("x", "v", "y"):
+        arr = getattr(state, name)
+        if arr is not None:
+            if name != "x":
+                arr = arr + rng.normal(0.0, 0.3, arr.shape)
+            setattr(state, name, np.asarray(arr, order=order))
+    return p, state, NoiseTape(5, 3, 9, p.n_steps, dim, 2 if p.memory else 1)
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
+def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, order):
+    # step iterates its broadcasts along the particle axis; the oracle is
+    # the plain broadcast form.  Both the allocating call and the in-place
+    # call on lockstep-style scratch (C-ordered views of one flat buffer)
+    # must give its bits, in any memory order of the state
+    p, state, tape = _oracle_case(scheme, dim, stacked, order)
+    obj = ackley(dim)
+    r = range(3) if stacked else 1
+    for n in range(2):
+        theta = blocks(tape, n, r)
+        cons = consensus_of(state, p, obj)
+        want = step_oracle(state, p, obj, theta, cons)
+        new = step(state, p, obj, theta, cons, _Buffers())
+        scratch = np.empty((3, state.x.size))
+        bufs = _Buffers(state.x, state.v, state.y,
+                        *(flat.reshape(state.x.shape) for flat in scratch))
+        stepped = step(state, p, obj, theta, cons, bufs)
+        for name, oracle in zip(("x", "v", "y"), want):
+            if oracle is None:
+                assert getattr(new, name) is None
+                continue
+            _assert_bits(getattr(new, name), oracle)
+            # the in-place step wrote the state's own arrays
+            assert getattr(stepped, name) is getattr(state, name)
+            _assert_bits(getattr(stepped, name), oracle)
+        state = stepped
+
+
+@pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
+def test_allocating_step_of_a_solo_state_broadcasts_up_against_a_stacked_block(
+        scheme):
+    # a solo (N, d) state on an (R, N, d) block steps into R swarms
+    p, state, tape = _oracle_case(scheme, 2, False, "C")
+    obj = ackley(2)
+    theta = blocks(tape, 0, range(3))
+    cons = consensus_of(state, p, obj)
+    out = step(state, p, obj, theta, cons)
+    for name, oracle in zip(("x", "v", "y"), step_oracle(state, p, obj, theta, cons)):
+        if oracle is not None:
+            assert oracle.shape == (3, 9, 2)
+            _assert_bits(getattr(out, name), oracle)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
+    # the post-step check reads x and y only: x' = x + dt v' is non-finite
+    # wherever v' is, and x comes first, so the error is the one a check of
+    # v would have raised after it
+    p = plain_params(sigma=1e200, lam=1.0, alpha=0.0, n_particles=4, t_end=0.05)
+    x0 = np.array([[0.0], [0.5], [1.5], [3.0]])
+    with pytest.raises(NonFiniteStateError, match=re.escape(
+            "non-finite state after step 1: x[0, 0] is inf")):
+        run("pso", p, linear_cost(), 1, x0)
+    ladder = initial_state("pso", np.stack([x0, x0[::-1].copy()]), (0.5, 0.1))
+    with pytest.raises(NonFiniteStateError, match=re.escape(
+            "non-finite state after step 1: x[0, 0, 0, 0] is inf")) as excinfo:
+        for _ in lockstep([ladder], p, linear_cost(), 1, range(2)):
+            pass
+    assert (excinfo.value.step, excinfo.value.array) == (1, "x")
+    assert not np.all(np.isfinite(ladder.v))

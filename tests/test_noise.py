@@ -1,9 +1,12 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from swarmlimit import NoiseTape, initial_positions
+from swarmlimit.noise import _keys, _mix64
 
 
 def test_theta_repeatable():
@@ -195,3 +198,64 @@ def test_a_tape_that_has_drawn_blocks_equals_a_fresh_one():
     assert hash(used) == hash(fresh) == before
     assert repr(used) == repr(fresh)
     assert len({(used, 0, 3, 1), (fresh, 0, 3, 1)}) == 1
+
+
+def _block_keys(tape, r, n, ch):
+    """The hash keys of the block ``theta_block(r, n, ch)`` of a solo ``r``."""
+    i = np.arange(tape.particles, dtype=np.uint64)[:, None]
+    k = np.arange(tape.dim, dtype=np.uint64)[None, :]
+    return _keys(np.uint64(tape.seed), tape._linear_index(r, i, n, k, ch - 1))
+
+
+def test_uniforms_of_one_block_have_pinned_bits():
+    # splitmix64, the shift, the exact int-to-float conversion and one
+    # rounded sum and product: IEEE arithmetic with no libm call, so these
+    # bits do not depend on the build, unlike the ndtri that follows
+    tape = NoiseTape(42, 2, 1000, 500, 2, 2)
+    h = _mix64(_block_keys(tape, 1, 7, 2)) >> np.uint64(11)
+    u = (h.astype(np.float64) + 0.5) * 2.0**-53
+    assert hashlib.sha256(u.astype("<f8").tobytes()).hexdigest() == (
+        "d6d5a5913e13f4b67f8ec9c677e636fdd7b48d5315713a6ee44828a31063cdf4")
+    assert np.array_equal(ndtri(u), tape.theta_block(1, 7, 2))
+
+
+THETA_INDEX = {"r": 0, "i": 1, "n": 2, "k": 3, "ch": 4}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(1.0)],
+                         ids=["fraction", "float", "numpy-float"])
+@pytest.mark.parametrize("name", sorted(THETA_INDEX))
+def test_theta_rejects_an_index_that_is_not_an_integer(name, value):
+    # the uint64 index would truncate 1.5 to 1 and draw another index's
+    # variate
+    tape = NoiseTape(0, 3, 4, 5, 2, 2)
+    index = [1, 1, 1, 1, 1]
+    index[THETA_INDEX[name]] = value
+    with pytest.raises(IndexError, match=re.escape(
+            f"noise tape layout violation: {name}={value} is not an integer")):
+        tape.theta(*index)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(1.0)],
+                         ids=["fraction", "float", "numpy-float"])
+@pytest.mark.parametrize("name", ["r", "r in a tuple", "n", "ch"])
+def test_theta_block_rejects_an_index_that_is_not_an_integer(name, value):
+    # checked before any draw: the cached step-0 keys stay unbuilt
+    tape = NoiseTape(0, 3, 4, 5, 2, 2)
+    args = {"r": (value, 1, 1), "r in a tuple": ((0, value), 1, 1),
+            "n": (1, value, 1), "ch": (1, 1, value)}[name]
+    with pytest.raises(IndexError, match=re.escape(
+            f"noise tape layout violation: {name.split()[0]}={value} "
+            "is not an integer")):
+        tape.theta_block(*args)
+    assert not tape._step0_keys
+
+
+def test_numpy_integer_indices_draw_the_int_variates():
+    tape = NoiseTape(0, 3, 4, 5, 2, 2)
+    i64 = [np.int64(v) for v in (2, 3, 4, 1, 2)]
+    assert tape.theta(*i64) == tape.theta(2, 3, 4, 1, 2)
+    block = tape.theta_block(np.uint32(2), np.int64(4), np.int8(2))
+    assert np.array_equal(block, tape.theta_block(2, 4, 2))
+    assert np.array_equal(tape.theta_block((np.int64(0), 2), 4, 2),
+                          tape.theta_block((0, 2), 4, 2))
