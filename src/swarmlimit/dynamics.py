@@ -22,6 +22,8 @@ at the discrete level.  ``step`` is written in that form: the first-order
 update is the second-order one with the denominator 1 and the positions in
 place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
+``step`` advances the state it is given, its arrays in place and its time
+with them, and allocates its temporaries once per call.
 
 A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
 replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
@@ -45,11 +47,10 @@ block once per step (one ``(R, N, d)`` block for all R replicates) and
 handing the same array to every slice of every state, and yields the coupled
 path one time point at a time.  It builds the tape itself, from the seed,
 the replicates, ``Params`` and the channels the states draw, so the layout a
-run draws from is decided in one place.  It advances the states passed in,
-their arrays in place and their time with them, with scratch arrays (and
-the finiteness mask) shared by all states, so no state-sized array is
-allocated per step.  A caller reads the path in a ``for`` loop; ``run`` is
-that loop over a single unstacked state, recording every step.
+run draws from is decided in one place.  It steps the states passed in
+themselves, so a state's arrays are the same objects on every item.  A
+caller reads the path in a ``for`` loop; ``run`` is that loop over a single
+unstacked state, recording every step.
 """
 
 from __future__ import annotations
@@ -170,7 +171,16 @@ class SwarmState:
     m: float | np.ndarray | None = None
 
     def check_finite(self, step: int) -> None:
-        _check_finite(self, step, None)
+        """Raise ``NonFiniteStateError`` at the first non-finite entry of
+        ``x``, ``v`` or ``y``, in this order, naming ``step``."""
+        for name in ("x", "v", "y"):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            mask = np.isfinite(arr)
+            if not mask.all():
+                index = tuple(int(i) for i in np.argwhere(~mask)[0])
+                raise NonFiniteStateError(step, name, index, arr[index])
 
     @property
     def mean_speed(self):
@@ -178,20 +188,6 @@ class SwarmState:
         if self.v is None:
             return 0.0
         return np.linalg.norm(self.v, axis=-1).mean(axis=-1)
-
-
-def _check_finite(state: SwarmState, step: int, finite) -> None:
-    """Raise ``NonFiniteStateError`` at the first non-finite entry of the
-    state's ``x``, ``v`` or ``y``.  ``finite`` is a boolean array of their
-    shape that takes each array's mask, or ``None`` to allocate the masks."""
-    for name in ("x", "v", "y"):
-        arr = getattr(state, name)
-        if arr is None:
-            continue
-        mask = np.isfinite(arr, out=finite)
-        if not mask.all():
-            index = tuple(int(i) for i in np.argwhere(~mask)[0])
-            raise NonFiniteStateError(step, name, index, arr[index])
 
 
 class Consensus(NamedTuple):
@@ -211,48 +207,43 @@ def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
     return Consensus(consensus_point(cloud, costs, p.alpha), costs)
 
 
-class _Buffers(NamedTuple):
-    """The arrays a step writes into: the new state's ``x``, ``v`` and ``y``,
-    which may be the state's own, and scratch for the vectors to the global
-    and local consensus and for one update term; ``None`` allocates a fresh
-    array."""
-
-    x: np.ndarray | None = None
-    v: np.ndarray | None = None
-    y: np.ndarray | None = None
-    to_global: np.ndarray | None = None
-    to_local: np.ndarray | None = None
-    term: np.ndarray | None = None
-
-
 def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-         cons: Consensus, out: _Buffers = _Buffers()) -> SwarmState:
-    """One step of the scheme the state's arrays select.
+         cons: Consensus) -> SwarmState:
+    """Advance ``state`` by one step of the scheme its arrays select, in
+    place, and return it.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
     or ``(R, N, d)`` for a state with a replicate axis, shared by every rung.
     Velocities select the semi-implicit second-order update with the state's
     inertia and local bests the memory variant.  ``cons`` is the pre-step
-    ``consensus_of(state, p, obj)``.  The
-    update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left to
-    right: first order starts ``acc`` from ``X`` with ``denom = 1`` and
-    returns ``X' = acc``; second order starts it from ``(m / denom) V`` and
-    returns ``V' = acc``, ``X' = X + dt V'``.  ``out`` holds the arrays
-    ``lockstep`` has the step write, of the new state's shape: the state's
-    own ``x``, ``v`` and ``y``, which the step then advances in place, as no
-    operation reads an entry of them after writing it.  By default every
-    operation allocates its result, so a state may also broadcast up against
-    a larger tape block.
+    ``consensus_of(state, p, obj)``.  The update is ``acc + sum_j (c_j /
+    denom) vec_j [theta_j]``, summed left to right: first order accumulates
+    into ``X`` with ``denom = 1``, so ``X' = acc``; second order starts
+    ``acc`` from ``(m / denom) V`` in ``V``, so ``V' = acc`` and ``X' = X + dt
+    V'``.  The state's ``x``, ``v`` and ``y`` are written in place, as no
+    operation reads an entry of them after writing it, and ``t`` advances by
+    ``dt``; a caller that wants the pre-step state copies it.  The arrays
+    must not share memory with each other, which ``lockstep`` checks and
+    ``step`` does not.  A tape block that does not broadcast to the
+    positions' shape is a ``ValueError`` naming both shapes, raised before
+    anything is written.
 
     The two broadcasts, of the consensus point over the particles
     (``Xa - X``) and of the local bests' tanh weight over the coordinates,
     run along the particle axis (``_along_particles``): d inner loops of
     length N, not N of length d, with the same elementwise bits.
     """
+    shape = state.x.shape
+    for block in theta:
+        # the trailing axes of the state, as lockstep hands it, pass at once
+        if block.shape != shape[len(shape) - block.ndim:] and (
+                block.ndim > len(shape) or any(
+                    b not in (1, n) for b, n in zip(block.shape[::-1], shape[::-1]))):
+            raise ValueError(f"tape block of shape {block.shape} does not "
+                             f"broadcast to the state's shape {shape}")
     sqrt_dt = sqrt(p.dt)
-    to_global = _along_particles(
-        np.subtract, cons.point[..., None, :], state.x,
-        np.empty_like(state.x) if out.to_global is None else out.to_global)
+    to_global = _along_particles(np.subtract, cons.point[..., None, :], state.x,
+                                 np.empty_like(state.x))
     if state.y is None:
         terms = [(p.lam * p.dt, to_global, None),
                  (p.sigma * sqrt_dt, to_global, theta[0])]
@@ -260,36 +251,33 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
         mem = p.memory
         if mem is None:
             raise ValueError("a state with local bests needs memory params")
-        to_local = np.subtract(state.y, state.x, out=out.to_local)
+        to_local = state.y - state.x
         terms = [(mem.lam1 * p.dt, to_local, None),
                  (mem.lam2 * p.dt, to_global, None),
                  (mem.sigma1 * sqrt_dt, to_local, theta[0]),
                  (mem.sigma2 * sqrt_dt, to_global, theta[1])]
     if state.v is None:
-        denom, acc, acc_out = 1.0, state.x, out.x
+        denom, acc = 1.0, state.x
     else:
         denom = state.m + (1.0 - state.m) * p.dt
-        acc, acc_out = np.multiply(state.m / denom, state.v, out=out.v), out.v
+        acc = np.multiply(state.m / denom, state.v, out=state.v)
+    term = np.empty_like(state.x)
     for coef, vec, noise in terms:
-        term = np.multiply(coef / denom, vec, out=out.term)
+        np.multiply(coef / denom, vec, out=term)
         if noise is not None:
-            term = np.multiply(term, noise, out=out.term)
-        acc = np.add(acc, term, out=acc_out)
-    if state.v is None:
-        x_new, v_new = acc, None
-    else:
-        term = np.multiply(p.dt, acc, out=out.term)
-        x_new, v_new = np.add(state.x, term, out=out.x), acc
-    y_new = None
+            np.multiply(term, noise, out=term)
+        np.add(acc, term, out=acc)
+    if state.v is not None:
+        np.add(state.x, np.multiply(p.dt, acc, out=term), out=state.x)
     if state.y is not None:
         # local bests relax toward the new positions, weighted by the cost gap
-        gap = costs_of(x_new, obj) - cons.costs
+        gap = costs_of(state.x, obj) - cons.costs
         pull = np.multiply(mem.nu * p.dt,
-                           np.subtract(x_new, state.y, out=out.term), out=out.term)
-        pull = _along_particles(np.multiply, pull,
-                                np.tanh(mem.beta * gap)[..., None], pull)
-        y_new = np.add(state.y, pull, out=out.y)
-    return SwarmState(t=state.t + p.dt, x=x_new, v=v_new, y=y_new, m=state.m)
+                           np.subtract(state.x, state.y, out=term), out=term)
+        _along_particles(np.multiply, pull, np.tanh(mem.beta * gap)[..., None], pull)
+        np.add(state.y, pull, out=state.y)
+    state.t += p.dt
+    return state
 
 
 # ``lockstep`` looks the step up here once per pass, so a tracer can wrap it
@@ -361,14 +349,14 @@ def lockstep(states, p: Params, obj, seed: int, r):
     consensus points the next step uses.  Non-finite states abort with the
     offending step index.
 
-    ``lockstep`` advances the states passed in: their arrays in place and
-    their time ``t`` by ``dt`` a step, so a state's time always matches its
-    arrays.  A yielded state changes at the next step, and a caller copies
-    whatever it wants to keep.  Before any draw, a replicate that is not an
-    integer >= 0 is a ``ValueError`` naming it, and so is a state it cannot
-    step in place, naming the state and the array: one that is not a float64
-    array, is read-only, or may share memory with another array of the
-    states.
+    ``lockstep`` advances the states passed in with ``step``: their arrays
+    in place and their time ``t`` by ``dt`` a step, so a state's time always
+    matches its arrays.  A yielded state changes at the next step, and a
+    caller copies whatever it wants to keep.  Before any draw, a replicate
+    that is not an integer >= 0 is a ``ValueError`` naming it, and so is a
+    state it cannot step in place, naming the state and the array: one that
+    is not a float64 array, is read-only, or may share memory with another
+    array of the states.
     """
     rows, stacked = _replicate_rows(r)
     for value in rows:
@@ -395,24 +383,13 @@ def lockstep(states, p: Params, obj, seed: int, r):
             if np.may_share_memory(a, b):
                 raise ValueError(f"cannot step {name} in place: may share memory with {other}")
     stepper = _STEPPERS["step"]
-    size = max((s.x.size for s in states), default=0)
-    scratch = {name: np.empty(size) for name in (
-        "to_global", "term", *(("to_local",) if channels == 2 else ()))}
-    # each state's own arrays, and views of the scratch shaped like them
-    bufs = [_Buffers(s.x, s.v, s.y, **{name: flat[:s.x.size].reshape(s.x.shape)
-                                       for name, flat in scratch.items()})
-            for s in states]
-    masks = np.empty(size, dtype=bool)
-    finite = [masks[:s.x.size].reshape(s.x.shape) for s in states]
-
     cons = [consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
-        for s, c, b, f in zip(states, cons, bufs, finite):
-            # the step writes the new arrays into the state's own
-            s.t = stepper(s, p, obj, theta, c, b).t
-            _check_finite(s, n, f)
+        for s, c in zip(states, cons):
+            stepper(s, p, obj, theta, c)
+            s.check_finite(n)
         cons = [consensus_of(s, p, obj) for s in states]
         yield n + 1, states, [c.point for c in cons]
 

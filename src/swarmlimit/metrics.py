@@ -166,7 +166,10 @@ def w2_and_kl(a, b, bins: int):
 
 
 def empirical_moments(a) -> tuple[float, float]:
-    """(mean |x|^2, mean |x|^4) of an ``(n, dim)`` cloud."""
+    """(mean |x|^2, mean |x|^4) of one ``(n,)`` or ``(n, dim)`` cloud."""
+    if np.ndim(a) not in (1, 2):
+        raise ValueError("empirical_moments takes one (n,) or (n, dim) cloud, "
+                         f"got shape {np.shape(a)}")
     x, _ = _pair(a, a, flat=False)
     sq = np.einsum("ij,ij->i", x, x)
     return float(np.mean(sq)), float(np.mean(sq * sq))

@@ -63,11 +63,13 @@ def _replicate_rows(r) -> tuple[tuple, bool]:
 def _standard_normals(keys: np.ndarray) -> np.ndarray:
     """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF."""
     h = _mix64(keys)
-    # 53-bit uniform shifted into (0,1) so ndtri never sees 0 or 1
+    # 53-bit uniform shifted into (0,1) so ndtri never sees 0 or 1; the top
+    # value's 2**53 - 0.5 rounds up to 2**53, so it is clamped back below 1
     h >>= np.uint64(11)
     u = h.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
 
 

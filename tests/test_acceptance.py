@@ -237,8 +237,10 @@ def test_criterion_6_scheme_oracles():
                 n_particles=1, dim=1,
                 memory=MemoryParams(lam1=1.0, lam2=0.0, sigma1=0.0,
                                     sigma2=0.0, nu=0.5, beta=30.0))
+    tape = NoiseTape(0, 1, 1, pm.n_steps, 1, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
     out = step(state, pm, obj, blocks(tape, 0), consensus_of(state, pm, obj))
+    assert out.x.shape == out.y.shape == (1, 1)
     x_exp = mp.mpf("0.01")
     y_exp = 1 + mp.mpf("0.005") * (x_exp - 1) * mp.tanh(30 * (x_exp - 1))
     worst = max(worst, abs(out.x[0, 0] - float(x_exp)) / abs(float(x_exp)))

@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import replace
 
@@ -19,8 +20,6 @@ from swarmlimit import (
     run,
     step,
 )
-
-from swarmlimit.dynamics import _Buffers
 
 from certified import step_oracle
 from conftest import blocks, linear_cost
@@ -157,13 +156,14 @@ def test_cbo_null_dynamics_is_identity():
 
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
-    state = initial_state("pso_mem", np.array([[0.2], [0.8]]), p.m)
+    x0 = np.array([[0.2], [0.8]])
+    state = initial_state("pso_mem", x0, p.m)
     obj = linear_cost()
     out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
                consensus_of(state, p, obj))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
-    assert np.array_equal(out.y, state.y)
-    assert np.array_equal(out.x, state.x)
+    assert np.array_equal(out.y, x0)
+    assert np.array_equal(out.x, x0)
 
 
 def test_memory_nu_zero_freezes_local_bests():
@@ -533,9 +533,9 @@ def test_initial_state_rejects_an_inertia_params_rejects(m, stacked):
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
 @pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
 def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
-    # six steps of lockstep against six allocating step calls on a copy of
-    # the start state and the same tape blocks; stacked is (K, R, N, d) for
-    # pso, (R, N, d) for cbo
+    # six steps of lockstep against six step calls on a copy of the start
+    # state and the same tape blocks; stacked is (K, R, N, d) for pso,
+    # (R, N, d) for cbo
     mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
                        beta=30.0)
     p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=7, dim=2,
@@ -652,9 +652,9 @@ def _assert_bits(got, want):
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
 def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, order):
     # step iterates its broadcasts along the particle axis; the oracle is
-    # the plain broadcast form.  Both the allocating call and the in-place
-    # call on lockstep-style scratch (C-ordered views of one flat buffer)
-    # must give its bits, in any memory order of the state
+    # the plain broadcast form, every operation allocating.  step advances
+    # the state it is given, its own arrays and its time, returns it, and
+    # gives the oracle's bits in any memory order of the state
     p, state, tape = _oracle_case(scheme, dim, stacked, order)
     obj = ackley(dim)
     r = range(3) if stacked else 1
@@ -662,42 +662,48 @@ def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, orde
         theta = blocks(tape, n, r)
         cons = consensus_of(state, p, obj)
         want = step_oracle(state, p, obj, theta, cons)
-        new = step(state, p, obj, theta, cons, _Buffers())
-        scratch = np.empty((3, state.x.size))
-        bufs = _Buffers(state.x, state.v, state.y,
-                        *(flat.reshape(state.x.shape) for flat in scratch))
-        stepped = step(state, p, obj, theta, cons, bufs)
+        given = copy.deepcopy(state)
+        arrays = {name: getattr(given, name) for name in ("x", "v", "y")}
+        stepped = step(given, p, obj, theta, cons)
+        assert stepped is given
+        assert stepped.t == state.t + p.dt
         for name, oracle in zip(("x", "v", "y"), want):
-            if oracle is None:
-                assert getattr(new, name) is None
-                continue
-            _assert_bits(getattr(new, name), oracle)
-            # the in-place step wrote the state's own arrays
-            assert getattr(stepped, name) is getattr(state, name)
-            _assert_bits(getattr(stepped, name), oracle)
+            assert getattr(stepped, name) is arrays[name]
+            if oracle is not None:
+                _assert_bits(getattr(stepped, name), oracle)
         state = stepped
 
 
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
-def test_allocating_step_of_a_solo_state_broadcasts_up_against_a_stacked_block(
-        scheme):
-    # a solo (N, d) state on an (R, N, d) block steps into R swarms
-    p, state, tape = _oracle_case(scheme, 2, False, "C")
+@pytest.mark.parametrize("stacked, r", [(False, range(3)), (True, range(2))],
+                         ids=["solo-on-stacked", "replicate-count"])
+def test_step_rejects_a_tape_block_that_does_not_broadcast_before_writing(
+        scheme, stacked, r):
+    # in place, a solo state cannot grow into a stack, and a stack on three
+    # replicates takes no block of two; the check precedes the first write,
+    # so no array of the state is half stepped
+    p, state, tape = _oracle_case(scheme, 2, stacked, "C")
     obj = ackley(2)
-    theta = blocks(tape, 0, range(3))
+    theta = blocks(tape, 0, r)
     cons = consensus_of(state, p, obj)
-    out = step(state, p, obj, theta, cons)
-    for name, oracle in zip(("x", "v", "y"), step_oracle(state, p, obj, theta, cons)):
-        if oracle is not None:
-            assert oracle.shape == (3, 9, 2)
-            _assert_bits(getattr(out, name), oracle)
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError) as excinfo:
+        step(state, p, obj, theta, cons)
+    assert str(excinfo.value) == (
+        f"tape block of shape {theta[0].shape} does not broadcast to the "
+        f"state's shape {state.x.shape}")
+    assert state.t == before.t
+    for name in ("x", "v", "y"):
+        if getattr(before, name) is None:
+            assert getattr(state, name) is None
+        else:
+            _assert_bits(getattr(state, name), getattr(before, name))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
-    # the post-step check reads x and y only: x' = x + dt v' is non-finite
-    # wherever v' is, and x comes first, so the error is the one a check of
-    # v would have raised after it
+    # the post-step check reads x, v and y in this order: x' = x + dt v' is
+    # non-finite wherever v' is, so the first non-finite entry named is x's
     p = plain_params(sigma=1e200, lam=1.0, alpha=0.0, n_particles=4, t_end=0.05)
     x0 = np.array([[0.0], [0.5], [1.5], [3.0]])
     with pytest.raises(NonFiniteStateError, match=re.escape(

@@ -114,6 +114,16 @@ def test_moments_examples():
     assert empirical_moments(np.zeros((1, 1))) == (0.0, 0.0)
     assert empirical_moments(np.array([[1.0], [-1.0]])) == (1.0, 1.0)
     assert empirical_moments(np.array([[1.0, 1.0]])) == (2.0, 4.0)
+    assert empirical_moments(np.array([1.0, -1.0])) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 1), (1, 2, 3, 1)],
+                         ids=["scalar", "batch", "stack"])
+def test_moments_reject_anything_but_one_cloud_naming_the_shape(shape):
+    with pytest.raises(ValueError) as excinfo:
+        empirical_moments(np.zeros(shape))
+    assert str(excinfo.value) == ("empirical_moments takes one (n,) or (n, dim) "
+                                  f"cloud, got shape {shape}")
 
 
 def test_default_bins():

@@ -219,6 +219,18 @@ def test_uniforms_of_one_block_have_pinned_bits():
     assert np.array_equal(ndtri(u), tape.theta_block(1, 7, 2))
 
 
+def test_the_largest_hash_draws_a_finite_variate():
+    # this key hashes to 2**53 - 1 after the shift, whose uniform
+    # (2**53 - 0.5) 2**-53 rounds to 1.0; it is clamped to the largest
+    # double below 1 instead of drawing ndtri(1) = +inf
+    tape = NoiseTape(3558559446808474027, 1, 1, 1, 1)
+    assert _mix64(_block_keys(tape, 0, 0, 1)) >> np.uint64(11) == 2**53 - 1
+    top = ndtri(1.0 - 2.0**-53)
+    assert 8.2 < top < 8.21
+    assert tape.theta(0, 0, 0, 0) == top
+    assert np.array_equal(tape.theta_block(0, 0), [[top]])
+
+
 THETA_INDEX = {"r": 0, "i": 1, "n": 2, "k": 3, "ch": 4}
 
 
