@@ -9,11 +9,9 @@ from .dynamics import (
     Params,
     RunRecord,
     SwarmState,
-    consensus_of,
     initial_state,
     lockstep,
     run,
-    step,
 )
 from .experiments import (
     CompareTable,
@@ -60,7 +58,6 @@ __all__ = [
     "ackley",
     "compare_distributions",
     "compare_ladder",
-    "consensus_of",
     "consensus_point",
     "costs_of",
     "default_bins",
@@ -77,7 +74,6 @@ __all__ = [
     "rastrigin",
     "run",
     "sphere",
-    "step",
     "w2_and_kl",
     "wasserstein2_1d",
     "zero_inertia_study",

@@ -1,7 +1,7 @@
 """Time stepping for the coupled swarm dynamics.
 
 Four schemes over an ``(..., n_particles, dim)`` cloud, all advanced by one
-``step``:
+kernel, ``_step``:
 
 * ``pso``      second-order dynamics, semi-implicit in the friction term:
                    V' = [m V + lam dt (Xa - X) + sigma sqrt(dt) (Xa - X) th]
@@ -18,12 +18,14 @@ Four schemes over an ``(..., n_particles, dim)`` cloud, all advanced by one
 With ``gamma = 1 - m`` the semi-implicit step is asymptotic-preserving: at
 ``m -> 0`` the denominator tends to ``dt`` and ``dt V'`` to the first-order
 increment, so ``pso`` becomes ``cbo`` (and ``pso_mem`` becomes ``cbo_mem``)
-at the discrete level.  ``step`` is written in that form: the first-order
+at the discrete level.  ``_step`` is written in that form: the first-order
 update is the second-order one with the denominator 1 and the positions in
 place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
-``step`` advances the state it is given, its arrays in place and its time
-with them, and allocates its temporaries once per call.
+``_step`` advances the state it is given, its arrays in place and its time
+with them, and allocates its temporaries once per call.  It checks nothing:
+``lockstep`` is the one way to step, and checks each state once, before its
+first draw.
 
 A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
 replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
@@ -63,7 +65,7 @@ import numpy as np
 
 from .consensus import consensus_point, costs_of
 from .metrics import empirical_moments
-from .noise import NoiseTape, _replicate_rows
+from .noise import NoiseTape, _check_count, _replicate_rows
 from .objectives import _along_particles
 
 SCHEMES = ("pso", "cbo", "pso_mem", "cbo_mem")
@@ -86,14 +88,6 @@ def _check_inertia(m: float) -> None:
         raise ValueError(f"m must be finite, got {m}")
     if not 0.0 < m <= 1.0:
         raise ValueError(f"inertia m must be in (0, 1], got {m}")
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1, naming its field."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,47 +194,35 @@ class Consensus(NamedTuple):
     costs: np.ndarray
 
 
-def consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
+def _consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
     """The consensus the next step of ``state`` uses, one point per slice."""
     cloud = state.x if state.y is None else state.y
     costs = costs_of(cloud, obj)
     return Consensus(consensus_point(cloud, costs, p.alpha), costs)
 
 
-def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-         cons: Consensus) -> SwarmState:
+def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
+          cons: Consensus) -> None:
     """Advance ``state`` by one step of the scheme its arrays select, in
-    place, and return it.
+    place: the kernel of ``lockstep``, which checks its inputs.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
     or ``(R, N, d)`` for a state with a replicate axis, shared by every rung.
     Velocities select the semi-implicit second-order update with the state's
-    inertia and local bests the memory variant.  ``cons`` is the pre-step
-    ``consensus_of(state, p, obj)``.  The update is ``acc + sum_j (c_j /
-    denom) vec_j [theta_j]``, summed left to right: first order accumulates
-    into ``X`` with ``denom = 1``, so ``X' = acc``; second order starts
-    ``acc`` from ``(m / denom) V`` in ``V``, so ``V' = acc`` and ``X' = X + dt
-    V'``.  The state's ``x``, ``v`` and ``y`` are written in place, as no
-    operation reads an entry of them after writing it, and ``t`` advances by
-    ``dt``; a caller that wants the pre-step state copies it.  The arrays
-    must not share memory with each other, which ``lockstep`` checks and
-    ``step`` does not.  A tape block that does not broadcast to the
-    positions' shape is a ``ValueError`` naming both shapes, raised before
-    anything is written.
+    inertia and local bests the memory variant, with ``p.memory``.  ``cons``
+    is the pre-step ``_consensus_of(state, p, obj)``.  The update is ``acc +
+    sum_j (c_j / denom) vec_j [theta_j]``, summed left to right: first order
+    accumulates into ``X`` with ``denom = 1``, so ``X' = acc``; second order
+    starts ``acc`` from ``(m / denom) V`` in ``V``, so ``V' = acc`` and ``X' =
+    X + dt V'``.  The state's ``x``, ``v`` and ``y`` are written in place, as
+    no operation reads an entry of them after writing it, which holds only
+    for arrays that share no memory, and ``t`` advances by ``dt``.
 
     The two broadcasts, of the consensus point over the particles
     (``Xa - X``) and of the local bests' tanh weight over the coordinates,
     run along the particle axis (``_along_particles``): d inner loops of
     length N, not N of length d, with the same elementwise bits.
     """
-    shape = state.x.shape
-    for block in theta:
-        # the trailing axes of the state, as lockstep hands it, pass at once
-        if block.shape != shape[len(shape) - block.ndim:] and (
-                block.ndim > len(shape) or any(
-                    b not in (1, n) for b, n in zip(block.shape[::-1], shape[::-1]))):
-            raise ValueError(f"tape block of shape {block.shape} does not "
-                             f"broadcast to the state's shape {shape}")
     sqrt_dt = sqrt(p.dt)
     to_global = _along_particles(np.subtract, cons.point[..., None, :], state.x,
                                  np.empty_like(state.x))
@@ -249,8 +231,6 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
                  (p.sigma * sqrt_dt, to_global, theta[0])]
     else:
         mem = p.memory
-        if mem is None:
-            raise ValueError("a state with local bests needs memory params")
         to_local = state.y - state.x
         terms = [(mem.lam1 * p.dt, to_local, None),
                  (mem.lam2 * p.dt, to_global, None),
@@ -277,12 +257,11 @@ def step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
         _along_particles(np.multiply, pull, np.tanh(mem.beta * gap)[..., None], pull)
         np.add(state.y, pull, out=state.y)
     state.t += p.dt
-    return state
 
 
 # ``lockstep`` looks the step up here once per pass, so a tracer can wrap it
 # from outside the package
-_STEPPERS = {"step": step}
+_STEPPERS = {"step": _step}
 
 
 @dataclass
@@ -349,14 +328,17 @@ def lockstep(states, p: Params, obj, seed: int, r):
     consensus points the next step uses.  Non-finite states abort with the
     offending step index.
 
-    ``lockstep`` advances the states passed in with ``step``: their arrays
+    ``lockstep`` advances the states passed in with ``_step``: their arrays
     in place and their time ``t`` by ``dt`` a step, so a state's time always
     matches its arrays.  A yielded state changes at the next step, and a
-    caller copies whatever it wants to keep.  Before any draw, a replicate
-    that is not an integer >= 0 is a ``ValueError`` naming it, and so is a
-    state it cannot step in place, naming the state and the array: one that
-    is not a float64 array, is read-only, or may share memory with another
-    array of the states.
+    caller copies whatever it wants to keep.  Every check runs once, before
+    any draw: a replicate that is not an integer >= 0 is a ``ValueError``
+    naming it; a state with local bests under ``p.memory = None`` is one; a
+    non-finite state is a ``NonFiniteStateError`` at step -1; a state whose
+    trailing axes are not ``r``'s rows and ``p``'s cloud is a ``ValueError``;
+    and so is a state it cannot step in place, naming the state and the
+    array: one that is not a float64 array, is read-only, or may share memory
+    with another array of the states.
     """
     rows, stacked = _replicate_rows(r)
     for value in rows:
@@ -364,6 +346,8 @@ def lockstep(states, p: Params, obj, seed: int, r):
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"replicates must be integers >= 0, got r={value}")
     channels = 2 if any(s.y is not None for s in states) else 1
+    if channels == 2 and p.memory is None:
+        raise ValueError("a state with local bests needs memory params")
     # the replicate count only bounds r: the row-major index never multiplies
     # it into a variate, so replicate r has the same blocks on any longer tape
     tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
@@ -383,14 +367,14 @@ def lockstep(states, p: Params, obj, seed: int, r):
             if np.may_share_memory(a, b):
                 raise ValueError(f"cannot step {name} in place: may share memory with {other}")
     stepper = _STEPPERS["step"]
-    cons = [consensus_of(s, p, obj) for s in states]
+    cons = [_consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
         theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
         for s, c in zip(states, cons):
             stepper(s, p, obj, theta, c)
             s.check_finite(n)
-        cons = [consensus_of(s, p, obj) for s in states]
+        cons = [_consensus_of(s, p, obj) for s in states]
         yield n + 1, states, [c.point for c in cons]
 
 

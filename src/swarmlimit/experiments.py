@@ -53,7 +53,7 @@ import numpy as np
 from .consensus import costs_of, laplace_value
 # ``run``, ``wasserstein2_1d`` and ``kl_histogram`` are not called here; the
 # benchmark's tracer (perfbench/tracing.py) wraps them under this module's name
-from .dynamics import Params, _check_count, initial_state, lockstep, run  # noqa: F401
+from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import (  # noqa: F401
     default_bins,
     kl_histogram,
@@ -61,7 +61,7 @@ from .metrics import (  # noqa: F401
     w2_and_kl,
     wasserstein2_1d,
 )
-from .noise import NoiseTape, initial_positions
+from .noise import NoiseTape, _check_count, initial_positions
 
 
 class NonFiniteValueError(ValueError):

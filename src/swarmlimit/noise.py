@@ -50,6 +50,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1, naming its field."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _replicate_rows(r) -> tuple[tuple, bool]:
     """The replicates ``r`` names, one or a nonempty range or tuple of them,
     and whether ``r`` stacks them (is a range or tuple)."""
@@ -105,15 +113,16 @@ class NoiseTape:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        sizes = ("replicates", "particles", "steps", "dim", "channels")
+        # the uint64 index would truncate a fractional size, aliasing indices
+        for name in sizes:
+            _check_count(name, getattr(self, name))
         if self.channels not in (1, 2):
             raise ValueError(f"channels must be 1 or 2, got {self.channels}")
-        sizes = ("replicates", "particles", "steps", "dim", "channels")
-        for name in sizes[:-1]:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         # the linear index is a uint64 counter: a larger layout would wrap
-        # and alias the noise of distinct indices
-        if prod(getattr(self, name) for name in sizes) > 2**64:
+        # and alias the noise of distinct indices (the product is taken in
+        # Python ints, as one of NumPy integers would wrap itself)
+        if prod(int(getattr(self, name)) for name in sizes) > 2**64:
             layout = ", ".join(f"{name}={getattr(self, name)}" for name in sizes)
             raise ValueError(f"noise tape layout {layout} has more than 2**64 "
                              "indices")

@@ -86,7 +86,7 @@ def _along_particles(ufunc, a: np.ndarray, b: np.ndarray,
     NumPy's inner loop walks the n particles once per coordinate.  On the
     ``(..., n, d)`` operands it walks a C-ordered batch row by row, n inner
     loops of length d, which at ``(1000, 2)`` takes about three times as long
-    for the same elementwise bits.  ``dynamics.step`` uses it too.
+    for the same elementwise bits.  ``dynamics._step`` uses it too.
     """
     ufunc(a.swapaxes(-1, -2), b.swapaxes(-1, -2), out=out.swapaxes(-1, -2),
           order="C")

@@ -151,7 +151,7 @@ KERNEL_ORACLES = {
 
 
 def step_oracle(state, p, obj, theta, cons):
-    """The new ``(x, v, y)`` of ``step(state, p, obj, theta, cons)`` in the
+    """The new ``(x, v, y)`` of ``_step(state, p, obj, theta, cons)`` in the
     broadcast form, every operation allocating its result: ``Xa - X``
     broadcasts each consensus point over the rows of its cloud, and the
     local bests' tanh weight over the coordinates of each particle."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swarmlimit import NoiseTape, Objective, initial_state, lockstep
+from swarmlimit.dynamics import _consensus_of, _step
 
 
 def linear_cost(dim: int = 1) -> Objective:
@@ -28,8 +29,16 @@ def trajectory(scheme, p, obj, seed, r, x0):
 
 
 def blocks(tape, n, r=0):
-    """Every channel's tape block of step ``n``, as ``step`` takes them."""
+    """Every channel's tape block of step ``n``, as ``_step`` takes them."""
     return tuple(tape.theta_block(r, n, ch) for ch in range(1, tape.channels + 1))
+
+
+def step_once(state, p, obj, theta):
+    """``state`` after one ``_step`` on ``theta`` and its own pre-step
+    consensus, advanced in place: the kernel ``lockstep`` runs, without
+    ``lockstep``'s checks."""
+    _step(state, p, obj, theta, _consensus_of(state, p, obj))
+    return state
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from swarmlimit import (
     SwarmState,
     ackley,
     compare_distributions,
-    consensus_of,
     consensus_point,
     costs_of,
     initial_positions,
@@ -26,13 +25,12 @@ from swarmlimit import (
     optimize,
     paired_msq_gap,
     run,
-    step,
     wasserstein2_1d,
     zero_inertia_study,
 )
 
 from certified import c_alpha, upper_bound
-from conftest import blocks, linear_cost, trajectory
+from conftest import blocks, linear_cost, step_once, trajectory
 from test_dynamics import FOURTH_MOMENT_CAP
 
 SIGMA = 1.0 / np.sqrt(3.0)
@@ -217,7 +215,7 @@ def test_criterion_6_scheme_oracles():
     tape = NoiseTape(0, 1, 2, p.n_steps, 1, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
                        m=p.m)
-    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape, 0))
     den = mp.mpf("0.5") + mp.mpf("0.5") * mp.mpf("0.01")
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         v_exp = mp.mpf("0.01") / den * (mp.mpf("0.5") - x)
@@ -227,7 +225,7 @@ def test_criterion_6_scheme_oracles():
 
     # Euler-Maruyama two-particle step, sigma = 0
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
-    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape, 0))
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         x_exp = x + mp.mpf("0.01") * (mp.mpf("0.5") - x)
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
@@ -239,7 +237,7 @@ def test_criterion_6_scheme_oracles():
                                     sigma2=0.0, nu=0.5, beta=30.0))
     tape = NoiseTape(0, 1, 1, pm.n_steps, 1, channels=2)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
-    out = step(state, pm, obj, blocks(tape, 0), consensus_of(state, pm, obj))
+    out = step_once(state, pm, obj, blocks(tape, 0))
     assert out.x.shape == out.y.shape == (1, 1)
     x_exp = mp.mpf("0.01")
     y_exp = 1 + mp.mpf("0.005") * (x_exp - 1) * mp.tanh(30 * (x_exp - 1))

@@ -13,16 +13,15 @@ from swarmlimit import (
     Params,
     SwarmState,
     ackley,
-    consensus_of,
     initial_positions,
     initial_state,
     lockstep,
     run,
-    step,
 )
+from swarmlimit.dynamics import _consensus_of, _step
 
 from certified import step_oracle
-from conftest import blocks, linear_cost
+from conftest import blocks, linear_cost, step_once
 
 # hand evaluation of the semi-implicit update for particles {0, 1}, V = 0,
 # m = 0.5, dt = 0.01, lam = 1, sigma = 0, alpha = 0 (consensus 0.5):
@@ -71,9 +70,8 @@ def test_params_validation():
         plain_params(alpha=-1.0)
 
 
-def test_step_preconditions():
+def test_step_preconditions(drawn_blocks):
     p = plain_params()
-    tape = tape_for(p)
     obj = linear_cost()
     x0 = np.zeros((2, 1))
     # a second-order state carries its inertia
@@ -82,9 +80,16 @@ def test_step_preconditions():
             initial_state(scheme, x0)
     # a first-order scheme carries no inertia, whatever it is given
     assert initial_state("cbo", x0, 0.5).m is None
-    # a memory state needs the memory constants
+    # a memory state needs the memory constants, checked before any item
+    # or draw, next to a state that needs none
+    for scheme in ("pso_mem", "cbo_mem"):
+        with pytest.raises(ValueError) as excinfo:
+            next(lockstep([initial_state("cbo", x0),
+                           initial_state(scheme, x0, 0.5)], p, obj, 0, 0))
+        assert str(excinfo.value) == "a state with local bests needs memory params"
     with pytest.raises(ValueError, match="memory params"):
         run("cbo_mem", p, obj, 0, x0)
+    assert not drawn_blocks
 
 
 def test_pso_singleton_velocity_decays_geometrically():
@@ -93,7 +98,7 @@ def test_pso_singleton_velocity_decays_geometrically():
     state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]), m=p.m)
     factor = p.m / (p.m + (1 - p.m) * p.dt)
     obj = ackley(1)
-    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape, 0))
     # consensus of a singleton is the particle itself: drift and noise vanish
     assert out.v[0, 0] == factor * 1.0
     assert out.x[0, 0] == 0.4 + p.dt * out.v[0, 0]
@@ -105,7 +110,7 @@ def test_pso_frozen_dynamics_is_identity_on_positions():
     x = np.array([[0.1], [0.9]])
     state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)), m=p.m)
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape, 0))
     assert np.array_equal(out.x, x)
     assert np.array_equal(out.v, np.zeros((2, 1)))
     assert out.t == p.dt
@@ -122,7 +127,7 @@ def test_pso_step_matches_hand_oracle():
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
                        m=p.m)
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p), 0))
     assert out.v[:, 0] == pytest.approx(PSO_V_NEW, rel=1e-12)
     assert out.x[:, 0] == pytest.approx(PSO_X_NEW, rel=1e-12)
 
@@ -131,7 +136,7 @@ def test_cbo_step_matches_hand_oracle():
     p = plain_params()
     state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p), 0))
     assert out.x[:, 0] == pytest.approx(CBO_X_NEW, rel=1e-12)
 
 
@@ -142,7 +147,7 @@ def test_cbo_fixed_point_when_collapsed():
     state = SwarmState(t=0.0, x=x.copy())
     obj = ackley(1)
     for n in range(10):
-        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
+        state = step_once(state, p, obj, blocks(tape, n))
     assert np.array_equal(state.x, x)
 
 
@@ -150,7 +155,7 @@ def test_cbo_null_dynamics_is_identity():
     p = plain_params(sigma=0.0, lam=0.0)
     x = np.array([[0.3], [0.7]])
     state, obj = SwarmState(t=0.0, x=x.copy()), linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p), 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p), 0))
     assert np.array_equal(out.x, x)
 
 
@@ -159,8 +164,7 @@ def test_memory_local_best_frozen_when_positions_do_not_move():
     x0 = np.array([[0.2], [0.8]])
     state = initial_state("pso_mem", x0, p.m)
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
-               consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
     assert np.array_equal(out.y, x0)
     assert np.array_equal(out.x, x0)
@@ -174,7 +178,7 @@ def test_memory_nu_zero_freezes_local_bests():
     y0 = state.y.copy()
     obj = linear_cost()
     for n in range(5):
-        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
+        state = step_once(state, p, obj, blocks(tape, n))
     assert np.array_equal(state.y, y0)
 
 
@@ -186,7 +190,7 @@ def test_memory_singleton_reduces_to_combined_drift():
     state = SwarmState(t=0.0, x=np.array([[0.2]]), v=np.array([[0.1]]),
                        y=np.array([[0.9]]), m=p.m)
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape, 0), consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape, 0))
     den = p.m + (1 - p.m) * p.dt
     v_expected = (p.m / den) * 0.1 + ((0.7 + 0.5) * p.dt / den) * (0.9 - 0.2)
     assert out.v[0, 0] == pytest.approx(v_expected, rel=1e-15)
@@ -202,10 +206,8 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     mem_state = initial_state("pso_mem", x0, pm.m)
     plain_state = initial_state("pso", x0, pp.m)
     obj = linear_cost()
-    out_mem = step(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0),
-                   consensus_of(mem_state, pm, obj))
-    out_plain = step(plain_state, pp, obj, blocks(tape_for(pp), 0),
-                     consensus_of(plain_state, pp, obj))
+    out_mem = step_once(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0))
+    out_plain = step_once(plain_state, pp, obj, blocks(tape_for(pp), 0))
     assert out_mem.x[:, 0] == pytest.approx(out_plain.x[:, 0], abs=1e-15)
     assert out_mem.v[:, 0] == pytest.approx(out_plain.v[:, 0], abs=1e-15)
 
@@ -220,8 +222,7 @@ def test_cbo_memory_step_matches_hand_oracle():
     p = memory_params(lam1=1.0, lam2=0.0, nu=0.5, beta=30.0, n_particles=1)
     state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
-               consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     assert out.x[0, 0] == pytest.approx(CBOMEM_X_NEW, rel=1e-12)
     assert out.y[0, 0] == pytest.approx(CBOMEM_Y_NEW, rel=1e-12)
 
@@ -233,7 +234,7 @@ def test_cbo_memory_fixed_point():
     state = SwarmState(t=0.0, x=x.copy(), y=x.copy())
     obj = ackley(1)
     for n in range(5):
-        state = step(state, p, obj, blocks(tape, n), consensus_of(state, p, obj))
+        state = step_once(state, p, obj, blocks(tape, n))
     assert np.array_equal(state.x, x)
     assert np.array_equal(state.y, x)
 
@@ -246,8 +247,7 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     y0 = np.array([[0.25], [0.75]])
     state = SwarmState(t=0.0, x=x0.copy(), y=y0.copy())
     obj = linear_cost()
-    out = step(state, p, obj, blocks(tape_for(p, channels=2), 0),
-               consensus_of(state, p, obj))
+    out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     ya = 0.5  # plain mean of the frozen local bests at alpha = 0
     expected = x0 + p.dt * 1.0 * (ya - x0)
     assert np.array_equal(out.x, expected)
@@ -366,12 +366,18 @@ def test_non_finite_replicate_stack_names_rung_replicate_particle_and_coordinate
     assert excinfo.value.index == (2, 1, 0, 1)
 
 
-def test_lockstep_rejects_states_without_one_row_per_replicate():
+def test_lockstep_rejects_states_without_one_row_per_replicate(drawn_blocks):
+    # a stack of three rows on two replicates, or a solo state on three,
+    # would meet a tape block it cannot take in place
     p = plain_params(n_particles=3, dim=1)
-    with pytest.raises(ValueError, match=r"does not match params and "
-                       r"replicates \(2, 3, 1\)"):
-        next(lockstep([initial_state("cbo", np.zeros((3, 3, 1)))], p,
-                      linear_cost(), 0, (0, 1)))
+    for shape, r, cloud in [((3, 3, 1), (0, 1), (2, 3, 1)),
+                            ((3, 1), range(3), (3, 3, 1))]:
+        with pytest.raises(ValueError) as excinfo:
+            next(lockstep([initial_state("cbo", np.zeros(shape))], p,
+                          linear_cost(), 0, r))
+        assert str(excinfo.value) == (f"x0 shape {shape} does not match "
+                                      f"params and replicates {cloud}")
+    assert not drawn_blocks
 
 
 def test_replicate_stack_steps_each_row_as_its_solo_run(drawn_blocks):
@@ -465,8 +471,9 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
                         n_particles=50)
     tape = tape_for(base, seed=17)
     x0 = initial_positions([17, 0], 50, 1)
-    cons = consensus_of(initial_state("cbo", x0), base, obj)
-    cbo_out = step(initial_state("cbo", x0), base, obj, blocks(tape, 0), cons)
+    cbo_out = initial_state("cbo", x0)
+    cons = _consensus_of(cbo_out, base, obj)
+    _step(cbo_out, base, obj, blocks(tape, 0), cons)
     increment = np.max(np.abs(cbo_out.x - x0))
     assert increment > 0.0
 
@@ -475,7 +482,8 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     for m in m_values:
         p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                          dt=dt, n_particles=50)
-        pso_out = step(initial_state("pso", x0, m), p, obj, blocks(tape, 0), cons)
+        pso_out = initial_state("pso", x0, m)
+        _step(pso_out, p, obj, blocks(tape, 0), cons)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
         gaps.append(gap)
@@ -552,8 +560,7 @@ def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
                      2 if p.memory else 1)
     for n, (s,), _ in lockstep([start], p, ackley(2), 9, r):
         if n > 0:
-            ref = step(ref, p, ackley(2), blocks(tape, n - 1, r),
-                       consensus_of(ref, p, ackley(2)))
+            ref = step_once(ref, p, ackley(2), blocks(tape, n - 1, r))
         assert s.t == ref.t
         for name in names:
             got, want = getattr(s, name), getattr(ref, name)
@@ -651,53 +658,26 @@ def _assert_bits(got, want):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
 def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, order):
-    # step iterates its broadcasts along the particle axis; the oracle is
-    # the plain broadcast form, every operation allocating.  step advances
-    # the state it is given, its own arrays and its time, returns it, and
-    # gives the oracle's bits in any memory order of the state
+    # _step iterates its broadcasts along the particle axis; the oracle is
+    # the plain broadcast form, every operation allocating.  _step advances
+    # the state it is given, its own arrays and its time, returns nothing,
+    # and gives the oracle's bits in any memory order of the state
     p, state, tape = _oracle_case(scheme, dim, stacked, order)
     obj = ackley(dim)
     r = range(3) if stacked else 1
     for n in range(2):
         theta = blocks(tape, n, r)
-        cons = consensus_of(state, p, obj)
+        cons = _consensus_of(state, p, obj)
         want = step_oracle(state, p, obj, theta, cons)
         given = copy.deepcopy(state)
         arrays = {name: getattr(given, name) for name in ("x", "v", "y")}
-        stepped = step(given, p, obj, theta, cons)
-        assert stepped is given
-        assert stepped.t == state.t + p.dt
+        assert _step(given, p, obj, theta, cons) is None
+        assert given.t == state.t + p.dt
         for name, oracle in zip(("x", "v", "y"), want):
-            assert getattr(stepped, name) is arrays[name]
+            assert getattr(given, name) is arrays[name]
             if oracle is not None:
-                _assert_bits(getattr(stepped, name), oracle)
-        state = stepped
-
-
-@pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
-@pytest.mark.parametrize("stacked, r", [(False, range(3)), (True, range(2))],
-                         ids=["solo-on-stacked", "replicate-count"])
-def test_step_rejects_a_tape_block_that_does_not_broadcast_before_writing(
-        scheme, stacked, r):
-    # in place, a solo state cannot grow into a stack, and a stack on three
-    # replicates takes no block of two; the check precedes the first write,
-    # so no array of the state is half stepped
-    p, state, tape = _oracle_case(scheme, 2, stacked, "C")
-    obj = ackley(2)
-    theta = blocks(tape, 0, r)
-    cons = consensus_of(state, p, obj)
-    before = copy.deepcopy(state)
-    with pytest.raises(ValueError) as excinfo:
-        step(state, p, obj, theta, cons)
-    assert str(excinfo.value) == (
-        f"tape block of shape {theta[0].shape} does not broadcast to the "
-        f"state's shape {state.x.shape}")
-    assert state.t == before.t
-    for name in ("x", "v", "y"):
-        if getattr(before, name) is None:
-            assert getattr(state, name) is None
-        else:
-            _assert_bits(getattr(state, name), getattr(before, name))
+                _assert_bits(getattr(given, name), oracle)
+        state = given
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -69,6 +69,9 @@ def test_layout_violations_raise():
         NoiseTape(0, 1, 2**33, 2**33, 1)
     with pytest.raises(ValueError, match="channels=2 has more than"):
         NoiseTape(0, 1, 2**32, 2**32, 1, channels=2)
+    # the bound holds for NumPy integer sizes, whose own product would wrap
+    with pytest.raises(ValueError, match="dim=4, channels=1 has more than"):
+        NoiseTape(0, np.int64(2**31), 2**31, 2**31, 4)
     # exactly 2**64 indices fit, and the last one is a variate like any other
     full = NoiseTape(0, 1, 2**32, 2**32, 1)
     assert np.isfinite(full.theta(0, 2**32 - 1, 2**32 - 1, 0))
@@ -271,3 +274,18 @@ def test_numpy_integer_indices_draw_the_int_variates():
     assert np.array_equal(block, tape.theta_block(2, 4, 2))
     assert np.array_equal(tape.theta_block((np.int64(0), 2), 4, 2),
                           tape.theta_block((0, 2), 4, 2))
+
+
+TAPE_SIZES = ("replicates", "particles", "steps", "dim", "channels")
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, np.float64(1.0)],
+                         ids=["fraction", "float", "numpy-float"])
+@pytest.mark.parametrize("name", TAPE_SIZES)
+def test_a_tape_size_that_is_not_an_integer_is_rejected_naming_it(name, value):
+    # the uint64 index would truncate particles=2.5 to 2, so theta(0, 2, 0, 0)
+    # would draw theta(1, 0, 0, 0); channels=1.0 failed only in theta_block
+    sizes = dict(zip(TAPE_SIZES, (2, 3, 3, 1, 1)), **{name: value})
+    with pytest.raises(ValueError) as excinfo:
+        NoiseTape(0, **sizes)
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"

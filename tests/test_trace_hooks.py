@@ -20,7 +20,7 @@ from swarmlimit import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from tracing import Tracer, installed  # noqa: E402
+from tracing import Tracer, _get, _patches, installed  # noqa: E402
 
 
 def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
@@ -40,6 +40,13 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
 def test_traced_driver_names_resolve():
     for name in ("run", "compare_distributions", "compare_ladder"):
         assert callable(getattr(experiments, name))
+    # every function the tracer wraps resolves under the name it patches;
+    # the step kernel is reached only through its table
+    patches = list(_patches(Tracer()))
+    assert len(patches) == 15
+    for owner, attr, span, _ in patches:
+        assert callable(_get(owner, attr)), (span, attr)
+    assert dynamics._STEPPERS == {"step": dynamics._step}
 
 
 # a study of L = 2 rungs and R = 2 replicates steps two states, the
