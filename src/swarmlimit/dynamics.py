@@ -336,9 +336,12 @@ def lockstep(states, p: Params, obj, seed: int, r):
     naming it; a state with local bests under ``p.memory = None`` is one; a
     non-finite state is a ``NonFiniteStateError`` at step -1; a state whose
     trailing axes are not ``r``'s rows and ``p``'s cloud is a ``ValueError``;
-    and so is a state it cannot step in place, naming the state and the
-    array: one that is not a float64 array, is read-only, or may share memory
-    with another array of the states.
+    so is a state whose ``v`` or ``y`` is not ``x``'s shape, or that has
+    velocities and an inertia ``m`` that is ``None`` or does not broadcast to
+    ``x``'s shape, naming the state and the array; and so is a state it
+    cannot step in place, naming the state and the array: one that is not a
+    float64 array, is read-only, or may share memory with another array of
+    the states.
     """
     rows, stacked = _replicate_rows(r)
     for value in rows:
@@ -353,11 +356,24 @@ def lockstep(states, p: Params, obj, seed: int, r):
     tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
                      channels)
     cloud = ((len(rows),) if stacked else ()) + (p.n_particles, p.dim)
-    for s in states:
+    for j, s in enumerate(states):
         s.check_finite(-1)
         if s.x.shape[-len(cloud):] != cloud:
             raise ValueError(f"x0 shape {s.x.shape} does not match params "
                              f"and replicates {cloud}")
+        for k in ("v", "y"):
+            a = getattr(s, k)
+            if a is not None and a.shape != s.x.shape:
+                raise ValueError(f"state {j} {k} shape {a.shape} does not "
+                                 f"match its x shape {s.x.shape}")
+        if s.v is not None and s.m is None:
+            raise ValueError(f"state {j} has velocities but no inertia m")
+        # the inertia scales v in place, so it must not widen it
+        m_shape = np.shape(s.m)
+        if s.v is not None and (len(m_shape) > s.x.ndim or any(
+                k not in (1, n) for k, n in zip(m_shape[::-1], s.x.shape[::-1]))):
+            raise ValueError(f"state {j} m shape {m_shape} does not "
+                             f"broadcast to its x shape {s.x.shape}")
     arrays = [(f"state {j} {k}", a) for j, s in enumerate(states)
               for k in ("x", "v", "y") if (a := getattr(s, k)) is not None]
     for i, (name, a) in enumerate(arrays):

@@ -22,10 +22,12 @@ computed once per replicate, and each step draws one ``(R, N, d)`` tape block
 per channel that serves every rung.  The pass reads the path ``lockstep``
 yields in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
 paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
-with one call per metric over the whole stack, so no snapshots are stored.
-``lockstep`` advances the two states in place, so the pass holds one set of
-arrays per state.
-W2 and KL come from one ``w2_and_kl`` call, which sorts each cloud once.
+over the whole stack, so no snapshots are stored.  ``lockstep`` advances the
+two states in place, so the pass holds one set of arrays per state.
+For the plain pair in one dimension the gap, W2 and KL of a step come from
+one ``gap_w2_and_kl`` call, which checks the clouds once, sorts each once and
+bins each reference row once for all K rungs; the memory pair and ``d >= 2``
+take the gap from ``paired_msq_gap``.
 The study makes the pass over ``range(R)``; ``compare_ladder`` makes it over
 ``range(1)``, computes no gap, and selects its snapshot steps from the
 per-step columns.  Each
@@ -56,9 +58,9 @@ from .consensus import costs_of, laplace_value
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import (  # noqa: F401
     default_bins,
+    gap_w2_and_kl,
     kl_histogram,
     paired_msq_gap,
-    w2_and_kl,
     wasserstein2_1d,
 )
 from .noise import NoiseTape, _check_count, initial_positions
@@ -156,14 +158,15 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     del x0
     for n, (ref, ladder), _ in path:
         times[n] = ladder.t
-        if gap:
+        if w2 is not None:
+            g, w2[..., n], kl[..., n] = gap_w2_and_kl(ladder.x, ref.x, bins, gap)
+        elif gap:
             g = paired_msq_gap(ladder.x, ref.x)
             if memory:
                 g += paired_msq_gap(ladder.y, ref.y)
+        if gap:
             # Python's max: keep the running sup unless g is strictly larger
             sup_gap = np.where(g > sup_gap, g, sup_gap)
-        if w2 is not None:
-            w2[..., n], kl[..., n] = w2_and_kl(ladder.x, ref.x, bins)
     return times, sup_gap, w2, kl
 
 

@@ -16,14 +16,21 @@ n one-point clouds.
 
 ``kl_histogram`` bins both clouds of a pair on ``bins`` equal-width bins
 over their joint range, with the edges ``np.linspace(lo, hi, bins + 1)``,
-made for all pairs by one call.  Every bin is closed on the left and open on
-the right, except the last, which is closed on both ends: the counts
-``np.histogram`` gives on that range.  The counts are read off the sorted
-samples with ``np.searchsorted``, one call per cloud.
+made for all pairs by one call, and by a second one for the pairs whose
+nonzero range is too small for a nonzero step.  Every bin is closed on the
+left and open on the right, except the last, which is closed on both ends:
+the counts ``np.histogram`` gives on that range.  The counts are read off the sorted
+samples with ``np.searchsorted``, one call per cloud over the edges of every
+pair it belongs to: a reference cloud of a stack of K is searched once, not K
+times.  Both clouds' insertion points fill one array, which one ``np.diff``
+turns into counts and one normalisation into the smoothed masses.
 
-Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
-``(wasserstein2_1d, kl_histogram)`` of equal-size samples from one sort of
-each, with the bits of the two calls.
+Both 1-d metrics work on sorted samples.  ``gap_w2_and_kl`` returns the
+triple ``(paired_msq_gap, wasserstein2_1d, kl_histogram)`` of equal-size 1-d
+samples from one check and one sort of each, with the bits of the three
+calls, and skips the gap on request; ``w2_and_kl`` is its pair without the
+gap.  Means along the particle axis are ``np.add.reduce(...) / n``, the
+arithmetic of ``np.mean``.
 """
 
 from __future__ import annotations
@@ -70,11 +77,17 @@ def _result(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _w2_sorted(sa, sb):
-    """W2 of every pair of sorted equal-size samples along the last axis."""
-    sq = sa - sb
+def _mean(values):
+    """Mean along the last axis: ``np.mean``'s arithmetic without its wrapper."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+
+def _msq(xa, xb):
+    """Mean squared difference of every pair of equal-size samples along the
+    last axis."""
+    sq = xa - xb
     sq *= sq
-    return np.sqrt(np.mean(sq, axis=-1))
+    return _mean(sq)
 
 
 def wasserstein2_1d(a, b):
@@ -84,34 +97,38 @@ def wasserstein2_1d(a, b):
     W2 = sqrt( mean_i (a_(i) - b_(i))^2 ).
     """
     xa, xb = _pair(a, b, flat=True)
-    return _result(_w2_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1)))
+    return _result(np.sqrt(_msq(np.sort(xa, axis=-1), np.sort(xb, axis=-1))))
 
 
 def paired_msq_gap(a, b):
     """Mean squared Euclidean distance between index-matched particles."""
     xa, xb = _pair(a, b, flat=False)
     diff = xa - xb
-    return _result(np.mean(np.einsum("...ij,...ij->...i", diff, diff), axis=-1))
+    return _result(_mean(np.einsum("...ij,...ij->...i", diff, diff)))
 
 
 def default_bins(n: int) -> int:
     return max(2, math.ceil(math.sqrt(n)))
 
 
-def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Counts per bin of every sorted sample along the last axis of
-    ``sorted_x`` inside ``[edges[..., 0], edges[..., -1]]``, its own edges;
-    ``sorted_x`` broadcasts against the leading axes of ``edges``.
+def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> None:
+    """Fill the contiguous ``idx``, shaped like ``edges``, with the insertion
+    point of every pair's edges into its sorted sample along the last axis of
+    ``sorted_x``, and the top one with the sample size (the top bin is
+    closed), so that ``np.diff`` gives the counts per bin.
+
+    ``sorted_x`` broadcasts against the leading axes of ``edges``; each of its
+    samples is searched once, for the edges of every pair it belongs to.
     """
     n = sorted_x.shape[-1]
     samples = sorted_x.reshape(-1, n)
-    rows = edges.reshape(-1, edges.shape[-1])
-    idx = np.empty(rows.shape, dtype=np.intp)
-    # row k of the flattened edges bins the sample it broadcasts to
-    for k, row in enumerate(rows):
-        idx[k] = np.searchsorted(samples[k % len(samples)], row)
-    idx[:, -1] = n  # the top bin is closed
-    return np.diff(idx, axis=-1).reshape(edges.shape[:-1] + (-1,))
+    rows = edges.reshape(-1, len(samples), edges.shape[-1])
+    out = idx.reshape(rows.shape)
+    for j, sample in enumerate(samples):
+        # the method skips np.searchsorted's Python wrapper, about half of
+        # a call's time at 1000 samples and 33 edges
+        out[:, j] = sample.searchsorted(rows[:, j])
+    out[..., -1] = n
 
 
 def _kl_sorted(sa, sb, bins: int):
@@ -121,22 +138,33 @@ def _kl_sorted(sa, sb, bins: int):
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("kl_histogram needs finite samples")
     # one linspace for all pairs switches its formula for every pair when one
-    # step is 0, so a degenerate pair bins on [0, 1] and gives 0 (a nonzero
-    # range below bins times the smallest subnormal also has a step of 0)
+    # step is 0, so a pair whose step is 0 bins on [0, 1]: a degenerate one
+    # keeps those edges and gives 0, and one whose nonzero range is below
+    # bins times the smallest subnormal gets its own edges from a second call
     flat = lo == hi
-    edges = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi),
-                        bins + 1, axis=-1)
-    pa = _bin_counts(sa, edges)
-    qb = _bin_counts(sb, edges)
-    p = pa / pa.sum(axis=-1, keepdims=True) + KL_SMOOTHING
-    q = qb / qb.sum(axis=-1, keepdims=True) + KL_SMOOTHING
-    p /= p.sum(axis=-1, keepdims=True)
-    q /= q.sum(axis=-1, keepdims=True)
-    kl = np.sum(p * np.log(p / q), axis=-1)
-    return np.where(flat, 0.0, kl)
+    zero_step = (hi - lo) / bins == 0.0
+    edges = np.linspace(np.where(zero_step, 0.0, lo),
+                        np.where(zero_step, 1.0, hi), bins + 1, axis=-1)
+    tiny = zero_step & ~flat
+    if tiny.any():
+        edges[tiny] = np.linspace(lo[tiny], hi[tiny], bins + 1, axis=-1)
+    idx = np.empty((2,) + edges.shape, dtype=np.intp)
+    _bin_counts(sa, edges, idx[0])
+    _bin_counts(sb, edges, idx[1])
+    counts = np.diff(idx, axis=-1)
+    # the smoothed masses of both samples, p = mass[0] and q = mass[1]; a
+    # pair's counts sum to its sample size, except for a degenerate pair on
+    # [0, 1], whose KL is 0 whatever its masses
+    sizes = np.reshape([sa.shape[-1], sb.shape[-1]], (2,) + (1,) * edges.ndim)
+    mass = counts / sizes + KL_SMOOTHING
+    mass /= np.add.reduce(mass, axis=-1, keepdims=True)
+    p, q = mass
+    return np.where(flat, 0.0, np.add.reduce(p * np.log(p / q), axis=-1))
 
 
-def _check_bins(bins: int) -> None:
+def _check_bins(bins) -> None:
+    if not isinstance(bins, (int, np.integer)):
+        raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 2:
         raise ValueError("bins must be >= 2")
 
@@ -153,16 +181,30 @@ def kl_histogram(a, b, bins: int):
     return _result(_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins))
 
 
+def gap_w2_and_kl(a, b, bins: int, gap: bool = True):
+    """``(paired_msq_gap(a, b), wasserstein2_1d(a, b), kl_histogram(a, b,
+    bins))`` of equal-size 1-d samples from one check and one sort of each,
+    each value with the bits of its own call; the gap is ``None`` unless
+    ``gap``.
+
+    The samples follow the shape rule of the 1-d metrics.  In one dimension a
+    particle's squared distance is its squared difference, the one term of
+    ``paired_msq_gap``'s sum.
+    """
+    xa, xb = _pair(a, b, flat=True)
+    _check_bins(bins)
+    msq = _result(_msq(xa, xb)) if gap else None
+    sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
+    return msq, _result(np.sqrt(_msq(sa, sb))), _result(_kl_sorted(sa, sb, bins))
+
+
 def w2_and_kl(a, b, bins: int):
     """``(wasserstein2_1d(a, b), kl_histogram(a, b, bins))`` from one sort of
     each sample, each value with the bits of its own call.
 
     The samples must have the same size, as for ``wasserstein2_1d``.
     """
-    xa, xb = _pair(a, b, flat=True)
-    _check_bins(bins)
-    sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
-    return _result(_w2_sorted(sa, sb)), _result(_kl_sorted(sa, sb, bins))
+    return gap_w2_and_kl(a, b, bins, gap=False)[1:]
 
 
 def empirical_moments(a) -> tuple[float, float]:

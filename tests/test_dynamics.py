@@ -599,6 +599,40 @@ def test_lockstep_rejects_a_state_it_cannot_step_in_place(case, drawn_blocks):
     assert not drawn_blocks
 
 
+@pytest.mark.parametrize("case", ["v", "y", "m", "no m"])
+def test_lockstep_rejects_a_state_whose_arrays_do_not_fit_x(case, drawn_blocks):
+    # such a state passed every check and failed inside its first step,
+    # after item 0 (the v case after writing v): check the message, and that
+    # nothing was drawn, written or advanced
+    x0 = initial_positions([3, 0], 5, 1)
+    shape = (2, 5, 1)
+    if case == "v":
+        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros(shape), m=0.5)
+        why = f"state 1 v shape {shape} does not match its x shape (5, 1)"
+    elif case == "y":
+        bad = SwarmState(t=0.0, x=x0.copy(), y=np.zeros(shape))
+        why = f"state 1 y shape {shape} does not match its x shape (5, 1)"
+    elif case == "m":
+        # a stack's (K, 1, 1) inertia column on a solo state
+        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((5, 1)),
+                         m=np.full((2, 1, 1), 0.5))
+        why = "state 1 m shape (2, 1, 1) does not broadcast to its x shape (5, 1)"
+    else:
+        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((5, 1)))
+        why = "state 1 has velocities but no inertia m"
+    states = [initial_state("cbo", x0), bad]
+    before = [{k: a.copy() for k in ("x", "v", "y") if (a := getattr(s, k)) is not None}
+              for s in states]
+    with pytest.raises(ValueError) as excinfo:
+        next(lockstep(states, memory_params(n_particles=5), ackley(1), 3, 0))
+    assert str(excinfo.value) == why
+    assert not drawn_blocks
+    for s, arrays in zip(states, before):
+        assert s.t == 0.0
+        for k, a in arrays.items():
+            assert np.array_equal(getattr(s, k), a)
+
+
 @pytest.mark.parametrize("r", [range(0), ()], ids=["range", "tuple"])
 def test_lockstep_rejects_no_replicates_with_the_tapes_message(r, drawn_blocks):
     p = plain_params(n_particles=5)

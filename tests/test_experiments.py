@@ -26,6 +26,7 @@ from swarmlimit import (
 )
 import swarmlimit.experiments as experiments
 from swarmlimit.experiments import _coupled_pass
+from swarmlimit.metrics import gap_w2_and_kl
 
 from conftest import linear_cost, trajectory
 
@@ -444,22 +445,27 @@ def test_study_config_checks_the_tape_of_all_its_replicates():
 
 def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
         monkeypatch):
+    # the plain d = 1 pass takes every per-step metric from one gap_w2_and_kl
+    # call over the whole stack, with or without the gap; paired_msq_gap
+    # serves only the memory pair and d >= 2
     p = study_base(t_end=0.05, n_particles=20)
+    calls = []
+
+    def counted(a, b, bins, gap=True):
+        out = gap_w2_and_kl(a, b, bins, gap)
+        calls.append((a.shape, gap, None if out[0] is None else out[0].shape))
+        return out
 
     def no_gap(a, b):
-        raise AssertionError("compare_ladder computed a paired gap")
+        raise AssertionError("the plain d = 1 pass called paired_msq_gap")
 
+    monkeypatch.setattr(experiments, "gap_w2_and_kl", counted)
     monkeypatch.setattr(experiments, "paired_msq_gap", no_gap)
     tables = compare_ladder(p, ackley(1), 3, (0.2, 0.1))
     assert [len(t.times) for t in tables] == [p.n_steps + 1] * 2
+    assert calls == [((2, 1, p.n_particles, 1), False, None)] * (p.n_steps + 1)
 
-    calls = []
-
-    def counted(a, b):
-        calls.append(a.shape)
-        return paired_msq_gap(a, b)
-
-    monkeypatch.setattr(experiments, "paired_msq_gap", counted)
+    calls.clear()
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=p)
     zero_inertia_study(cfg, ackley(1), 3)
-    assert calls == [(2, 2, p.n_particles, 1)] * (p.n_steps + 1)
+    assert calls == [((2, 2, p.n_particles, 1), True, (2, 2))] * (p.n_steps + 1)

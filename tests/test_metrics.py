@@ -13,6 +13,7 @@ from swarmlimit import (
     w2_and_kl,
     wasserstein2_1d,
 )
+from swarmlimit.metrics import gap_w2_and_kl
 
 from certified import kl_histogram_oracle
 
@@ -331,10 +332,125 @@ def test_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
 
 
 def test_w2_and_kl_validation():
-    with pytest.raises(ValueError, match="bins must be >= 2"):
-        w2_and_kl(np.zeros(3), np.zeros(3), 1)
-    # W2 needs samples of one size, unlike kl_histogram alone
-    with pytest.raises(ValueError):
-        w2_and_kl(np.zeros(3), np.zeros(4), 2)
-    with pytest.raises(ValueError, match="finite samples"):
-        w2_and_kl(np.array([0.0, np.inf]), np.zeros(2), 2)
+    for call in (w2_and_kl, gap_w2_and_kl):
+        with pytest.raises(ValueError, match="bins must be >= 2"):
+            call(np.zeros(3), np.zeros(3), 1)
+        # W2 needs samples of one size, unlike kl_histogram alone
+        with pytest.raises(ValueError):
+            call(np.zeros(3), np.zeros(4), 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite samples"):
+                call(np.array([0.0, bad]), np.zeros(2), 2)
+            refs = np.zeros((2, 2, 1))
+            refs[1, 0] = bad
+            with pytest.raises(ValueError, match="finite samples"):
+                call(np.zeros((3, 2, 2, 1)), refs, 2)
+
+
+@pytest.mark.parametrize("bins", [2.5, 3.0, np.float64(4.0), "4", None, 4 + 0j])
+def test_bins_must_be_an_integer_checked_before_any_sort(bins, monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted before checking bins")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    for call in (kl_histogram, w2_and_kl, gap_w2_and_kl):
+        with pytest.raises(ValueError) as excinfo:
+            call(np.zeros(3), np.zeros(3), bins)
+        assert str(excinfo.value) == f"bins must be an integer, got {bins!r}"
+
+
+def test_bins_may_be_any_integer_type():
+    a, b = np.array([0.0, 1.0, 3.0]), np.array([0.5, 2.0, 2.5])
+    kl = kl_histogram(a, b, 3)
+    for bins in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert _bits(kl_histogram(a, b, bins)) == _bits(kl)
+        assert _bits(gap_w2_and_kl(a, b, bins)[2]) == _bits(kl)
+
+
+def test_kl_of_a_degenerate_pair_is_0_wherever_its_point_lies():
+    # the pair bins on [0, 1], where a point below 0 leaves every bin empty;
+    # the masses divide by the sample size, so no 0 / 0 warns (the tests turn
+    # RuntimeWarnings into errors)
+    for point in (-2.0, -0.0, 0.0, 0.5, 1.0, 1.5, -1e300):
+        one = np.full(3, point)
+        assert kl_histogram(one, one, 2) == 0.0
+        assert gap_w2_and_kl(one, one, 4) == (0.0, 0.0, 0.0)
+        stack = np.stack([one, one + 1.0, one - 1.0])
+        kl = kl_histogram(stack, one, 3)
+        assert kl[0] == 0.0
+        assert _bits(kl[1:]).tolist() == [_bits(kl_histogram(x, one, 3))
+                                          for x in stack[1:]]
+
+
+def test_a_pair_of_zero_linspace_step_leaves_the_edges_of_the_others():
+    # a pair whose nonzero range is below bins times the smallest subnormal
+    # has a linspace step of 0, which switches linspace's formula for every
+    # pair of a call; here it moved an edge of pair 0 by one ulp onto three
+    # of its points, so its KL in the batch differed from its own call
+    bins, lo, hi = 20, -2.0, 1.7
+    step_formula = np.linspace(lo, hi, bins + 1)
+    zero_step_formula = np.arange(bins + 1) / bins * (hi - lo) + lo
+    j = np.flatnonzero(step_formula != zero_step_formula)[0]
+    edge = min(step_formula[j], zero_step_formula[j])
+    a = np.zeros((1, 2, 6, 1))
+    b = np.zeros((2, 6, 1))
+    a[0, 0, :, 0] = [lo, edge, edge, edge, 0.5, hi]
+    b[0, :, 0] = [lo, edge - 0.01, 0.1, 0.2, 0.3, hi]
+    a[0, 1, 3] = b[1, 1] = 5e-324
+    assert 0.0 < 5e-324 and 5e-324 / bins == 0.0
+    for kl in (kl_histogram(a, b, bins), gap_w2_and_kl(a, b, bins)[2]):
+        for j in range(2):
+            assert _bits(kl[0, j]) == _bits(kl_histogram(a[0, j], b[j], bins))
+
+
+def _kernel_cases(rng, k, r, n):
+    """``(a, b)``: a ``(K, R, n, 1)`` stack and an ``(R, n, 1)`` batch of
+    half-integer samples with ties and signed zeros; then the same with a
+    degenerate pair ``[0, r - 1]`` (one repeated point in both clouds, lo ==
+    hi); then the same with a pair ``[k - 1, 0]`` whose nonzero range is
+    below bins times the smallest subnormal, where linspace's step is 0."""
+    a = rng.integers(-4, 5, (k, r, n, 1)) / 2.0
+    b = rng.integers(-4, 5, (r, n, 1)) / 2.0
+    a[a == 0.0] = -0.0
+    yield a, b
+    degenerate_a, degenerate_b = a.copy(), b.copy()
+    degenerate_a[0, r - 1] = degenerate_b[r - 1] = 1.5
+    yield degenerate_a, degenerate_b
+    tiny_a, tiny_b = a.copy(), b.copy()
+    tiny_a[k - 1, 0] = rng.choice([0.0, -0.0, 5e-324], (n, 1))
+    tiny_b[0] = rng.choice([0.0, -0.0, 5e-324], (n, 1))
+    tiny_a[k - 1, 0, 0] = 5e-324
+    tiny_b[0, 0] = -0.0
+    yield tiny_a, tiny_b
+
+
+@pytest.mark.parametrize("k, r", [(1, 1), (3, 2)])
+def test_gap_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
+    for n in (1, 2, 9, 400):
+        bins = default_bins(n)
+        for case, (a, b) in enumerate(_kernel_cases(rng, k, r, n)):
+            gap, w2, kl = gap_w2_and_kl(a, b, bins)
+            assert gap.shape == w2.shape == kl.shape == (k, r)
+            assert np.array_equal(_bits(gap), _bits(paired_msq_gap(a, b)))
+            assert np.array_equal(_bits(w2), _bits(wasserstein2_1d(a, b)))
+            assert np.array_equal(_bits(kl), _bits(kl_histogram(a, b, bins)))
+            none, w2_only, kl_only = gap_w2_and_kl(a, b, bins, gap=False)
+            assert none is None
+            assert np.array_equal(_bits(w2_only), _bits(w2))
+            assert np.array_equal(_bits(kl_only), _bits(kl))
+            if case == 1:
+                assert gap[0, r - 1] == w2[0, r - 1] == kl[0, r - 1] == 0.0
+            if case == 2:
+                pair = np.concatenate([a[k - 1, 0], b[0]])
+                assert pair.min() < pair.max()
+                assert (pair.max() - pair.min()) / bins == 0.0
+            # each pair alone, as (n, 1) columns and as (n,) samples
+            for i in range(k):
+                for j in range(r):
+                    want = _bits([gap[i, j], w2[i, j], kl[i, j]]).tolist()
+                    for x, y in ((a[i, j], b[j]), (a[i, j, :, 0], b[j, :, 0])):
+                        triple = gap_w2_and_kl(x, y, bins)
+                        assert _bits(triple).tolist() == want
+                        assert all(isinstance(value, float) for value in triple)
+                        assert _bits([paired_msq_gap(x, y), wasserstein2_1d(x, y),
+                                      kl_histogram(x, y, bins)]).tolist() == want
