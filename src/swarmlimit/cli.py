@@ -241,7 +241,9 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # a study holds every replicate at once, so its size scales with them
+        # a study steps one chunk of its replicates at once, at least one,
+        # and keeps the per-replicate results of all, so its size scales
+        # with them
         keys = ("N", "dim", "dt", "T") + (
             ("replicates",) if args.command == "limit-study" else ())
         sizes = ", ".join(f"{key}={_shortest(cfg.get(key))}" for key in keys)

@@ -12,28 +12,32 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-Both coupled drivers make one pass, ``_coupled_pass``, over all their
-replicates: one ``dynamics.lockstep`` run on R replicates of the seed's noise
-tape (``lockstep`` builds one tape for them) over two states, the
-``(R, N, d)`` first-order reference and one rung-major ``(K, R, N, d)``
-second-order stack with one rung per inertia value, replicate ``r`` starting
-from cloud ``[seed, r]``.  The reference does not depend on ``m``, so it is
-computed once per replicate, and each step draws one ``(R, N, d)`` tape block
-per channel that serves every rung.  The pass reads the path ``lockstep``
-yields in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
+Both coupled drivers reduce coupled passes, ``_coupled_pass``: one
+``dynamics.lockstep`` run on R replicates of the seed's noise tape
+(``lockstep`` builds one tape for them) over two states, the ``(R, N, d)``
+first-order reference and one rung-major ``(K, R, N, d)`` second-order stack
+with one rung per inertia value, replicate ``r`` starting from cloud
+``[seed, r]``.  The reference does not depend on ``m``, so it is computed
+once per replicate, and each step draws one ``(R, N, d)`` tape block per
+channel that serves every rung.  The pass reads the path ``lockstep`` yields
+in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
 paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
-over the whole stack, so no snapshots are stored.  ``lockstep`` advances the
-two states in place, so the pass holds one set of arrays per state.
-For the plain pair in one dimension the gap, W2 and KL of a step come from
-one ``gap_w2_and_kl`` call, which checks the clouds once, sorts each once and
-bins each reference row once for all K rungs; the memory pair and ``d >= 2``
-take the gap from ``paired_msq_gap``.
-The study makes the pass over ``range(R)``; ``compare_ladder`` makes it over
-``range(1)``, computes no gap, and selects its snapshot steps from the
-per-step columns.  Each
+over the whole stack.  ``lockstep`` advances the two states in place, so the
+pass holds one set of arrays per state.  For the plain pair in one dimension
+the pass copies the positions of consecutive steps into a window of at most
+``_WINDOW_BYTES`` (512 KiB, and at least one step), and one
+``gap_w2_and_kl`` call gives the gap, W2 and KL of every step in the window:
+it checks the clouds once, sorts each once and bins each reference row once
+for all K rungs.  No other positions are kept.  The memory pair and
+``d >= 2`` take each step's gap from ``paired_msq_gap``.
+The study makes one pass per chunk of consecutive replicates, each chunk as
+many as ``_CHUNK_BYTES`` (64 MiB) of state arrays hold and at least one,
+and joins the chunks' results along the replicate axis; ``compare_ladder``
+makes one pass over ``range(1)``, computes no gap, and selects its snapshot
+steps from the per-step columns.  Each
 slice's arithmetic is elementwise that of a solo run and every reduction, the
 metrics' included, stays within one slice, which keeps the results
-bit-identical to pairs of ``run`` calls.
+bit-identical to pairs of ``run`` calls, whatever the window and the chunks.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -49,6 +53,7 @@ split across calls without changing a bit; per-time averages are a fold over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +69,12 @@ from .metrics import (  # noqa: F401
     wasserstein2_1d,
 )
 from .noise import NoiseTape, _check_count, initial_positions
+
+# the most bytes of position clouds a coupled pass copies into one window of
+# steps for the metrics, and of state arrays one chunk of a study's
+# replicates holds
+_WINDOW_BYTES = 512 * 1024
+_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 class NonFiniteValueError(ValueError):
@@ -128,29 +139,49 @@ class StudyResult:
     kl_mean: np.ndarray | None
 
 
+class _PassResult(NamedTuple):
+    """What one coupled pass reduces its path to; see ``_coupled_pass``."""
+
+    times: np.ndarray
+    sup_gap: np.ndarray | None
+    w2: np.ndarray | None
+    kl: np.ndarray | None
+
+
 def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values,
-                  memory: bool = False, gap: bool = True):
+                  memory: bool = False, gap: bool = True) -> _PassResult:
     """The coupled replicates ``reps``: the first-order reference and the
     second-order stack of ``m_values`` (with local bests if ``memory``), row
     ``j`` from cloud ``[seed, reps[j]]`` on replicate ``reps[j]`` of the
     seed's tape.
 
-    Returns ``(times, sup_gap, w2, kl)``: the time of every step, the
-    ``(K, R)`` sup over time of each rung's and replicate's paired
-    mean-square gap (positions, plus local bests for the memory pair),
-    ``None`` unless ``gap``, and the ``(K, R, n_steps + 1)`` W2 / KL of each
+    Returns ``times``, the time of every step; ``sup_gap``, the ``(K, R)``
+    sup over time of each rung's and replicate's paired mean-square gap
+    (positions, plus local bests for the memory pair), ``None`` unless
+    ``gap``; and ``w2`` / ``kl``, the ``(K, R, n_steps + 1)`` W2 / KL of each
     against its reference position cloud at every step, ``None`` unless the
     pair is plain and ``p.dim == 1``.
+
+    For the plain pair in one dimension the positions of B consecutive steps
+    are copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at
+    least 1, at most all), and one ``gap_w2_and_kl`` call reduces the whole
+    window: the ``(B, R, N)`` reference window as ``B * R`` clouds and the
+    ``(K, B, R, N)`` ladder window as K stacks of them.  The last window may
+    be partial.  The memory pair and ``d >= 2`` take the gap of each step
+    from ``paired_msq_gap``.
     """
+    K, R, N = len(m_values), len(reps), p.n_particles
     times = np.empty(p.n_steps + 1)
     sup_gap = -np.inf if gap else None
     w2 = kl = None
     if p.dim == 1 and not memory:
-        w2, kl = np.empty((2, len(m_values), len(reps), p.n_steps + 1))
-        bins = default_bins(p.n_particles)
+        w2, kl = np.empty((2, K, R, p.n_steps + 1))
+        bins = default_bins(N)
+        B = max(1, min(p.n_steps + 1, _WINDOW_BYTES // (8 * (K + 1) * R * N)))
+        ref_win = np.empty((B, R, N, 1))
+        ladder_win = np.empty((K, B, R, N, 1))
 
-    x0 = np.stack([initial_positions([seed, r], p.n_particles, p.dim, init)
-                   for r in reps])
+    x0 = np.stack([initial_positions([seed, r], N, p.dim, init) for r in reps])
     path = lockstep([initial_state("cbo_mem" if memory else "cbo", x0),
                      initial_state("pso_mem" if memory else "pso", x0, m_values)],
                     p, obj, seed, reps)
@@ -158,16 +189,29 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     del x0
     for n, (ref, ladder), _ in path:
         times[n] = ladder.t
+        gaps = ()
         if w2 is not None:
-            g, w2[..., n], kl[..., n] = gap_w2_and_kl(ladder.x, ref.x, bins, gap)
+            j = n % B
+            ref_win[j], ladder_win[:, j] = ref.x, ladder.x
+            if j == B - 1 or n == p.n_steps:
+                # steps n - j, ..., n, as (j + 1) R clouds per rung
+                b = j + 1
+                g, *w2_kl = gap_w2_and_kl(ladder_win[:, :b].reshape(K, b * R, N, 1),
+                                          ref_win[:b].reshape(b * R, N, 1), bins, gap)
+                w2[..., n - j:n + 1], kl[..., n - j:n + 1] = (
+                    v.reshape(K, b, R).transpose(0, 2, 1) for v in w2_kl)
+                if gap:
+                    gaps = g.reshape(K, b, R).transpose(1, 0, 2)
         elif gap:
             g = paired_msq_gap(ladder.x, ref.x)
             if memory:
                 g += paired_msq_gap(ladder.y, ref.y)
-        if gap:
-            # Python's max: keep the running sup unless g is strictly larger
+            gaps = (g,)
+        for g in gaps:
+            # Python's max, in step order: keep the running sup unless g is
+            # strictly larger
             sup_gap = np.where(g > sup_gap, g, sup_gap)
-    return times, sup_gap, w2, kl
+    return _PassResult(times, sup_gap, w2, kl)
 
 
 def _replicate_mean(per_replicate: np.ndarray) -> np.ndarray:
@@ -187,15 +231,25 @@ def _replicate_mean(per_replicate: np.ndarray) -> np.ndarray:
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
-    All replicates are one coupled pass: on each, the first-order reference
-    (it does not depend on the inertia) and the second-order stack of the
-    ladder start from the same initial cloud and consume the same tape
-    blocks.  The rate is the least-squares slope of ``ln(mean gap)`` against
-    ``ln m`` over all ladder points.
+    On each replicate the first-order reference (it does not depend on the
+    inertia) and the second-order stack of the ladder start from the same
+    initial cloud and consume the same tape blocks.  The replicates run as
+    coupled passes over consecutive chunks, each as many replicates as
+    ``_CHUNK_BYTES`` of state arrays hold (at least one).  The rate is the
+    least-squares slope of ``ln(mean gap)`` against ``ln m`` over all ladder
+    points.
     """
-    _, sup_gaps, w2, kl = _coupled_pass(cfg.base, obj, seed, range(cfg.replicates),
-                                        cfg.init, cfg.m_ladder,
-                                        cfg.scheme_pair == "memory")
+    memory, K, p = cfg.scheme_pair == "memory", len(cfg.m_ladder), cfg.base
+    # one replicate's state arrays: the reference's positions and the
+    # ladder's positions and velocities, each with local bests for memory
+    clouds = 2 + 3 * K if memory else 1 + 2 * K
+    chunk = max(1, _CHUNK_BYTES // (8 * clouds * p.n_particles * p.dim))
+    reps = range(cfg.replicates)
+    passes = [_coupled_pass(p, obj, seed, reps[r0:r0 + chunk], cfg.init,
+                            cfg.m_ladder, memory) for r0 in reps[::chunk]]
+    # join the chunks along the replicate axis
+    sup_gaps, w2, kl = (None if f[0] is None else np.concatenate(f, axis=1)
+                        for f in zip(*((q.sup_gap, q.w2, q.kl) for q in passes)))
     if w2 is not None:
         w2, kl = _replicate_mean(w2), _replicate_mean(kl)
 

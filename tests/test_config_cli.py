@@ -413,8 +413,8 @@ def test_cli_out_of_memory_exits_2_naming_the_sizes(tmp_path, capsys,
 
 def test_cli_study_out_of_memory_names_the_replicates(tmp_path, capsys,
                                                      monkeypatch):
-    # a study steps all its replicates at once; the allocation failure is
-    # simulated, never attempted
+    # a study steps a chunk of its replicates at once, at least one; the
+    # allocation failure is simulated, never attempted
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.49 GiB")
 

@@ -443,17 +443,20 @@ def test_study_config_checks_the_tape_of_all_its_replicates():
                          scheme_pair="memory")
 
 
-def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
+def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_window(
         monkeypatch):
     # the plain d = 1 pass takes every per-step metric from one gap_w2_and_kl
-    # call over the whole stack, with or without the gap; paired_msq_gap
-    # serves only the memory pair and d >= 2
+    # call per window of steps over the whole stack, with or without the gap;
+    # paired_msq_gap serves only the memory pair and d >= 2.  At this size a
+    # window holds all 6 time points: (K, 6 R, N, 1) against (6 R, N, 1).
     p = study_base(t_end=0.05, n_particles=20)
+    assert p.n_steps + 1 == 6
     calls = []
 
     def counted(a, b, bins, gap=True):
         out = gap_w2_and_kl(a, b, bins, gap)
-        calls.append((a.shape, gap, None if out[0] is None else out[0].shape))
+        calls.append((a.shape, b.shape, gap,
+                      None if out[0] is None else out[0].shape))
         return out
 
     def no_gap(a, b):
@@ -463,9 +466,97 @@ def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
     monkeypatch.setattr(experiments, "paired_msq_gap", no_gap)
     tables = compare_ladder(p, ackley(1), 3, (0.2, 0.1))
     assert [len(t.times) for t in tables] == [p.n_steps + 1] * 2
-    assert calls == [((2, 1, p.n_particles, 1), False, None)] * (p.n_steps + 1)
+    assert calls == [((2, 6, p.n_particles, 1), (6, p.n_particles, 1), False, None)]
 
     calls.clear()
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=p)
     zero_inertia_study(cfg, ackley(1), 3)
-    assert calls == [((2, 2, p.n_particles, 1), True, (2, 2))] * (p.n_steps + 1)
+    assert calls == [((2, 12, p.n_particles, 1), (12, p.n_particles, 1), True,
+                      (2, 12))]
+
+
+def _bits(a):
+    """The bits of a float array, or ``None``, for exact comparison."""
+    return None if a is None else np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("gap", [True, False], ids=["study", "compare"])
+def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates):
+    # 11 time points, so windows of 2, 3 and 7 steps end in a partial window;
+    # a budget under one step's clouds still gives windows of one step, and
+    # one over all steps' clouds one window of all 11
+    p = study_base(n_particles=30, t_end=0.1)
+    n_points = p.n_steps + 1
+    assert n_points == 11
+    ladder = (0.2, 0.1, 0.05)
+    K, R, N = len(ladder), replicates, p.n_particles
+    step_bytes = 8 * (K + 1) * R * N
+    calls = []
+
+    def counted(a, b, bins, gap=True):
+        calls.append((a.shape, b.shape))
+        return gap_w2_and_kl(a, b, bins, gap)
+
+    monkeypatch.setattr(experiments, "gap_w2_and_kl", counted)
+    results = []
+    for B, budget in ((1, 0), (1, 2 * step_bytes - 1), (2, 2 * step_bytes),
+                      (3, 3 * step_bytes + 7), (7, 7 * step_bytes),
+                      (n_points, 10**9)):
+        monkeypatch.setattr(experiments, "_WINDOW_BYTES", budget)
+        calls.clear()
+        res = _coupled_pass(p, ackley(1), 4, range(R), ("uniform", -2.0, 3.0),
+                            ladder, gap=gap)
+        sizes = [B] * (n_points // B) + ([n_points % B] if n_points % B else [])
+        assert len(calls) == -(-n_points // B)
+        assert calls == [((K, b * R, N, 1), (b * R, N, 1)) for b in sizes]
+        assert res.w2.shape == res.kl.shape == (K, R, n_points)
+        assert (res.sup_gap is None) == (not gap)
+        results.append(res)
+
+    first = results[0]
+    for res in results[1:]:
+        for name in ("times", "sup_gap", "w2", "kl"):
+            assert np.array_equal(_bits(getattr(res, name)),
+                                  _bits(getattr(first, name))), name
+
+
+@pytest.mark.parametrize("pair", ["plain", "memory"])
+def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
+                                                                   pair):
+    memory = pair == "memory"
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0) if memory else None
+    base = study_base(n_particles=30, t_end=0.1, memory=mem,
+                      lam=0.0 if memory else 1.0)
+    R = 5
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=R, base=base,
+                           scheme_pair=pair)
+    # the bytes of one replicate's state arrays: the positions and velocities
+    # of 3 rungs and the reference's positions, and each one's local bests
+    # for the memory pair
+    per_replicate = 8 * base.n_particles * (11 if memory else 7)
+    passes = []
+    coupled_pass = experiments._coupled_pass
+
+    def recorded(p, obj, seed, reps, *args):
+        passes.append(reps)
+        return coupled_pass(p, obj, seed, reps, *args)
+
+    monkeypatch.setattr(experiments, "_coupled_pass", recorded)
+    results = []
+    for chunk, budget in ((1, 0), (1, 2 * per_replicate - 1),
+                          (2, 2 * per_replicate), (R, R * per_replicate)):
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+        passes.clear()
+        results.append(zero_inertia_study(cfg, ackley(1), 6))
+        assert passes == [range(r, min(r + chunk, R)) for r in range(0, R, chunk)]
+
+    first = results[0]
+    assert first.sup_gaps.shape == (3, R)
+    assert (first.w2_mean is None) == memory
+    for res in results[1:]:
+        for name in ("sup_gaps", "gap_mean", "slope", "intercept", "w2_mean",
+                     "kl_mean"):
+            assert np.array_equal(_bits(getattr(res, name)),
+                                  _bits(getattr(first, name))), name
