@@ -139,8 +139,10 @@ def _cmd_limit_study(cfg: dict, args, obj, seed: int):
         f"slope={format_value(result.slope)}",
         f"intercept={format_value(result.intercept)}",
     ]
-    rows = [[m, r, result.sup_gaps[j, r], result.slope, seed]
-            for j, m in enumerate(study.m_ladder) for r in range(reps)]
+    # a generator, so that the K R rows are written, never held, at once
+    rows = ((m, r, gap, result.slope, seed)
+            for m, gaps in zip(study.m_ladder, result.sup_gaps)
+            for r, gap in enumerate(gaps))
     return comments, "m,replicate,sup_gap,slope_global,seed", rows
 
 

@@ -20,24 +20,24 @@ with one rung per inertia value, replicate ``r`` starting from cloud
 ``[seed, r]``.  The reference does not depend on ``m``, so it is computed
 once per replicate, and each step draws one ``(R, N, d)`` tape block per
 channel that serves every rung.  The pass reads the path ``lockstep`` yields
-in a ``for`` loop whose body updates the ``(K, R)`` running sup of the
-paired gap and, for the plain pair in one dimension, the per-step W2 / KL,
-over the whole stack.  ``lockstep`` advances the two states in place, so the
-pass holds one set of arrays per state.  For the plain pair in one dimension
-the pass copies the positions of consecutive steps into a window of at most
-``_WINDOW_BYTES`` (512 KiB, and at least one step), and one
-``gap_w2_and_kl`` call gives the gap, W2 and KL of every step in the window:
-it checks the clouds once, sorts each once and bins each reference row once
-for all K rungs.  No other positions are kept.  The memory pair and
-``d >= 2`` take each step's gap from ``paired_msq_gap``.
-The study makes one pass per chunk of consecutive replicates, each chunk as
-many as ``_CHUNK_BYTES`` (64 MiB) of state arrays hold and at least one,
-and joins the chunks' results along the replicate axis; ``compare_ladder``
-makes one pass over ``range(1)``, computes no gap, and selects its snapshot
-steps from the per-step columns.  Each
-slice's arithmetic is elementwise that of a solo run and every reduction, the
-metrics' included, stays within one slice, which keeps the results
-bit-identical to pairs of ``run`` calls, whatever the window and the chunks.
+in a ``for`` loop whose body makes two reductions over the whole stack.
+Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
+for the memory pair, which adds the local bests' gap) updates the ``(K, R)``
+running sup of the paired gap.  For the plain pair in one dimension the pass
+also copies the positions of consecutive steps into a window of at most
+``_WINDOW_BYTES`` (512 KiB, and at least one step), and one ``w2_and_kl``
+call gives the W2 and KL of every step in the window: it checks the clouds
+once, sorts each once and bins each reference row once for all K rungs.
+``lockstep`` advances the two states in place, so the pass holds one set of
+arrays per state and no positions but the window's.  The study makes one
+pass per chunk of consecutive replicates, each chunk as many as
+``_CHUNK_BYTES`` (64 MiB) of state arrays hold and at least one, and joins
+the chunks' results along the replicate axis; ``compare_ladder`` makes one
+pass over ``range(1)``, computes no gap, and selects its snapshot steps from
+the per-step columns.  Each slice's arithmetic is elementwise that of a solo
+run and every reduction, the metrics' included, stays within one slice,
+which keeps the results bit-identical to pairs of ``run`` calls, whatever
+the window and the chunks.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -63,9 +63,9 @@ from .consensus import costs_of, laplace_value
 from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
 from .metrics import (  # noqa: F401
     default_bins,
-    gap_w2_and_kl,
     kl_histogram,
     paired_msq_gap,
+    w2_and_kl,
     wasserstein2_1d,
 )
 from .noise import NoiseTape, _check_count, initial_positions
@@ -162,13 +162,14 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     against its reference position cloud at every step, ``None`` unless the
     pair is plain and ``p.dim == 1``.
 
-    For the plain pair in one dimension the positions of B consecutive steps
-    are copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at
-    least 1, at most all), and one ``gap_w2_and_kl`` call reduces the whole
-    window: the ``(B, R, N)`` reference window as ``B * R`` clouds and the
-    ``(K, B, R, N)`` ladder window as K stacks of them.  The last window may
-    be partial.  The memory pair and ``d >= 2`` take the gap of each step
-    from ``paired_msq_gap``.
+    The gap of every step is one ``paired_msq_gap`` call on the ``(K, R, N,
+    d)`` stack against the ``(R, N, d)`` reference, plus one on the local
+    bests for the memory pair, folded into the sup in step order.  For the
+    plain pair in one dimension the positions of B consecutive steps are
+    copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at least
+    1, at most all), and one ``w2_and_kl`` call reduces the whole window: the
+    ``(B, R, N)`` reference window as ``B * R`` clouds and the ``(K, B, R,
+    N)`` ladder window as K stacks of them.  The last window may be partial.
     """
     K, R, N = len(m_values), len(reps), p.n_particles
     times = np.empty(p.n_steps + 1)
@@ -189,28 +190,23 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     del x0
     for n, (ref, ladder), _ in path:
         times[n] = ladder.t
-        gaps = ()
+        if gap:
+            g = paired_msq_gap(ladder.x, ref.x)
+            if memory:
+                g += paired_msq_gap(ladder.y, ref.y)
+            # Python's max, in step order: keep the running sup unless g is
+            # strictly larger
+            sup_gap = np.where(g > sup_gap, g, sup_gap)
         if w2 is not None:
             j = n % B
             ref_win[j], ladder_win[:, j] = ref.x, ladder.x
             if j == B - 1 or n == p.n_steps:
                 # steps n - j, ..., n, as (j + 1) R clouds per rung
                 b = j + 1
-                g, *w2_kl = gap_w2_and_kl(ladder_win[:, :b].reshape(K, b * R, N, 1),
-                                          ref_win[:b].reshape(b * R, N, 1), bins, gap)
+                w2_kl = w2_and_kl(ladder_win[:, :b].reshape(K, b * R, N, 1),
+                                  ref_win[:b].reshape(b * R, N, 1), bins)
                 w2[..., n - j:n + 1], kl[..., n - j:n + 1] = (
                     v.reshape(K, b, R).transpose(0, 2, 1) for v in w2_kl)
-                if gap:
-                    gaps = g.reshape(K, b, R).transpose(1, 0, 2)
-        elif gap:
-            g = paired_msq_gap(ladder.x, ref.x)
-            if memory:
-                g += paired_msq_gap(ladder.y, ref.y)
-            gaps = (g,)
-        for g in gaps:
-            # Python's max, in step order: keep the running sup unless g is
-            # strictly larger
-            sup_gap = np.where(g > sup_gap, g, sup_gap)
     return _PassResult(times, sup_gap, w2, kl)
 
 

@@ -25,12 +25,10 @@ pair it belongs to: a reference cloud of a stack of K is searched once, not K
 times.  Both clouds' insertion points fill one array, which one ``np.diff``
 turns into counts and one normalisation into the smoothed masses.
 
-Both 1-d metrics work on sorted samples.  ``gap_w2_and_kl`` returns the
-triple ``(paired_msq_gap, wasserstein2_1d, kl_histogram)`` of equal-size 1-d
-samples from one check and one sort of each, with the bits of the three
-calls, and skips the gap on request; ``w2_and_kl`` is its pair without the
-gap.  Means along the particle axis are ``np.add.reduce(...) / n``, the
-arithmetic of ``np.mean``.
+Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
+``(wasserstein2_1d, kl_histogram)`` of equal-size 1-d samples from one check
+and one sort of each, with the bits of the two calls.  Means along the
+particle axis are ``np.add.reduce(...) / n``, the arithmetic of ``np.mean``.
 """
 
 from __future__ import annotations
@@ -181,30 +179,17 @@ def kl_histogram(a, b, bins: int):
     return _result(_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins))
 
 
-def gap_w2_and_kl(a, b, bins: int, gap: bool = True):
-    """``(paired_msq_gap(a, b), wasserstein2_1d(a, b), kl_histogram(a, b,
-    bins))`` of equal-size 1-d samples from one check and one sort of each,
-    each value with the bits of its own call; the gap is ``None`` unless
-    ``gap``.
+def w2_and_kl(a, b, bins: int):
+    """``(wasserstein2_1d(a, b), kl_histogram(a, b, bins))`` from one check and
+    one sort of each sample, each value with the bits of its own call.
 
-    The samples follow the shape rule of the 1-d metrics.  In one dimension a
-    particle's squared distance is its squared difference, the one term of
-    ``paired_msq_gap``'s sum.
+    The samples follow the shape rule of the 1-d metrics and must have the
+    same size, as for ``wasserstein2_1d``.
     """
     xa, xb = _pair(a, b, flat=True)
     _check_bins(bins)
-    msq = _result(_msq(xa, xb)) if gap else None
     sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
-    return msq, _result(np.sqrt(_msq(sa, sb))), _result(_kl_sorted(sa, sb, bins))
-
-
-def w2_and_kl(a, b, bins: int):
-    """``(wasserstein2_1d(a, b), kl_histogram(a, b, bins))`` from one sort of
-    each sample, each value with the bits of its own call.
-
-    The samples must have the same size, as for ``wasserstein2_1d``.
-    """
-    return gap_w2_and_kl(a, b, bins, gap=False)[1:]
+    return _result(np.sqrt(_msq(sa, sb))), _result(_kl_sorted(sa, sb, bins))
 
 
 def empirical_moments(a) -> tuple[float, float]:

@@ -200,10 +200,8 @@ def initial_positions(seed, n: int, dim: int, dist=("gaussian", 0.0, 1.0)) -> np
     e.g. ``[seed, r]``), each in ``[0, 2**64)``; the same seed always
     reproduces the same cloud.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_count("n", n)
+    _check_count("dim", dim)
     kind = dist[0]
     for name, value in zip(_DIST_PARAMS.get(kind, ()), dist[1:]):
         if not np.isfinite(value):

@@ -26,7 +26,7 @@ from swarmlimit import (
 )
 import swarmlimit.experiments as experiments
 from swarmlimit.experiments import _coupled_pass
-from swarmlimit.metrics import gap_w2_and_kl
+from swarmlimit.metrics import w2_and_kl
 
 from conftest import linear_cost, trajectory
 
@@ -443,36 +443,53 @@ def test_study_config_checks_the_tape_of_all_its_replicates():
                          scheme_pair="memory")
 
 
-def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_window(
+def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
         monkeypatch):
-    # the plain d = 1 pass takes every per-step metric from one gap_w2_and_kl
-    # call per window of steps over the whole stack, with or without the gap;
-    # paired_msq_gap serves only the memory pair and d >= 2.  At this size a
-    # window holds all 6 time points: (K, 6 R, N, 1) against (6 R, N, 1).
+    # every pass takes its gap from one paired_msq_gap call per time point on
+    # the whole (K, R, N, d) stack, two for the memory pair, and compare
+    # takes none; the plain d = 1 pass takes W2 / KL from one w2_and_kl call
+    # per window of steps.  At this size a window holds all 6 time points:
+    # (K, 6 R, N, 1) against (6 R, N, 1).
     p = study_base(t_end=0.05, n_particles=20)
+    N = p.n_particles
     assert p.n_steps + 1 == 6
-    calls = []
+    gaps, windows = [], []
 
-    def counted(a, b, bins, gap=True):
-        out = gap_w2_and_kl(a, b, bins, gap)
-        calls.append((a.shape, b.shape, gap,
-                      None if out[0] is None else out[0].shape))
+    def counted_gap(a, b):
+        out = paired_msq_gap(a, b)
+        gaps.append((a.shape, b.shape, out.shape))
         return out
 
-    def no_gap(a, b):
-        raise AssertionError("the plain d = 1 pass called paired_msq_gap")
+    def counted_window(a, b, bins):
+        windows.append((a.shape, b.shape))
+        return w2_and_kl(a, b, bins)
 
-    monkeypatch.setattr(experiments, "gap_w2_and_kl", counted)
-    monkeypatch.setattr(experiments, "paired_msq_gap", no_gap)
+    monkeypatch.setattr(experiments, "paired_msq_gap", counted_gap)
+    monkeypatch.setattr(experiments, "w2_and_kl", counted_window)
     tables = compare_ladder(p, ackley(1), 3, (0.2, 0.1))
     assert [len(t.times) for t in tables] == [p.n_steps + 1] * 2
-    assert calls == [((2, 6, p.n_particles, 1), (6, p.n_particles, 1), False, None)]
+    assert gaps == []
+    assert windows == [((2, 6, N, 1), (6, N, 1))]
 
-    calls.clear()
+    windows.clear()
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=p)
     zero_inertia_study(cfg, ackley(1), 3)
-    assert calls == [((2, 12, p.n_particles, 1), (12, p.n_particles, 1), True,
-                      (2, 12))]
+    assert gaps == [((2, 2, N, 1), (2, N, 1), (2, 2))] * 6
+    assert windows == [((2, 12, N, 1), (12, N, 1))]
+
+    # d >= 2 and the memory pair: the same per-step gap, and no window
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0)
+    for base, pair, calls in ((replace(p, dim=2), "plain", 1),
+                              (replace(p, memory=mem, lam=0.0), "memory", 2)):
+        gaps.clear()
+        windows.clear()
+        cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=base,
+                               scheme_pair=pair)
+        zero_inertia_study(cfg, sphere(base.dim), 3)
+        d = base.dim
+        assert gaps == [((2, 2, N, d), (2, N, d), (2, 2))] * (6 * calls)
+        assert windows == []
 
 
 def _bits(a):
@@ -494,11 +511,11 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
     step_bytes = 8 * (K + 1) * R * N
     calls = []
 
-    def counted(a, b, bins, gap=True):
+    def counted(a, b, bins):
         calls.append((a.shape, b.shape))
-        return gap_w2_and_kl(a, b, bins, gap)
+        return w2_and_kl(a, b, bins)
 
-    monkeypatch.setattr(experiments, "gap_w2_and_kl", counted)
+    monkeypatch.setattr(experiments, "w2_and_kl", counted)
     results = []
     for B, budget in ((1, 0), (1, 2 * step_bytes - 1), (2, 2 * step_bytes),
                       (3, 3 * step_bytes + 7), (7, 7 * step_bytes),

@@ -107,6 +107,20 @@ def test_initial_positions_validation():
         initial_positions(0, 0, 1, ("gaussian", 0.0, 1.0))
 
 
+@pytest.mark.parametrize("n, dim, message", [
+    (2.5, 1, "n must be an integer, got 2.5"),
+    (3, 1.0, "dim must be an integer, got 1.0"),
+    (np.float64(4.0), 1, f"n must be an integer, got {np.float64(4.0)!r}"),
+    ("3", 1, "n must be an integer, got '3'"),
+    (0, 1, "n must be >= 1"),
+    (3, -1, "dim must be >= 1"),
+], ids=["float-n", "float-dim", "numpy-float-n", "str-n", "zero-n", "negative-dim"])
+def test_initial_positions_rejects_a_size_that_is_not_a_count_naming_it(n, dim,
+                                                                        message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        initial_positions(0, n, dim)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 2**70, 1.5])
 def test_a_seed_that_is_not_a_64_bit_integer_is_rejected_naming_it(seed):
     # reduced mod 2**64, or truncated, it would draw the noise and cloud of

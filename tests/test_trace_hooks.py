@@ -73,3 +73,12 @@ def test_tracer_counts_every_step_of_each_driver(driver):
         call()
     assert tracer.calls["experiments"] == 1
     assert tracer.calls["dynamics.step"] == states * STUDY.base.n_steps
+
+
+def test_tracer_counts_one_paired_gap_per_time_point_of_a_plain_1d_study():
+    # the gap of every pass comes from the paired_msq_gap the tracer wraps,
+    # once per time point for the whole stack
+    assert STUDY.base.dim == 1 and STUDY.scheme_pair == "plain"
+    with installed(Tracer()) as tracer:
+        experiments.zero_inertia_study(STUDY, ackley(1), seed=0)
+    assert tracer.calls["metrics.paired_msq_gap"] == STUDY.base.n_steps + 1
