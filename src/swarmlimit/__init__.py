@@ -9,7 +9,6 @@ from .dynamics import (
     Params,
     RunRecord,
     SwarmState,
-    initial_state,
     lockstep,
     run,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "default_bins",
     "empirical_moments",
     "initial_positions",
-    "initial_state",
     "kl_histogram",
     "laplace_sweep",
     "laplace_value",

@@ -24,8 +24,7 @@ place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
 ``_step`` advances the state it is given, its arrays in place and its time
 with them, and allocates its temporaries once per call.  It checks nothing:
-``lockstep`` is the one way to step, and checks each state once, before its
-first draw.
+``lockstep`` is the one way to step, and builds every state it steps.
 
 A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
 replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
@@ -43,16 +42,17 @@ grid, ``pso`` and ``cbo`` consume identical noise at matching ``(i, n, k)``,
 which is what makes their pathwise gap measure the small-inertia coupling
 distance.
 
-``lockstep`` is the one stepping loop: it advances states that share a seed,
-the tape replicates they run on and ``Params`` together, drawing each tape
-block once per step (one ``(R, N, d)`` block for all R replicates) and
-handing the same array to every slice of every state, and yields the coupled
-path one time point at a time.  It builds the tape itself, from the seed,
-the replicates, ``Params`` and the channels the states draw, so the layout a
-run draws from is decided in one place.  It steps the states passed in
-themselves, so a state's arrays are the same objects on every item.  A
+``lockstep`` is the one stepping loop, and it builds both halves of the
+coupling itself.  From one initial cloud ``x0`` it starts one state per
+scheme at rest, each on its own copy, and from the seed, the replicates,
+``Params`` and the channels the schemes draw it builds the one tape they
+run on, so the initial data and the layout a run draws from are decided in
+one place.  It advances the states together, drawing each tape block once
+per step (one ``(R, N, d)`` block for all R replicates) and handing the same
+array to every slice of every state, and yields the coupled path one time
+point at a time; a state's arrays are the same objects on every item.  A
 caller reads the path in a ``for`` loop; ``run`` is that loop over a single
-unstacked state, recording every step.
+unstacked scheme, recording every step.
 """
 
 from __future__ import annotations
@@ -281,8 +281,9 @@ class RunRecord:
     final: SwarmState
 
 
-def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
-    """The scheme's state at rest: positions ``x0``, V0 = 0 and Y0 = X0.
+def _initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
+    """The scheme's state at rest, on its own float64 copy of ``x0``: V0 = 0
+    and Y0 = X0.
 
     ``x0`` is one ``(N, d)`` cloud or an ``(R, N, d)`` stack of one per
     replicate.  A second-order scheme needs its inertia ``m``, finite and in
@@ -310,78 +311,58 @@ def initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
-def lockstep(states, p: Params, obj, seed: int, r):
-    """Advance ``states`` on replicate ``r`` of the seed's tape together,
-    yielding the coupled path.
+def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
+    """Start every scheme of ``schemes`` at rest from ``x0`` and advance them
+    on replicate ``r`` of the seed's tape together, yielding the coupled path.
 
-    ``r`` is one replicate, for states of ``(N, d)`` clouds, or a nonempty
-    sequence of R replicates (a ``range`` or a tuple), for states whose
-    clouds are ``(R, N, d)``: row ``j`` runs on replicate ``r[j]``.  It is
-    passed to ``NoiseTape.theta_block`` as given.  The states share ``p``,
-    each second-order one with its own inertia.  The tape has the grid of
-    ``p``, ``max(r) + 1`` replicates and the channels the states draw: two if
-    any state has local bests, else one.  Per step, the tape blocks are
-    drawn once, one ``(R, N, d)`` block per channel for all replicates, and
-    handed to every state, and each state's consensus is computed once.
-    Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states
-    passed in, first as given, then after step ``n - 1``, each time with the
-    consensus points the next step uses.  Non-finite states abort with the
-    offending step index.
+    ``r`` is one replicate, for an ``(N, d)`` cloud ``x0``, or a nonempty
+    sequence of R replicates (a ``range`` or a tuple), for an ``(R, N, d)``
+    ``x0``: row ``j`` runs on replicate ``r[j]``.  It is passed to
+    ``NoiseTape.theta_block`` as given.  Each scheme's state starts from its
+    own float64 copy of ``x0``, with V0 = 0 and Y0 = X0; a second-order one
+    takes the inertia ``m``, a float, or a nonempty 1-d sequence of K
+    inertias for a rung-major ``(K, *x0.shape)`` stack.  The tape has the
+    grid of ``p``, ``max(r) + 1`` replicates and the channels the schemes
+    draw: two if any is a memory scheme, else one.  Per step, the tape blocks
+    are drawn once, one ``(R, N, d)`` block per channel for all replicates,
+    and handed to every state, and each state's consensus is computed once.
+    Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states,
+    one per scheme in order, first at rest, then after step ``n - 1``, each
+    time with the consensus points the next step uses.  Non-finite states
+    abort with the offending step index.
 
-    ``lockstep`` advances the states passed in with ``_step``: their arrays
-    in place and their time ``t`` by ``dt`` a step, so a state's time always
-    matches its arrays.  A yielded state changes at the next step, and a
-    caller copies whatever it wants to keep.  Every check runs once, before
-    any draw: a replicate that is not an integer >= 0 is a ``ValueError``
-    naming it; a state with local bests under ``p.memory = None`` is one; a
-    non-finite state is a ``NonFiniteStateError`` at step -1; a state whose
-    trailing axes are not ``r``'s rows and ``p``'s cloud is a ``ValueError``;
-    so is a state whose ``v`` or ``y`` is not ``x``'s shape, or that has
-    velocities and an inertia ``m`` that is ``None`` or does not broadcast to
-    ``x``'s shape, naming the state and the array; and so is a state it
-    cannot step in place, naming the state and the array: one that is not a
-    float64 array, is read-only, or may share memory with another array of
-    the states.
+    ``lockstep`` advances the states with ``_step``: their arrays in place
+    and their time ``t`` by ``dt`` a step, so a yielded state changes at the
+    next step, and a caller copies whatever it wants to keep.  Every check
+    runs once, before any draw: a replicate that is not an integer >= 0 is a
+    ``ValueError`` naming it; so are an ``x0`` that is not the cloud of
+    ``p`` and ``r``, an unknown scheme, a second-order scheme without an
+    inertia in (0, 1] of one of those shapes, and a memory scheme under
+    ``p.memory = None``; a non-finite ``x0`` is a ``NonFiniteStateError`` at
+    step -1.
     """
     rows, stacked = _replicate_rows(r)
     for value in rows:
         # NoiseTape's index would truncate a fractional replicate to another
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"replicates must be integers >= 0, got r={value}")
+    cloud = ((len(rows),) if stacked else ()) + (p.n_particles, p.dim)
+    if np.shape(x0) != cloud:
+        raise ValueError(f"x0 shape {np.shape(x0)} does not match params "
+                         f"and replicates {cloud}")
+    states = [_initial_state(scheme, x0, m) for scheme in schemes]
+    # each state holds its own copy, so a caller that passes no other
+    # reference frees x0 here
+    del x0
     channels = 2 if any(s.y is not None for s in states) else 1
     if channels == 2 and p.memory is None:
-        raise ValueError("a state with local bests needs memory params")
+        raise ValueError("a memory scheme needs memory params")
+    for s in states:
+        s.check_finite(-1)
     # the replicate count only bounds r: the row-major index never multiplies
     # it into a variate, so replicate r has the same blocks on any longer tape
     tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
                      channels)
-    cloud = ((len(rows),) if stacked else ()) + (p.n_particles, p.dim)
-    for j, s in enumerate(states):
-        s.check_finite(-1)
-        if s.x.shape[-len(cloud):] != cloud:
-            raise ValueError(f"x0 shape {s.x.shape} does not match params "
-                             f"and replicates {cloud}")
-        for k in ("v", "y"):
-            a = getattr(s, k)
-            if a is not None and a.shape != s.x.shape:
-                raise ValueError(f"state {j} {k} shape {a.shape} does not "
-                                 f"match its x shape {s.x.shape}")
-        if s.v is not None and s.m is None:
-            raise ValueError(f"state {j} has velocities but no inertia m")
-        # the inertia scales v in place, so it must not widen it
-        m_shape = np.shape(s.m)
-        if s.v is not None and (len(m_shape) > s.x.ndim or any(
-                k not in (1, n) for k, n in zip(m_shape[::-1], s.x.shape[::-1]))):
-            raise ValueError(f"state {j} m shape {m_shape} does not "
-                             f"broadcast to its x shape {s.x.shape}")
-    arrays = [(f"state {j} {k}", a) for j, s in enumerate(states)
-              for k in ("x", "v", "y") if (a := getattr(s, k)) is not None]
-    for i, (name, a) in enumerate(arrays):
-        if a.dtype != np.float64 or not a.flags.writeable:
-            raise ValueError(f"cannot step {name} in place: not a writeable float64 array")
-        for other, b in arrays[:i]:
-            if np.may_share_memory(a, b):
-                raise ValueError(f"cannot step {name} in place: may share memory with {other}")
     stepper = _STEPPERS["step"]
     cons = [_consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
@@ -404,13 +385,12 @@ def run(scheme: str, p: Params, obj, seed: int, x0: np.ndarray) -> RunRecord:
     consensus is the one the next step uses.  Non-finite states abort with
     the offending step index.
     """
-    state = initial_state(scheme, x0, p.m)
     times = np.empty(p.n_steps + 1)
     cons = np.empty((len(times), p.dim))
-    moments = {name: np.empty((len(times), 2)) for name in ("x", "v", "y")
-               if getattr(state, name) is not None}
-
-    for n, (s,), (point,) in lockstep([state], p, obj, seed, 0):
+    for n, (s,), (point,) in lockstep((scheme,), x0, p, obj, seed, 0, p.m):
+        if n == 0:
+            moments = {name: np.empty((len(times), 2)) for name in ("x", "v", "y")
+                       if getattr(s, name) is not None}
         times[n] = s.t
         cons[n] = point
         for name, table in moments.items():

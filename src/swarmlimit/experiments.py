@@ -13,14 +13,16 @@
   the sample minimum over a ladder of regularization strengths.
 
 Both coupled drivers reduce coupled passes, ``_coupled_pass``: one
-``dynamics.lockstep`` run on R replicates of the seed's noise tape
-(``lockstep`` builds one tape for them) over two states, the ``(R, N, d)``
-first-order reference and one rung-major ``(K, R, N, d)`` second-order stack
-with one rung per inertia value, replicate ``r`` starting from cloud
-``[seed, r]``.  The reference does not depend on ``m``, so it is computed
-once per replicate, and each step draws one ``(R, N, d)`` tape block per
-channel that serves every rung.  The pass reads the path ``lockstep`` yields
-in a ``for`` loop whose body makes two reductions over the whole stack.
+``dynamics.lockstep`` run on R replicates of the seed's noise tape over two
+schemes, the ``(R, N, d)`` first-order reference and one rung-major ``(K, R,
+N, d)`` second-order stack with one rung per inertia value.  ``lockstep``
+starts both at rest from one ``(R, N, d)`` stack of initial clouds, replicate
+``r`` from cloud ``[seed, r]``, and builds one tape for them, so the pair is
+coupled in its initial data and its noise by construction.  The reference
+does not depend on ``m``, so it is computed once per replicate, and each
+step draws one ``(R, N, d)`` tape block per channel that serves every rung.
+The pass reads the path ``lockstep`` yields in a ``for`` loop whose body
+makes two reductions over the whole stack.
 Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
 for the memory pair, which adds the local bests' gap) updates the ``(K, R)``
 running sup of the paired gap.  For the plain pair in one dimension the pass
@@ -31,8 +33,10 @@ once, sorts each once and bins each reference row once for all K rungs.
 ``lockstep`` advances the two states in place, so the pass holds one set of
 arrays per state and no positions but the window's.  The study makes one
 pass per chunk of consecutive replicates, each chunk as many as
-``_CHUNK_BYTES`` (64 MiB) of state arrays hold and at least one, and joins
-the chunks' results along the replicate axis; ``compare_ladder`` makes one
+``_CHUNK_BYTES`` (64 MiB) of state arrays and per-step W2 / KL hold and at
+least one.  It writes each chunk's gaps into its ``(K, R)`` array and folds
+the chunk's W2 / KL into per-time sums as the chunk completes, so its memory
+grows with R only by the gaps; ``compare_ladder`` makes one
 pass over ``range(1)``, computes no gap, and selects its snapshot steps from
 the per-step columns.  Each slice's arithmetic is elementwise that of a solo
 run and every reduction, the metrics' included, stays within one slice,
@@ -60,7 +64,7 @@ import numpy as np
 from .consensus import costs_of, laplace_value
 # ``run``, ``wasserstein2_1d`` and ``kl_histogram`` are not called here; the
 # benchmark's tracer (perfbench/tracing.py) wraps them under this module's name
-from .dynamics import Params, initial_state, lockstep, run  # noqa: F401
+from .dynamics import Params, lockstep, run  # noqa: F401
 from .metrics import (  # noqa: F401
     default_bins,
     kl_histogram,
@@ -182,11 +186,10 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
         ref_win = np.empty((B, R, N, 1))
         ladder_win = np.empty((K, B, R, N, 1))
 
+    schemes = ("cbo_mem", "pso_mem") if memory else ("cbo", "pso")
     x0 = np.stack([initial_positions([seed, r], N, p.dim, init) for r in reps])
-    path = lockstep([initial_state("cbo_mem" if memory else "cbo", x0),
-                     initial_state("pso_mem" if memory else "pso", x0, m_values)],
-                    p, obj, seed, reps)
-    # the states hold their own copies of x0 and lockstep steps those
+    # lockstep's states copy x0, and lockstep drops it once they have
+    path = lockstep(schemes, x0, p, obj, seed, reps, m_values)
     del x0
     for n, (ref, ladder), _ in path:
         times[n] = ladder.t
@@ -210,20 +213,6 @@ def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values
     return _PassResult(times, sup_gap, w2, kl)
 
 
-def _replicate_mean(per_replicate: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 of a ``(K, R, T)`` array as a fold over ``r = 0, ...,
-    R - 1`` in that order, whose bits do not depend on how NumPy sums.
-
-    The fold starts from replicate 0, bit-equal to one from zeros because
-    neither metric returns -0.0.
-    """
-    mean = per_replicate[:, 0].copy()
-    for r in range(1, per_replicate.shape[1]):
-        mean += per_replicate[:, r]
-    mean /= per_replicate.shape[1]
-    return mean
-
-
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     """Coupled ladder study of the sup-in-time paired mean-square gap.
 
@@ -231,23 +220,37 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     inertia) and the second-order stack of the ladder start from the same
     initial cloud and consume the same tape blocks.  The replicates run as
     coupled passes over consecutive chunks, each as many replicates as
-    ``_CHUNK_BYTES`` of state arrays hold (at least one).  The rate is the
-    least-squares slope of ``ln(mean gap)`` against ``ln m`` over all ladder
-    points.
+    ``_CHUNK_BYTES`` of state arrays and per-step W2 / KL hold (at least
+    one).  A chunk's W2 / KL are folded into the running sums as it
+    completes, so only one chunk's are held.  The rate is the least-squares
+    slope of ``ln(mean gap)`` against ``ln m`` over all ladder points.
     """
     memory, K, p = cfg.scheme_pair == "memory", len(cfg.m_ladder), cfg.base
-    # one replicate's state arrays: the reference's positions and the
-    # ladder's positions and velocities, each with local bests for memory
+    metrics = p.dim == 1 and not memory
+    # one replicate's floats: the reference's positions and the ladder's
+    # positions and velocities, each with local bests for memory, and the
+    # W2 and KL of every rung and step
     clouds = 2 + 3 * K if memory else 1 + 2 * K
-    chunk = max(1, _CHUNK_BYTES // (8 * clouds * p.n_particles * p.dim))
+    per_replicate = (clouds * p.n_particles * p.dim
+                     + (2 * K * (p.n_steps + 1) if metrics else 0))
+    chunk = max(1, _CHUNK_BYTES // (8 * per_replicate))
     reps = range(cfg.replicates)
-    passes = [_coupled_pass(p, obj, seed, reps[r0:r0 + chunk], cfg.init,
-                            cfg.m_ladder, memory) for r0 in reps[::chunk]]
-    # join the chunks along the replicate axis
-    sup_gaps, w2, kl = (None if f[0] is None else np.concatenate(f, axis=1)
-                        for f in zip(*((q.sup_gap, q.w2, q.kl) for q in passes)))
-    if w2 is not None:
-        w2, kl = _replicate_mean(w2), _replicate_mean(kl)
+    sup_gaps = np.empty((K, cfg.replicates))
+    sums = np.zeros((2, K, p.n_steps + 1))
+    for r0 in reps[::chunk]:
+        q = _coupled_pass(p, obj, seed, reps[r0:r0 + chunk], cfg.init,
+                          cfg.m_ladder, memory)
+        sup_gaps[:, r0:r0 + chunk] = q.sup_gap
+        if metrics:
+            # the replicate means are a fold over r = 0, ..., R - 1 in that
+            # order, whose bits do not depend on how NumPy sums; from zeros
+            # it equals one from replicate 0, as neither metric returns -0.0
+            for j in range(q.w2.shape[1]):
+                sums[0] += q.w2[:, j]
+                sums[1] += q.kl[:, j]
+        # free this chunk's results before the next pass allocates its own
+        del q
+    w2, kl = sums / cfg.replicates if metrics else (None, None)
 
     gap_mean = sup_gaps.mean(axis=1)
     if len(gap_mean) >= 2 and np.all(gap_mean > 0.0):
@@ -332,8 +335,7 @@ def optimize(scheme: str, p: Params, obj, seed: int) -> tuple[np.ndarray, float]
     first-order schemes.
     """
     x0 = initial_positions([seed, 0], p.n_particles, p.dim)
-    for _, (final,), (point,) in lockstep([initial_state(scheme, x0, p.m)],
-                                          p, obj, seed, 0):
+    for _, (final,), (point,) in lockstep((scheme,), x0, p, obj, seed, 0, p.m):
         pass
     return point, final.mean_speed
 

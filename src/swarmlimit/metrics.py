@@ -29,6 +29,8 @@ Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
 ``(wasserstein2_1d, kl_histogram)`` of equal-size 1-d samples from one check
 and one sort of each, with the bits of the two calls.  Means along the
 particle axis are ``np.add.reduce(...) / n``, the arithmetic of ``np.mean``.
+Squared norms are ``objectives._square_norm``'s, with the bits of
+``np.einsum``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .objectives import _square_norm
 
 KL_SMOOTHING = 1e-10
 
@@ -101,8 +105,7 @@ def wasserstein2_1d(a, b):
 def paired_msq_gap(a, b):
     """Mean squared Euclidean distance between index-matched particles."""
     xa, xb = _pair(a, b, flat=False)
-    diff = xa - xb
-    return _result(_mean(np.einsum("...ij,...ij->...i", diff, diff)))
+    return _result(_mean(_square_norm(xa - xb)))
 
 
 def default_bins(n: int) -> int:
@@ -198,5 +201,5 @@ def empirical_moments(a) -> tuple[float, float]:
         raise ValueError("empirical_moments takes one (n,) or (n, dim) cloud, "
                          f"got shape {np.shape(a)}")
     x, _ = _pair(a, a, flat=False)
-    sq = np.einsum("ij,ij->i", x, x)
+    sq = _square_norm(x)
     return float(np.mean(sq)), float(np.mean(sq * sq))

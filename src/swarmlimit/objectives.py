@@ -100,15 +100,15 @@ def _centered(x: np.ndarray, x_star: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(z: np.ndarray, term) -> np.ndarray:
-    """``np.sum(term(z), axis=1)`` for an ``(n, dim)`` batch: the term is
+    """``np.sum(term(z), axis=-1)`` for an ``(..., dim)`` batch: the term is
     evaluated once on the whole batch, and up to ``_FOLD_MAX_DIM`` its
     columns are added as written."""
     t = term(z)
-    if z.shape[1] > _FOLD_MAX_DIM:
-        return np.sum(t, axis=1)
-    if z.shape[1] == 1:
-        return t[:, 0]
-    return t[:, 0] + t[:, 1]
+    if z.shape[-1] > _FOLD_MAX_DIM:
+        return np.sum(t, axis=-1)
+    if z.shape[-1] == 1:
+        return t[..., 0]
+    return t[..., 0] + t[..., 1]
 
 
 def _square(z: np.ndarray) -> np.ndarray:
@@ -116,9 +116,11 @@ def _square(z: np.ndarray) -> np.ndarray:
 
 
 def _square_norm(z: np.ndarray) -> np.ndarray:
-    """``|z|^2`` per row, with ``np.einsum("ij,ij->i", z, z)``'s bits."""
-    if z.shape[1] > _FOLD_MAX_DIM:
-        return np.einsum("ij,ij->i", z, z)
+    """``|z|^2`` along the last axis of an ``(..., dim)`` batch, with the bits
+    of ``np.einsum("...ij,...ij->...i", z, z)`` (``"ij,ij->i"`` on an ``(n,
+    dim)`` batch); ``metrics`` takes its squared norms from here too."""
+    if z.shape[-1] > _FOLD_MAX_DIM:
+        return np.einsum("...ij,...ij->...i", z, z)
     return _row_sum(z, _square)
 
 

@@ -3,7 +3,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from swarmlimit import NoiseTape, Objective, initial_state, lockstep
+from swarmlimit import NoiseTape, Objective, lockstep
 from swarmlimit.dynamics import _consensus_of, _step
 
 
@@ -22,7 +22,7 @@ def trajectory(scheme, p, obj, seed, r, x0):
     replicate ``r`` of the seed's tape, one entry per time point from the
     initial cloud on."""
     xs, ys = [], []
-    for _, (s,), _ in lockstep([initial_state(scheme, x0, p.m)], p, obj, seed, r):
+    for _, (s,), _ in lockstep((scheme,), x0, p, obj, seed, r, p.m):
         xs.append(s.x.copy())
         ys.append(None if s.y is None else s.y.copy())
     return xs, ys

@@ -1,6 +1,5 @@
 import copy
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +13,10 @@ from swarmlimit import (
     SwarmState,
     ackley,
     initial_positions,
-    initial_state,
     lockstep,
     run,
 )
-from swarmlimit.dynamics import _consensus_of, _step
+from swarmlimit.dynamics import SCHEMES, _consensus_of, _initial_state, _step
 
 from certified import step_oracle
 from conftest import blocks, linear_cost, step_once
@@ -74,19 +72,19 @@ def test_step_preconditions(drawn_blocks):
     p = plain_params()
     obj = linear_cost()
     x0 = np.zeros((2, 1))
-    # a second-order state carries its inertia
+    # a second-order scheme takes its inertia
     for scheme in ("pso", "pso_mem"):
         with pytest.raises(ValueError, match="needs its inertia m"):
-            initial_state(scheme, x0)
+            next(lockstep((scheme,), x0, p, obj, 0, 0))
     # a first-order scheme carries no inertia, whatever it is given
-    assert initial_state("cbo", x0, 0.5).m is None
-    # a memory state needs the memory constants, checked before any item
-    # or draw, next to a state that needs none
+    _, (cbo,), _ = next(lockstep(("cbo",), x0, p, obj, 0, 0, 0.5))
+    assert cbo.m is None
+    # a memory scheme needs the memory constants, checked before any item
+    # or draw, next to a scheme that needs none
     for scheme in ("pso_mem", "cbo_mem"):
         with pytest.raises(ValueError) as excinfo:
-            next(lockstep([initial_state("cbo", x0),
-                           initial_state(scheme, x0, 0.5)], p, obj, 0, 0))
-        assert str(excinfo.value) == "a state with local bests needs memory params"
+            next(lockstep(("cbo", scheme), x0, p, obj, 0, 0, 0.5))
+        assert str(excinfo.value) == "a memory scheme needs memory params"
     with pytest.raises(ValueError, match="memory params"):
         run("cbo_mem", p, obj, 0, x0)
     assert not drawn_blocks
@@ -162,7 +160,7 @@ def test_cbo_null_dynamics_is_identity():
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
     x0 = np.array([[0.2], [0.8]])
-    state = initial_state("pso_mem", x0, p.m)
+    state = _initial_state("pso_mem", x0, p.m)
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
@@ -203,8 +201,8 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     pm = memory_params(lam1=0.4, lam2=0.8, nu=0.5, alpha=2.0, n_particles=4)
     pp = plain_params(lam=0.8, alpha=2.0, n_particles=4)
     x0 = np.array([[0.1], [0.4], [0.6], [0.9]])
-    mem_state = initial_state("pso_mem", x0, pm.m)
-    plain_state = initial_state("pso", x0, pp.m)
+    mem_state = _initial_state("pso_mem", x0, pm.m)
+    plain_state = _initial_state("pso", x0, pp.m)
     obj = linear_cost()
     out_mem = step_once(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0))
     out_plain = step_once(plain_state, pp, obj, blocks(tape_for(pp), 0))
@@ -336,34 +334,37 @@ def test_non_finite_state_aborts_with_step_index():
     assert f"x[{err.index[0]}, {err.index[1]}] is " in str(err)
 
 
-def test_non_finite_stacked_state_names_rung_particle_and_coordinate():
+def test_non_finite_stacked_state_names_rung_particle_and_coordinate(
+        drawn_blocks):
+    # a non-finite x0 is in every rung of the stack; the first is named
     p = plain_params(n_particles=3, dim=2)
-    ladder = initial_state("pso", np.zeros((3, 2)), (0.4, 0.2, 0.1))
-    assert ladder.x.shape == (3, 3, 2)
-    ladder.v[1, 2, 1] = np.nan
-    ladder.v[2, 0, 0] = np.inf
+    x0 = np.zeros((3, 2))
+    x0[2, 1] = np.nan
+    x0[1, 0] = np.inf
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
-                       r"step -1: v\[1, 2, 1\] is nan$") as excinfo:
-        next(lockstep([initial_state("cbo", np.zeros((3, 2))), ladder], p,
-                      linear_cost(2), 0, 0))
+                       r"step -1: x\[0, 1, 0\] is inf$") as excinfo:
+        next(lockstep(("pso", "cbo"), x0, p, linear_cost(2), 0, 0,
+                      (0.4, 0.2, 0.1)))
     assert (excinfo.value.step, excinfo.value.array, excinfo.value.index) == \
-        (-1, "v", (1, 2, 1))
+        (-1, "x", (0, 1, 0))
+    assert not drawn_blocks
 
 
 def test_non_finite_replicate_stack_names_rung_replicate_particle_and_coordinate():
     # a rung-major (K, R, N, d) stack over R = 2 replicates of 3 particles
     p = plain_params(n_particles=3, dim=2)
     x0 = np.zeros((2, 3, 2))
-    ladder = initial_state("pso", x0, (0.4, 0.2, 0.1))
+    _, (ladder,), _ = next(lockstep(("pso",), x0, p, linear_cost(2), 0,
+                                    range(2), (0.4, 0.2, 0.1)))
     assert ladder.x.shape == (3, 2, 3, 2)
     assert ladder.m.shape == (3, 1, 1, 1)
-    ladder.x[2, 1, 0, 1] = -np.inf
-    ladder.x[2, 1, 2, 0] = np.nan
+    x0[1, 0, 1] = -np.inf
+    x0[1, 2, 0] = np.nan
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state after "
-                       r"step -1: x\[2, 1, 0, 1\] is -inf$") as excinfo:
-        next(lockstep([initial_state("cbo", x0), ladder], p, linear_cost(2), 0,
-                      range(2)))
-    assert excinfo.value.index == (2, 1, 0, 1)
+                       r"step -1: x\[0, 1, 0, 1\] is -inf$") as excinfo:
+        next(lockstep(("pso", "cbo"), x0, p, linear_cost(2), 0, range(2),
+                      (0.4, 0.2, 0.1)))
+    assert excinfo.value.index == (0, 1, 0, 1)
 
 
 def test_lockstep_rejects_states_without_one_row_per_replicate(drawn_blocks):
@@ -373,8 +374,7 @@ def test_lockstep_rejects_states_without_one_row_per_replicate(drawn_blocks):
     for shape, r, cloud in [((3, 3, 1), (0, 1), (2, 3, 1)),
                             ((3, 1), range(3), (3, 3, 1))]:
         with pytest.raises(ValueError) as excinfo:
-            next(lockstep([initial_state("cbo", np.zeros(shape))], p,
-                          linear_cost(), 0, r))
+            next(lockstep(("cbo",), np.zeros(shape), p, linear_cost(), 0, r))
         assert str(excinfo.value) == (f"x0 shape {shape} does not match "
                                       f"params and replicates {cloud}")
     assert not drawn_blocks
@@ -389,13 +389,12 @@ def test_replicate_stack_steps_each_row_as_its_solo_run(drawn_blocks):
     x0 = np.stack([initial_positions([4, r], p.n_particles, p.dim) for r in reps])
     # lockstep advances a state's arrays in place: keep copies
     stacked = [(st.x.copy(), st.v.copy(), points) for _, (st,), (points,) in
-               lockstep([initial_state("pso", x0, (0.2, 0.1))], p, ackley(2),
-                        4, reps)]
+               lockstep(("pso",), x0, p, ackley(2), 4, reps, (0.2, 0.1))]
     assert len(drawn_blocks) == p.n_steps
     assert {key[1] for key in drawn_blocks} == {reps}
     for j, r in enumerate(reps):
         for k, m in enumerate((0.2, 0.1)):
-            solo = lockstep([initial_state("pso", x0[j], m)], p, ackley(2), 4, r)
+            solo = lockstep(("pso",), x0[j], p, ackley(2), 4, r, m)
             for (_, (s,), (point,)), (x, v, points) in zip(solo, stacked):
                 assert np.array_equal(x[k, j], s.x)
                 assert np.array_equal(v[k, j], s.v)
@@ -471,7 +470,7 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
                         n_particles=50)
     tape = tape_for(base, seed=17)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = initial_state("cbo", x0)
+    cbo_out = _initial_state("cbo", x0)
     cons = _consensus_of(cbo_out, base, obj)
     _step(cbo_out, base, obj, blocks(tape, 0), cons)
     increment = np.max(np.abs(cbo_out.x - x0))
@@ -482,7 +481,7 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     for m in m_values:
         p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
                          dt=dt, n_particles=50)
-        pso_out = initial_state("pso", x0, m)
+        pso_out = _initial_state("pso", x0, m)
         _step(pso_out, p, obj, blocks(tape, 0), cons)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
@@ -494,48 +493,95 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
 def test_lockstep_yields_the_path_from_the_initial_states_on(drawn_blocks):
     p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.05)
     x0 = initial_positions([3, 0], p.n_particles, p.dim)
-    start = [initial_state("cbo", x0), initial_state("pso", x0, (0.2, 0.1))]
     t = 0.0
-    for n, states, points in lockstep(start, p, ackley(1), 3, 0):
-        # every item yields the states passed in, their time advanced with
-        # their arrays by one dt a step
+    for n, states, points in lockstep(("cbo", "pso"), x0, p, ackley(1), 3, 0,
+                                      (0.2, 0.1)):
+        if n == 0:
+            start = states
+        # every item yields the same states, their time advanced with their
+        # arrays by one dt a step
         assert states is start
         assert [pt.shape for pt in points] == [(1,), (2, 1)]
         assert all(s.t == t for s in states)
         t += p.dt
     assert n == p.n_steps
     assert start[0].t == pytest.approx(p.t_end)
-    # the path is lazy: two items are the states as given and one step, and
-    # a second path goes on from the states' own time
+    # the path is lazy: two items are the states at rest and one step
     drawn_blocks.clear()
-    t_end = start[0].t
-    path = lockstep(start, p, ackley(1), 3, 0)
+    path = lockstep(("cbo", "pso"), x0, p, ackley(1), 3, 0, (0.2, 0.1))
     next(path)
-    next(path)
+    _, states, _ = next(path)
     assert sorted(drawn_blocks) == [(3, 0, 0, 1)]
-    assert all(s.t == t_end + p.dt for s in start)
+    assert all(s.t == p.dt for s in states)
+
+
+def _path_arrays(path):
+    """Copies of every array of every state, item by item."""
+    return [[a.copy() for s in states for k in ("x", "v", "y")
+             if (a := getattr(s, k)) is not None] for _, states, _ in path]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
+def test_lockstep_states_own_their_arrays(stacked):
+    # every scheme starts at rest on its own float64 copy of x0: no array
+    # shares memory with x0 or with another, and writing into x0 after the
+    # first item changes no later item
+    mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
+                       beta=30.0)
+    p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=5, dim=2,
+                     t_end=0.03, memory=mem)
+    r = range(2) if stacked else 0
+    x0 = np.stack([initial_positions([3, j], 5, 2) for j in range(2)])
+    if not stacked:
+        x0 = x0[0].copy()
+    m = (0.2, 0.1) if stacked else 0.2
+    want = _path_arrays(lockstep(SCHEMES, x0.copy(), p, ackley(2), 3, r, m))
+
+    path = lockstep(SCHEMES, x0, p, ackley(2), 3, r, m)
+    _, states, _ = next(path)
+    arrays = [(k, a) for s in states for k in ("x", "v", "y")
+              if (a := getattr(s, k)) is not None]
+    assert len(arrays) == 8
+    for i, (k, a) in enumerate(arrays):
+        assert a.dtype == np.float64 and a.flags.writeable
+        assert not np.shares_memory(a, x0)
+        assert not any(np.shares_memory(a, b) for _, b in arrays[:i])
+        start = np.zeros(a.shape) if k == "v" else np.broadcast_to(x0, a.shape)
+        assert np.array_equal(a.view(np.uint64), start.view(np.uint64))
+    x0[...] = np.nan
+    got = _path_arrays(path)
+    assert len(got) == len(want) - 1 == p.n_steps
+    for item, want_item in zip(got, want[1:]):
+        for a, b in zip(item, want_item, strict=True):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("m, shape", [([[0.1, 0.2]], "(1, 2)"), ([], "(0,)")],
                          ids=["2-d", "empty"])
-def test_initial_state_rejects_an_inertia_of_another_shape(m, shape):
+def test_initial_state_rejects_an_inertia_of_another_shape(m, shape,
+                                                          drawn_blocks):
     # a 2-d inertia would fail inside the first step, an empty one would run
     # an empty stack
     with pytest.raises(ValueError) as excinfo:
-        initial_state("pso", np.zeros((2, 1)), m)
+        next(lockstep(("pso",), np.zeros((2, 1)), plain_params(), linear_cost(),
+                      0, 0, m))
     assert str(excinfo.value) == ("inertia m must be a float or a nonempty "
                                   f"1-d sequence, got shape {shape}")
+    assert not drawn_blocks
 
 
 @pytest.mark.parametrize("m", [0.0, -2.0, 1.5, np.nan])
 @pytest.mark.parametrize("stacked", [False, True])
-def test_initial_state_rejects_an_inertia_params_rejects(m, stacked):
+def test_initial_state_rejects_an_inertia_params_rejects(m, stacked,
+                                                         drawn_blocks):
     # the same check and message as Params, for a solo inertia or a ladder rung
     with pytest.raises(ValueError) as params_exc:
         plain_params(m=m)
     with pytest.raises(ValueError) as state_exc:
-        initial_state("pso", np.zeros((2, 1)), [0.2, m] if stacked else m)
+        next(lockstep(("pso",), np.zeros((2, 1)), plain_params(), linear_cost(),
+                      0, 0, [0.2, m] if stacked else m))
     assert str(state_exc.value) == str(params_exc.value)
+    assert not drawn_blocks
 
 
 @pytest.mark.parametrize("scheme", ["pso", "cbo", "pso_mem", "cbo_mem"])
@@ -553,92 +599,31 @@ def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
     x0 = initial_positions([9, 0], p.n_particles, p.dim)
     if stacked:
         x0 = np.stack([x0, initial_positions([9, 1], p.n_particles, p.dim)])
-    start = initial_state(scheme, x0, (0.2, 0.05) if stacked else 0.2)
-    names = [name for name in ("x", "v", "y") if getattr(start, name) is not None]
-    ref = replace(start, **{name: getattr(start, name).copy() for name in names})
+    m = (0.2, 0.05) if stacked else 0.2
+    ref = _initial_state(scheme, x0, m)
+    names = [name for name in ("x", "v", "y") if getattr(ref, name) is not None]
     tape = NoiseTape(9, 2, p.n_particles, p.n_steps, p.dim,
                      2 if p.memory else 1)
-    for n, (s,), _ in lockstep([start], p, ackley(2), 9, r):
-        if n > 0:
+    for n, (s,), _ in lockstep((scheme,), x0, p, ackley(2), 9, r, m):
+        if n == 0:
+            start = {name: getattr(s, name) for name in names}
+        else:
             ref = step_once(ref, p, ackley(2), blocks(tape, n - 1, r))
         assert s.t == ref.t
         for name in names:
             got, want = getattr(s, name), getattr(ref, name)
-            # every yielded array is the one passed in, stepped in place
-            assert got is getattr(start, name)
+            # every yielded array is the one of item 0, stepped in place
+            assert got is start[name]
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert n == p.n_steps
 
 
-def _unsteppable(case):
-    """States lockstep cannot step in place, and the message naming why."""
-    x0 = initial_positions([3, 0], 5, 1)
-    if case == "float32":
-        return ([SwarmState(t=0.0, x=x0.astype(np.float32))],
-                "state 0 x in place: not a writeable float64 array")
-    if case == "read-only":
-        pso = initial_state("pso", x0, 0.2)
-        pso.v.flags.writeable = False
-        return ([initial_state("cbo", x0), pso],
-                "state 1 v in place: not a writeable float64 array")
-    if case == "twice":
-        cbo = initial_state("cbo", x0)
-        return [cbo, cbo], "state 1 x in place: may share memory with state 0 x"
-    # case "x is y"
-    return ([SwarmState(t=0.0, x=x0, y=x0)],
-            "state 0 y in place: may share memory with state 0 x")
-
-
-@pytest.mark.parametrize("case", ["float32", "read-only", "twice", "x is y"])
-def test_lockstep_rejects_a_state_it_cannot_step_in_place(case, drawn_blocks):
-    states, why = _unsteppable(case)
-    with pytest.raises(ValueError) as excinfo:
-        next(lockstep(states, memory_params(n_particles=5), ackley(1), 3, 0))
-    assert str(excinfo.value) == f"cannot step {why}"
-    assert not drawn_blocks
-
-
-@pytest.mark.parametrize("case", ["v", "y", "m", "no m"])
-def test_lockstep_rejects_a_state_whose_arrays_do_not_fit_x(case, drawn_blocks):
-    # such a state passed every check and failed inside its first step,
-    # after item 0 (the v case after writing v): check the message, and that
-    # nothing was drawn, written or advanced
-    x0 = initial_positions([3, 0], 5, 1)
-    shape = (2, 5, 1)
-    if case == "v":
-        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros(shape), m=0.5)
-        why = f"state 1 v shape {shape} does not match its x shape (5, 1)"
-    elif case == "y":
-        bad = SwarmState(t=0.0, x=x0.copy(), y=np.zeros(shape))
-        why = f"state 1 y shape {shape} does not match its x shape (5, 1)"
-    elif case == "m":
-        # a stack's (K, 1, 1) inertia column on a solo state
-        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((5, 1)),
-                         m=np.full((2, 1, 1), 0.5))
-        why = "state 1 m shape (2, 1, 1) does not broadcast to its x shape (5, 1)"
-    else:
-        bad = SwarmState(t=0.0, x=x0.copy(), v=np.zeros((5, 1)))
-        why = "state 1 has velocities but no inertia m"
-    states = [initial_state("cbo", x0), bad]
-    before = [{k: a.copy() for k in ("x", "v", "y") if (a := getattr(s, k)) is not None}
-              for s in states]
-    with pytest.raises(ValueError) as excinfo:
-        next(lockstep(states, memory_params(n_particles=5), ackley(1), 3, 0))
-    assert str(excinfo.value) == why
-    assert not drawn_blocks
-    for s, arrays in zip(states, before):
-        assert s.t == 0.0
-        for k, a in arrays.items():
-            assert np.array_equal(getattr(s, k), a)
-
-
 @pytest.mark.parametrize("r", [range(0), ()], ids=["range", "tuple"])
 def test_lockstep_rejects_no_replicates_with_the_tapes_message(r, drawn_blocks):
     p = plain_params(n_particles=5)
-    start = initial_state("cbo", np.zeros((1, 5, 1)))
     with pytest.raises(ValueError) as excinfo:
-        next(lockstep([start], p, ackley(1), 3, r))
+        next(lockstep(("cbo",), np.zeros((1, 5, 1)), p, ackley(1), 3, r))
     assert str(excinfo.value) == ("r must be a replicate or a nonempty range "
                                   "or tuple of them")
     assert not drawn_blocks
@@ -655,7 +640,7 @@ def test_lockstep_rejects_a_replicate_that_is_no_count_before_it_yields(
     p = plain_params(n_particles=5)
     x0 = np.zeros((len(r), 5, 1) if isinstance(r, (range, tuple)) else (5, 1))
     with pytest.raises(ValueError) as excinfo:
-        next(lockstep([initial_state("cbo", x0)], p, ackley(1), 3, r))
+        next(lockstep(("cbo",), x0, p, ackley(1), 3, r))
     assert str(excinfo.value) == f"replicates must be integers >= 0, got r={bad}"
     assert not drawn_blocks
 
@@ -670,8 +655,8 @@ def _oracle_case(scheme, dim, stacked, order):
     p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=9, dim=dim,
                      t_end=0.02, memory=mem if scheme.endswith("_mem") else None)
     x0 = np.stack([initial_positions([5, r], 9, dim) for r in range(3)])
-    state = initial_state(scheme, x0 if stacked else x0[0],
-                          (0.2, 0.05) if stacked else 0.2)
+    state = _initial_state(scheme, x0 if stacked else x0[0],
+                           (0.2, 0.05) if stacked else 0.2)
     rng = np.random.default_rng(dim)
     for name in ("x", "v", "y"):
         arr = getattr(state, name)
@@ -723,10 +708,12 @@ def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
     with pytest.raises(NonFiniteStateError, match=re.escape(
             "non-finite state after step 1: x[0, 0] is inf")):
         run("pso", p, linear_cost(), 1, x0)
-    ladder = initial_state("pso", np.stack([x0, x0[::-1].copy()]), (0.5, 0.1))
+    path = lockstep(("pso",), np.stack([x0, x0[::-1]]), p, linear_cost(), 1,
+                    range(2), (0.5, 0.1))
+    _, (ladder,), _ = next(path)
     with pytest.raises(NonFiniteStateError, match=re.escape(
             "non-finite state after step 1: x[0, 0, 0, 0] is inf")) as excinfo:
-        for _ in lockstep([ladder], p, linear_cost(), 1, range(2)):
+        for _ in path:
             pass
     assert (excinfo.value.step, excinfo.value.array) == (1, "x")
     assert not np.all(np.isfinite(ladder.v))

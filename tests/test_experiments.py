@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -551,8 +552,10 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
                            scheme_pair=pair)
     # the bytes of one replicate's state arrays: the positions and velocities
     # of 3 rungs and the reference's positions, and each one's local bests
-    # for the memory pair
-    per_replicate = 8 * base.n_particles * (11 if memory else 7)
+    # for the memory pair; for the plain pair also the W2 and KL of each
+    # rung and step
+    per_replicate = 8 * (base.n_particles * (11 if memory else 7)
+                         + (0 if memory else 2 * 3 * (base.n_steps + 1)))
     passes = []
     coupled_pass = experiments._coupled_pass
 
@@ -577,3 +580,25 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
                      "kl_mean"):
             assert np.array_equal(_bits(getattr(res, name)),
                                   _bits(getattr(first, name))), name
+
+
+def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
+    # a study holds one chunk's per-step W2 / KL at a time, folded into the
+    # replicate means as the chunk completes: with chunks of 25 replicates
+    # and a window of one step, 4x the replicates raise the peak by < 1.5x
+    base = study_base(n_particles=2, t_end=0.5)
+    ladder = (0.2, 0.1, 0.05)
+    per_replicate = 8 * (base.n_particles * 7 + 2 * 3 * (base.n_steps + 1))
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * per_replicate)
+    monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
+    peaks = []
+    for replicates in (2, 25, 100):
+        cfg = LimitStudyConfig(m_ladder=ladder, replicates=replicates, base=base)
+        tracemalloc.start()
+        try:
+            zero_inertia_study(cfg, ackley(1), 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the first study only warms up what any study allocates once
+    assert peaks[2] < 1.5 * peaks[1]

@@ -13,6 +13,7 @@ from swarmlimit import (
     w2_and_kl,
     wasserstein2_1d,
 )
+from swarmlimit.objectives import _square_norm
 
 from certified import kl_histogram_oracle
 
@@ -451,3 +452,39 @@ def test_paired_msq_gap_of_1d_samples_is_the_mean_squared_difference(rng, k, r):
                         value = paired_msq_gap(x, y)
                         assert isinstance(value, float)
                         assert _bits(value) == _bits(gap[i, j])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_square_norm_has_the_bits_of_each_einsum_spelling(rng, dim, order):
+    # the one squared-norm kernel of the objectives and the metrics adds the
+    # columns as written up to dim 2 and calls einsum above; every einsum
+    # spelling gives its bits, row by row, on a batch or a stack of them in
+    # either memory order
+    for shape in ((7, dim), (3, 2, 7, dim), (5, 2, 1000, dim)):
+        z = np.asarray(rng.normal(size=shape) * rng.lognormal(size=shape),
+                       order=order)
+        got = _square_norm(z)
+        assert got.shape == shape[:-1]
+        spellings = ["...ij,...ij->...i", "...j,...j->..."]
+        if z.ndim == 2:
+            spellings.append("ij,ij->i")
+        for spelling in spellings:
+            assert np.array_equal(_bits(got), _bits(np.einsum(spelling, z, z))), spelling
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_paired_gap_and_moments_keep_the_bits_of_their_einsums(rng, dim, order):
+    # both take their squared norms from _square_norm, with the bits of the
+    # einsum each spelled before
+    a = np.asarray(rng.normal(size=(5, 2, 1000, dim)), order=order)
+    b = np.asarray(rng.normal(size=(2, 1000, dim)), order=order)
+    diff = a - b
+    sq = np.einsum("...ij,...ij->...i", diff, diff)
+    assert np.array_equal(_bits(paired_msq_gap(a, b)),
+                          _bits(np.add.reduce(sq, axis=-1) / 1000))
+    x = np.asarray(b[1], order=order)
+    sq = np.einsum("ij,ij->i", x, x)
+    assert _bits(empirical_moments(x)).tolist() == \
+        _bits([np.mean(sq), np.mean(sq * sq)]).tolist()

@@ -15,7 +15,6 @@ from swarmlimit import (
     Params,
     ackley,
     initial_positions,
-    initial_state,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -29,8 +28,8 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
     assert p.n_steps == 3
     x0 = initial_positions([0, 0], p.n_particles, p.dim)
     with installed(Tracer()) as tracer:
-        for _, (final,), _ in dynamics.lockstep(
-                [initial_state("pso", x0, p.m)], p, ackley(1), 0, 0):
+        for _, (final,), _ in dynamics.lockstep(("pso",), x0, p, ackley(1), 0, 0,
+                                                p.m):
             pass
     assert tracer.calls["dynamics.step"] == 3
     assert tracer.calls["noise.theta_block"] == 3
