@@ -334,13 +334,16 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     ``lockstep`` advances the states with ``_step``: their arrays in place
     and their time ``t`` by ``dt`` a step, so a yielded state changes at the
     next step, and a caller copies whatever it wants to keep.  Every check
-    runs once, before any draw: a replicate that is not an integer >= 0 is a
-    ``ValueError`` naming it; so are an ``x0`` that is not the cloud of
-    ``p`` and ``r``, an unknown scheme, a second-order scheme without an
-    inertia in (0, 1] of one of those shapes, and a memory scheme under
-    ``p.memory = None``; a non-finite ``x0`` is a ``NonFiniteStateError`` at
-    step -1.
+    runs once, before any draw: a ``schemes`` that is not a nonempty tuple of
+    names is a ``ValueError``; so are a replicate that is not an integer >=
+    0, which it names, an ``x0`` that is not the cloud of ``p`` and ``r``, an
+    unknown scheme, a second-order scheme without an inertia in (0, 1] of
+    one of those shapes, and a memory scheme under ``p.memory = None``; a
+    non-finite ``x0`` is a ``NonFiniteStateError`` at step -1.
     """
+    if not isinstance(schemes, tuple) or not schemes:
+        raise ValueError("schemes must be a nonempty tuple of scheme names, "
+                         f"got {schemes!r}")
     rows, stacked = _replicate_rows(r)
     for value in rows:
         # NoiseTape's index would truncate a fractional replicate to another

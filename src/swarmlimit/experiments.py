@@ -12,36 +12,48 @@
 * ``laplace_sweep``         tabulates the exponential-average value against
   the sample minimum over a ladder of regularization strengths.
 
-Both coupled drivers reduce coupled passes, ``_coupled_pass``: one
-``dynamics.lockstep`` run on R replicates of the seed's noise tape over two
-schemes, the ``(R, N, d)`` first-order reference and one rung-major ``(K, R,
-N, d)`` second-order stack with one rung per inertia value.  ``lockstep``
-starts both at rest from one ``(R, N, d)`` stack of initial clouds, replicate
-``r`` from cloud ``[seed, r]``, and builds one tape for them, so the pair is
-coupled in its initial data and its noise by construction.  The reference
-does not depend on ``m``, so it is computed once per replicate, and each
-step draws one ``(R, N, d)`` tape block per channel that serves every rung.
-The pass reads the path ``lockstep`` yields in a ``for`` loop whose body
-makes two reductions over the whole stack.
+Both coupled drivers make one coupled pass, ``_coupled_pass``, over all
+their replicates ``0, ..., R - 1``.  The pass runs them in consecutive
+chunks, each one ``dynamics.lockstep`` run on its R_c replicates of the
+seed's noise tape over two schemes, the ``(R_c, N, d)`` first-order
+reference and one rung-major ``(K, R_c, N, d)`` second-order stack with one
+rung per inertia value.  A chunk has as many replicates as ``_CHUNK_BYTES``
+(64 MiB) hold at a step's peak, and at least one: the pass's one estimate
+counts, per replicate, the states, the tape blocks and their keys, the
+consensus costs, the largest set of temporaries a step makes and the
+metrics' window of one step.  A chunk's states and window are freed before
+the next chunk allocates its own.  ``lockstep`` starts both schemes at rest
+from one stack of initial clouds, replicate ``r`` from cloud ``[seed, r]``,
+and builds one tape for them, so the pair is coupled in its initial data and
+its noise by construction.  The reference does not depend on ``m``, so it is
+computed once per replicate, and each step draws one ``(R_c, N, d)`` tape
+block per channel that serves every rung.  The pass reads the path
+``lockstep`` yields in a ``for`` loop whose body makes two reductions over
+the whole stack.
+
 Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
-for the memory pair, which adds the local bests' gap) updates the ``(K, R)``
-running sup of the paired gap.  For the plain pair in one dimension the pass
-also copies the positions of consecutive steps into a window of at most
-``_WINDOW_BYTES`` (512 KiB, and at least one step), and one ``w2_and_kl``
-call gives the W2 and KL of every step in the window: it checks the clouds
-once, sorts each once and bins each reference row once for all K rungs.
-``lockstep`` advances the two states in place, so the pass holds one set of
-arrays per state and no positions but the window's.  The study makes one
-pass per chunk of consecutive replicates, each chunk as many as
-``_CHUNK_BYTES`` (64 MiB) of state arrays and per-step W2 / KL hold and at
-least one.  It writes each chunk's gaps into its ``(K, R)`` array and folds
-the chunk's W2 / KL into per-time sums as the chunk completes, so its memory
-grows with R only by the gaps; ``compare_ladder`` makes one
-pass over ``range(1)``, computes no gap, and selects its snapshot steps from
-the per-step columns.  Each slice's arithmetic is elementwise that of a solo
-run and every reduction, the metrics' included, stays within one slice,
-which keeps the results bit-identical to pairs of ``run`` calls, whatever
-the window and the chunks.
+for the memory pair, which adds the local bests' gap) updates the chunk's
+columns of the ``(K, R)`` running sup of the paired gap.  For the plain pair
+in one dimension the pass also copies the positions of consecutive steps
+into a window of at most ``_WINDOW_BYTES`` (512 KiB, and at least one step),
+and one ``w2_and_kl`` call gives the W2 and KL of every step in the window:
+it checks the clouds once, sorts each once and bins each reference row once
+for all K rungs.  The window holds several steps only where one step's
+clouds, ``(K + 1) R_c N`` floats, take at most 256 KiB.  The benchmark's
+``ladder-plain`` study (R = 2) does; criterion 1's study (R = 20) and
+``compare`` at N = 10^4 run with windows of one step.  A call per step on
+the state arrays instead made ``ladder-plain`` 10-13% slower.  Each window's
+W2 / KL are added into per-time sums replicate by replicate, in the order
+``r = 0, ..., R - 1``, and divided by R once, so the pass keeps no
+per-replicate W2 / KL and its memory grows with R only by the gaps.
+``lockstep`` advances the two states in place, so a chunk holds one set of
+arrays per state and no positions but the window's.  ``compare_ladder``
+makes the pass with R = 1, computes no gap, and selects its snapshot steps
+from the per-step means, which for one replicate are the values themselves:
+``0 + v = v`` and ``v / 1 = v``, as neither metric returns -0.0.  Each
+slice's arithmetic is elementwise that of a solo run and every reduction,
+the metrics' included, stays within one slice, which keeps the results
+bit-identical to pairs of ``run`` calls, whatever the window and the chunks.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -75,8 +87,8 @@ from .metrics import (  # noqa: F401
 from .noise import NoiseTape, _check_count, initial_positions
 
 # the most bytes of position clouds a coupled pass copies into one window of
-# steps for the metrics, and of state arrays one chunk of a study's
-# replicates holds
+# steps for the metrics, and of arrays one chunk of its replicates holds at
+# a step's peak
 _WINDOW_BYTES = 512 * 1024
 _CHUNK_BYTES = 64 * 1024 * 1024
 
@@ -152,64 +164,91 @@ class _PassResult(NamedTuple):
     kl: np.ndarray | None
 
 
-def _coupled_pass(p: Params, obj, seed: int, reps: range | tuple, init, m_values,
+def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
                   memory: bool = False, gap: bool = True) -> _PassResult:
-    """The coupled replicates ``reps``: the first-order reference and the
-    second-order stack of ``m_values`` (with local bests if ``memory``), row
-    ``j`` from cloud ``[seed, reps[j]]`` on replicate ``reps[j]`` of the
-    seed's tape.
+    """The coupled replicates ``0, ..., R - 1``: the first-order reference
+    and the second-order stack of ``m_values`` (with local bests if
+    ``memory``), replicate ``r`` from cloud ``[seed, r]`` on replicate ``r``
+    of the seed's tape.
 
     Returns ``times``, the time of every step; ``sup_gap``, the ``(K, R)``
     sup over time of each rung's and replicate's paired mean-square gap
     (positions, plus local bests for the memory pair), ``None`` unless
-    ``gap``; and ``w2`` / ``kl``, the ``(K, R, n_steps + 1)`` W2 / KL of each
-    against its reference position cloud at every step, ``None`` unless the
-    pair is plain and ``p.dim == 1``.
+    ``gap``; and ``w2`` / ``kl``, the ``(K, n_steps + 1)`` replicate means of
+    the W2 / KL of each rung against its reference position cloud at every
+    step, ``None`` unless the pair is plain and ``p.dim == 1``.
 
-    The gap of every step is one ``paired_msq_gap`` call on the ``(K, R, N,
-    d)`` stack against the ``(R, N, d)`` reference, plus one on the local
-    bests for the memory pair, folded into the sup in step order.  For the
-    plain pair in one dimension the positions of B consecutive steps are
+    The replicates run in consecutive chunks, one ``lockstep`` run each, of
+    as many replicates as ``_CHUNK_BYTES`` hold at a step's peak (at least
+    one).  The gap of every step is one ``paired_msq_gap`` call on the ``(K,
+    R_c, N, d)`` stack against the ``(R_c, N, d)`` reference, plus one on the
+    local bests for the memory pair, folded into the sup in step order.  For
+    the plain pair in one dimension the positions of B consecutive steps are
     copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at least
     1, at most all), and one ``w2_and_kl`` call reduces the whole window: the
-    ``(B, R, N)`` reference window as ``B * R`` clouds and the ``(K, B, R,
-    N)`` ladder window as K stacks of them.  The last window may be partial.
+    ``(B, R_c, N)`` reference window as ``B * R_c`` clouds and the ``(K, B,
+    R_c, N)`` ladder window as K stacks of them.  The last window may be
+    partial.  Each window's values are added into per-time sums replicate by
+    replicate, so the means are a fold over ``r = 0, ..., R - 1`` in that
+    order, divided by R once.
     """
-    K, R, N = len(m_values), len(reps), p.n_particles
+    K, N, d = len(m_values), p.n_particles, p.dim
+    metrics = d == 1 and not memory
+    # one replicate's floats at a step's peak, in clouds of N d floats: the
+    # states' arrays (the reference's positions and the ladder's positions
+    # and velocities, each with local bests for the memory pair); each
+    # channel's tape block and its keys; the costs of each state's
+    # consensus and of the next one; the temporaries on the ladder, four of
+    # the objective (Rastrigin's centred cloud, squares, angles and
+    # cosines) and for the memory pair three of the update (the pulls to
+    # both bests and a term); and for the plain d = 1 pair a window of one step
+    clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (4 if memory else 2)
+              + 2 * (1 + K) + (7 * K if memory else 4 * K)
+              + (K + 1 if metrics else 0))
+    chunk = max(1, _CHUNK_BYTES // (8 * clouds * N * d))
     times = np.empty(p.n_steps + 1)
-    sup_gap = -np.inf if gap else None
-    w2 = kl = None
-    if p.dim == 1 and not memory:
-        w2, kl = np.empty((2, K, R, p.n_steps + 1))
-        bins = default_bins(N)
-        B = max(1, min(p.n_steps + 1, _WINDOW_BYTES // (8 * (K + 1) * R * N)))
-        ref_win = np.empty((B, R, N, 1))
-        ladder_win = np.empty((K, B, R, N, 1))
-
+    sup_gap = np.full((K, R), -np.inf) if gap else None
+    sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None
     schemes = ("cbo_mem", "pso_mem") if memory else ("cbo", "pso")
-    x0 = np.stack([initial_positions([seed, r], N, p.dim, init) for r in reps])
-    # lockstep's states copy x0, and lockstep drops it once they have
-    path = lockstep(schemes, x0, p, obj, seed, reps, m_values)
-    del x0
-    for n, (ref, ladder), _ in path:
-        times[n] = ladder.t
-        if gap:
-            g = paired_msq_gap(ladder.x, ref.x)
-            if memory:
-                g += paired_msq_gap(ladder.y, ref.y)
-            # Python's max, in step order: keep the running sup unless g is
-            # strictly larger
-            sup_gap = np.where(g > sup_gap, g, sup_gap)
-        if w2 is not None:
-            j = n % B
-            ref_win[j], ladder_win[:, j] = ref.x, ladder.x
-            if j == B - 1 or n == p.n_steps:
-                # steps n - j, ..., n, as (j + 1) R clouds per rung
-                b = j + 1
-                w2_kl = w2_and_kl(ladder_win[:, :b].reshape(K, b * R, N, 1),
-                                  ref_win[:b].reshape(b * R, N, 1), bins)
-                w2[..., n - j:n + 1], kl[..., n - j:n + 1] = (
-                    v.reshape(K, b, R).transpose(0, 2, 1) for v in w2_kl)
+    for r0 in range(0, R, chunk):
+        reps = range(r0, min(r0 + chunk, R))
+        R_c = len(reps)
+        # free the last chunk's states and window before this one allocates
+        ref = ladder = win = None
+        if metrics:
+            # the reference's window first, then the ladder's
+            B = max(1, min(p.n_steps + 1, _WINDOW_BYTES // (8 * (K + 1) * R_c * N)))
+            win = np.empty((K + 1, B, R_c, N, 1))
+        x0 = np.stack([initial_positions([seed, r], N, d, init) for r in reps])
+        # lockstep's states copy x0, and lockstep drops it once they have
+        path = lockstep(schemes, x0, p, obj, seed, reps, m_values)
+        del x0
+        sup = sup_gap[:, r0:r0 + R_c] if gap else None
+        for n, (ref, ladder), _ in path:
+            times[n] = ladder.t
+            if gap:
+                g = paired_msq_gap(ladder.x, ref.x)
+                if memory:
+                    g += paired_msq_gap(ladder.y, ref.y)
+                # Python's max, in step order: keep the running sup unless g
+                # is strictly larger
+                np.copyto(sup, g, where=g > sup)
+            if metrics:
+                j = n % B
+                win[0, j], win[1:, j] = ref.x, ladder.x
+                if j == B - 1 or n == p.n_steps:
+                    # steps n - j, ..., n, as (j + 1) R_c clouds per rung,
+                    # added into the sums replicate by replicate
+                    b = j + 1
+                    w2_kl = np.array(
+                        w2_and_kl(win[1:, :b].reshape(K, b * R_c, N, 1),
+                                  win[0, :b].reshape(b * R_c, N, 1),
+                                  default_bins(N))).reshape(2, K, b, R_c)
+                    for r in range(R_c):
+                        sums[..., n - j:n + 1] += w2_kl[..., r]
+    # from zeros the fold equals one from replicate 0, as neither metric
+    # returns -0.0, and dividing by R = 1 keeps every bit
+    w2, kl = sums / R if metrics else (None, None)
     return _PassResult(times, sup_gap, w2, kl)
 
 
@@ -218,40 +257,13 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
 
     On each replicate the first-order reference (it does not depend on the
     inertia) and the second-order stack of the ladder start from the same
-    initial cloud and consume the same tape blocks.  The replicates run as
-    coupled passes over consecutive chunks, each as many replicates as
-    ``_CHUNK_BYTES`` of state arrays and per-step W2 / KL hold (at least
-    one).  A chunk's W2 / KL are folded into the running sums as it
-    completes, so only one chunk's are held.  The rate is the least-squares
-    slope of ``ln(mean gap)`` against ``ln m`` over all ladder points.
+    initial cloud and consume the same tape blocks: one coupled pass over
+    all the replicates.  The rate is the least-squares slope of
+    ``ln(mean gap)`` against ``ln m`` over all ladder points.
     """
-    memory, K, p = cfg.scheme_pair == "memory", len(cfg.m_ladder), cfg.base
-    metrics = p.dim == 1 and not memory
-    # one replicate's floats: the reference's positions and the ladder's
-    # positions and velocities, each with local bests for memory, and the
-    # W2 and KL of every rung and step
-    clouds = 2 + 3 * K if memory else 1 + 2 * K
-    per_replicate = (clouds * p.n_particles * p.dim
-                     + (2 * K * (p.n_steps + 1) if metrics else 0))
-    chunk = max(1, _CHUNK_BYTES // (8 * per_replicate))
-    reps = range(cfg.replicates)
-    sup_gaps = np.empty((K, cfg.replicates))
-    sums = np.zeros((2, K, p.n_steps + 1))
-    for r0 in reps[::chunk]:
-        q = _coupled_pass(p, obj, seed, reps[r0:r0 + chunk], cfg.init,
-                          cfg.m_ladder, memory)
-        sup_gaps[:, r0:r0 + chunk] = q.sup_gap
-        if metrics:
-            # the replicate means are a fold over r = 0, ..., R - 1 in that
-            # order, whose bits do not depend on how NumPy sums; from zeros
-            # it equals one from replicate 0, as neither metric returns -0.0
-            for j in range(q.w2.shape[1]):
-                sums[0] += q.w2[:, j]
-                sums[1] += q.kl[:, j]
-        # free this chunk's results before the next pass allocates its own
-        del q
-    w2, kl = sums / cfg.replicates if metrics else (None, None)
-
+    _, sup_gaps, w2, kl = _coupled_pass(cfg.base, obj, seed, cfg.replicates,
+                                        cfg.init, cfg.m_ladder,
+                                        cfg.scheme_pair == "memory")
     gap_mean = sup_gaps.mean(axis=1)
     if len(gap_mean) >= 2 and np.all(gap_mean > 0.0):
         log_m = np.log(np.asarray(cfg.m_ladder))
@@ -309,10 +321,9 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
         raise ValueError("m_values must be a nonempty 1-d sequence, got shape "
                          f"{np.shape(m_values)}")
 
-    times, _, w2, kl = _coupled_pass(p, obj, seed, range(1), init, m_values,
-                                     gap=False)
+    times, _, w2, kl = _coupled_pass(p, obj, seed, 1, init, m_values, gap=False)
     bins = default_bins(p.n_particles)
-    return [CompareTable(times=times[steps], w2=w2_m[0, steps], kl=kl_m[0, steps],
+    return [CompareTable(times=times[steps], w2=w2_m[steps], kl=kl_m[steps],
                          bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 

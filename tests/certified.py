@@ -14,7 +14,9 @@ It also keeps the oracles that library code must equal bit for bit:
 ``kl_histogram_oracle``, the ``np.histogram`` form of the histogram KL,
 ``consensus_oracle``, the strided-sum form of the consensus point,
 ``KERNEL_ORACLES``, the textbook NumPy forms of the three benchmark costs,
-and ``step_oracle``, the broadcast form of one step.
+and ``step_oracle``, the broadcast form of one step.  ``alpha0_gap_factors``
+is an exact reference rather than a bit oracle: the coupled gap of the
+noise-free dynamics at ``alpha = 0``.
 """
 
 import math
@@ -185,3 +187,32 @@ def step_oracle(state, p, obj, theta, cons):
         y_new = state.y + pull * np.tanh(mem.beta * gap)[..., None]
     return x_new, v_new, y_new
 
+
+def alpha0_gap_factors(m: float, lam: float, dt: float, n_steps: int) -> np.ndarray:
+    """The paired mean-square gap between PSO(m) and CBO at steps ``0, ...,
+    n_steps`` of the noise-free schemes at ``alpha = 0``, per unit of the
+    initial cloud's population variance.
+
+    At ``alpha = 0`` every consensus weight is 1, so the consensus is the
+    cloud's mean; with ``sigma = 0`` both schemes keep that mean, and a
+    particle's offsets from it, ``Z`` for CBO and ``W`` for PSO with its
+    velocity ``V``, follow ``s' = A s`` for ``s = (Z, W, V)`` and ``D = m +
+    (1 - m) dt``: ``Z' = (1 - lam dt) Z``, ``V' = (m V - lam dt W) / D`` and
+    ``W' = W + dt V'``.  Both start from the same offsets at rest, so
+    ``M_0 = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]`` and ``M_n = A M_{n-1} A^T``,
+    and the gap's factor ``c_n`` is the ``W - Z`` entry of ``M_n``: ``M_WW
+    - 2 M_WZ + M_ZZ``.  Each coordinate follows the same recursion, so in
+    ``d`` dimensions the gap is ``c_n`` times the variance summed over the
+    coordinates.
+    """
+    denom = m + (1.0 - m) * dt
+    a = np.array([[1.0 - lam * dt, 0.0, 0.0],
+                  [0.0, 1.0 - lam * dt * dt / denom, m * dt / denom],
+                  [0.0, -lam * dt / denom, m / denom]])
+    moments = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    w_minus_z = np.array([-1.0, 1.0, 0.0])
+    factors = np.empty(n_steps + 1)
+    for n in range(n_steps + 1):
+        factors[n] = w_minus_z @ moments @ w_minus_z
+        moments = a @ moments @ a.T
+    return factors

@@ -90,6 +90,20 @@ def test_step_preconditions(drawn_blocks):
     assert not drawn_blocks
 
 
+@pytest.mark.parametrize("schemes", ["pso", (), ["cbo", "pso"]],
+                         ids=["name", "empty", "list"])
+def test_lockstep_rejects_schemes_that_are_not_a_nonempty_tuple(schemes,
+                                                                drawn_blocks):
+    # a bare name was read as its characters (unknown scheme 'p'), and an
+    # empty tuple yielded empty items while drawing a block every step
+    with pytest.raises(ValueError) as excinfo:
+        list(lockstep(schemes, np.zeros((2, 1)), plain_params(), linear_cost(),
+                      0, 0, 0.2))
+    assert str(excinfo.value) == ("schemes must be a nonempty tuple of scheme "
+                                  f"names, got {schemes!r}")
+    assert not drawn_blocks
+
+
 def test_pso_singleton_velocity_decays_geometrically():
     p = plain_params(n_particles=1, sigma=0.7, lam=2.0, alpha=30.0)
     tape = tape_for(p)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,10 @@ from swarmlimit import (
     kl_histogram,
     laplace_sweep,
     laplace_value,
+    lockstep,
     optimize,
     paired_msq_gap,
+    rastrigin,
     run,
     sphere,
     wasserstein2_1d,
@@ -29,6 +32,7 @@ import swarmlimit.experiments as experiments
 from swarmlimit.experiments import _coupled_pass
 from swarmlimit.metrics import w2_and_kl
 
+from certified import alpha0_gap_factors
 from conftest import linear_cost, trajectory
 
 
@@ -387,33 +391,6 @@ def test_compare_ladder_rejects_a_non_finite_snapshot_time_before_any_draw(
     assert not drawn_blocks
 
 
-@pytest.mark.parametrize("pair", ["plain", "memory"])
-def test_coupled_pass_is_bit_identical_however_replicates_are_split(pair):
-    memory = pair == "memory"
-    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
-                       beta=30.0) if memory else None
-    p = study_base(n_particles=40, t_end=0.1, memory=mem,
-                   lam=0.0 if memory else 1.0)
-    ladder = (0.2, 0.1, 0.05)
-    init = ("uniform", -2.0, 3.0)
-
-    def coupled(reps):
-        return _coupled_pass(p, ackley(1), 8, reps, init, ladder, memory)
-
-    times, sup, w2, kl = coupled(range(3))
-    assert sup.shape == (3, 3)
-    for reps, cols in (((1, 2), [1, 2]), ((2,), [2]), ((2, 0), [2, 0])):
-        times_s, sup_s, w2_s, kl_s = coupled(reps)
-        assert np.array_equal(times_s, times)
-        assert np.array_equal(sup_s, sup[:, cols])
-        if memory:
-            assert w2 is w2_s is kl is kl_s is None
-        else:
-            assert w2.shape == (3, 3, p.n_steps + 1)
-            assert np.array_equal(w2_s, w2[:, cols])
-            assert np.array_equal(kl_s, kl[:, cols])
-
-
 def test_compare_ladder_rejects_a_float_ladder_before_any_draw(drawn_blocks):
     p = study_base(n_particles=10, t_end=0.02)
     for m_values, shape in ((0.2, r"\(\)"), ([[0.2, 0.1]], r"\(1, 2\)")):
@@ -523,13 +500,15 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
                       (n_points, 10**9)):
         monkeypatch.setattr(experiments, "_WINDOW_BYTES", budget)
         calls.clear()
-        res = _coupled_pass(p, ackley(1), 4, range(R), ("uniform", -2.0, 3.0),
-                            ladder, gap=gap)
+        res = _coupled_pass(p, ackley(1), 4, R, ("uniform", -2.0, 3.0), ladder,
+                            gap=gap)
         sizes = [B] * (n_points // B) + ([n_points % B] if n_points % B else [])
         assert len(calls) == -(-n_points // B)
         assert calls == [((K, b * R, N, 1), (b * R, N, 1)) for b in sizes]
-        assert res.w2.shape == res.kl.shape == (K, R, n_points)
+        assert res.w2.shape == res.kl.shape == (K, n_points)
         assert (res.sup_gap is None) == (not gap)
+        if gap:
+            assert res.sup_gap.shape == (K, R)
         results.append(res)
 
     first = results[0]
@@ -550,20 +529,20 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
     R = 5
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=R, base=base,
                            scheme_pair=pair)
-    # the bytes of one replicate's state arrays: the positions and velocities
-    # of 3 rungs and the reference's positions, and each one's local bests
-    # for the memory pair; for the plain pair also the W2 and KL of each
-    # rung and step
-    per_replicate = 8 * (base.n_particles * (11 if memory else 7)
-                         + (0 if memory else 2 * 3 * (base.n_steps + 1)))
+    # one replicate's bytes at a step's peak, in clouds of N floats: the
+    # states (the positions and velocities of 3 rungs and the reference's
+    # positions, and each one's local bests for the memory pair), each
+    # channel's tape block and keys, two cost rows per state, the ladder's
+    # temporaries (4 clouds a rung for the objective and 3 more for the
+    # memory update) and for the plain pair a window of one step
+    per_replicate = 8 * base.n_particles * (44 if memory else 33)
     passes = []
-    coupled_pass = experiments._coupled_pass
 
-    def recorded(p, obj, seed, reps, *args):
-        passes.append(reps)
-        return coupled_pass(p, obj, seed, reps, *args)
+    def recorded(schemes, x0, p, obj, seed, r, m):
+        passes.append(r)
+        return lockstep(schemes, x0, p, obj, seed, r, m)
 
-    monkeypatch.setattr(experiments, "_coupled_pass", recorded)
+    monkeypatch.setattr(experiments, "lockstep", recorded)
     results = []
     for chunk, budget in ((1, 0), (1, 2 * per_replicate - 1),
                           (2, 2 * per_replicate), (R, R * per_replicate)):
@@ -583,16 +562,16 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
 
 
 def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
-    # a study holds one chunk's per-step W2 / KL at a time, folded into the
-    # replicate means as the chunk completes: with chunks of 25 replicates
-    # and a window of one step, 4x the replicates raise the peak by < 1.5x
+    # a pass holds one chunk's states at a time and folds each window's
+    # W2 / KL into the replicate means: with chunks of 25 replicates and a
+    # window of one step, 4x the replicates raise the peak by < 1.5x
     base = study_base(n_particles=2, t_end=0.5)
     ladder = (0.2, 0.1, 0.05)
-    per_replicate = 8 * (base.n_particles * 7 + 2 * 3 * (base.n_steps + 1))
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * per_replicate)
+    # a replicate's 33 clouds of N floats, as in the chunk test above
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 33)
     monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
     peaks = []
-    for replicates in (2, 25, 100):
+    for replicates in (100, 25, 100):
         cfg = LimitStudyConfig(m_ladder=ladder, replicates=replicates, base=base)
         tracemalloc.start()
         try:
@@ -600,5 +579,91 @@ def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the first study only warms up what any study allocates once
+    # the first study only warms up what any study allocates once, and the
+    # interpreter's free lists of small objects, which tracemalloc counts
+    # while they fill and which fill with the number of calls a study makes
     assert peaks[2] < 1.5 * peaks[1]
+
+
+def test_a_pass_frees_each_chunks_states_before_the_next_chunk_allocates(
+        monkeypatch):
+    # the loop variables that unpack a chunk's path would keep its last
+    # states alive while the next chunk draws its clouds and builds its own
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 0)
+    states = []
+
+    def recorded(*args):
+        for item in lockstep(*args):
+            states.extend(weakref.ref(s) for s in item[1])
+            yield item
+
+    def positions(*args):
+        assert all(s() is None for s in states)
+        return initial_positions(*args)
+
+    monkeypatch.setattr(experiments, "lockstep", recorded)
+    monkeypatch.setattr(experiments, "initial_positions", positions)
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=3,
+                           base=study_base(n_particles=10, t_end=0.03))
+    zero_inertia_study(cfg, ackley(1), 3)
+    assert len(states) == 3 * 2 * 4
+
+
+@pytest.mark.parametrize("pair, dim", [("plain", 1), ("memory", 1),
+                                       ("plain", 2), ("memory", 2)],
+                         ids=["plain", "memory", "plain-dim2", "memory-dim2"])
+def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
+                                                          dim):
+    # the chunk budget counts what a step holds at its peak, temporaries
+    # included, so a study of many chunks peaks within the budget plus a
+    # one-off 32 KiB: the pass's per-time sums and gaps and the Python and
+    # NumPy objects that do not grow with a chunk.  A window of one step is
+    # what the budget counts for the plain pair; a longer one is the
+    # separate _WINDOW_BYTES.  Rastrigin makes the most temporaries of the
+    # shipped objectives.
+    budget = 256 * 1024
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0) if pair == "memory" else None
+    base = study_base(n_particles=200, t_end=0.05, dim=dim, memory=mem)
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=20, base=base,
+                           scheme_pair=pair)
+    chunks = []
+
+    def recorded(schemes, x0, p, obj, seed, r, m):
+        chunks.append(len(r))
+        return lockstep(schemes, x0, p, obj, seed, r, m)
+
+    monkeypatch.setattr(experiments, "lockstep", recorded)
+    # the first study only warms up what any study allocates once
+    zero_inertia_study(cfg, rastrigin(dim), 3)
+    chunks.clear()
+    tracemalloc.start()
+    try:
+        zero_inertia_study(cfg, rastrigin(dim), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) >= 5 and sum(chunks) == cfg.replicates
+    assert peak <= budget + 32 * 1024
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_study_gap_without_noise_at_alpha_0_is_the_exact_recursion(dim):
+    # at alpha = 0 and sigma = 0 every particle's offsets from the cloud mean
+    # follow a linear recursion (tests/certified.py), so replicate r's sup
+    # gap is the largest factor of its rung times the population variance
+    # of its initial cloud; the study computes it from the clouds in
+    # floating point, which leaves rounding error only
+    base = study_base(alpha=0.0, sigma=0.0, t_end=1.0, dim=dim)
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05, 0.025, 0.0125),
+                           replicates=3, base=base)
+    res = zero_inertia_study(cfg, ackley(dim), seed=11)
+    for r in range(cfg.replicates):
+        x0 = initial_positions([11, r], base.n_particles, dim, cfg.init)
+        variance = np.mean(np.sum((x0 - x0.mean(axis=0)) ** 2, axis=1))
+        for k, m in enumerate(cfg.m_ladder):
+            factors = alpha0_gap_factors(m, base.lam, base.dt, base.n_steps)
+            assert res.sup_gaps[k, r] == pytest.approx(factors.max() * variance,
+                                                       rel=1e-10, abs=0.0)
