@@ -123,7 +123,9 @@ def _cmd_limit_study(cfg: dict, args, obj, seed: int):
         )
     pair = "memory" if scheme == "pso_mem" else "plain"
     ladder = tuple(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-    base = _params_from({**cfg, "m": max(ladder)}, scheme)
+    # the study reads no base inertia: any m in (0, 1] lets the ladder be
+    # checked, and named, by LimitStudyConfig
+    base = _params_from({**cfg, "m": 1.0}, scheme)
     reps = cfg["replicates"]
 
     study = LimitStudyConfig(m_ladder=ladder, replicates=reps, base=base,

@@ -19,10 +19,10 @@ seed's noise tape over two schemes, the ``(R_c, N, d)`` first-order
 reference and one rung-major ``(K, R_c, N, d)`` second-order stack with one
 rung per inertia value.  A chunk has as many replicates as ``_CHUNK_BYTES``
 (64 MiB) hold at a step's peak, and at least one: the pass's one estimate
-counts, per replicate, the states, the tape blocks and their keys, the
-consensus costs, the largest set of temporaries a step makes and the
-metrics' window of one step.  A chunk's states and window are freed before
-the next chunk allocates its own.  ``lockstep`` starts both schemes at rest
+counts, per replicate, the states, the tape blocks, the consensus costs,
+the largest set of temporaries a step makes and the metrics' window of one
+step.  A chunk's states and window are freed before the next chunk
+allocates its own.  ``lockstep`` starts both schemes at rest
 from one stack of initial clouds, replicate ``r`` from cloud ``[seed, r]``,
 and builds one tape for them, so the pair is coupled in its initial data and
 its noise by construction.  The reference does not depend on ``m``, so it is
@@ -41,8 +41,10 @@ it checks the clouds once, sorts each once and bins each reference row once
 for all K rungs.  The window holds several steps only where one step's
 clouds, ``(K + 1) R_c N`` floats, take at most 256 KiB.  The benchmark's
 ``ladder-plain`` study (R = 2) does; criterion 1's study (R = 20) and
-``compare`` at N = 10^4 run with windows of one step.  A call per step on
-the state arrays instead made ``ladder-plain`` 10-13% slower.  Each window's
+``compare`` at N = 10^4 run with windows of one step.  The window pays
+because each ``w2_and_kl`` call has a fixed cost, its checks and its NumPy
+calls on small arrays, which ``ladder-plain`` pays 21 times a study instead
+of 101: with windows of one step its study ran 3-6% slower.  Each window's
 W2 / KL are added into per-time sums replicate by replicate, in the order
 ``r = 0, ..., R - 1``, and divided by R once, so the pass keeps no
 per-replicate W2 / KL and its memory grows with R only by the gaps.
@@ -197,15 +199,15 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     # one replicate's floats at a step's peak, in clouds of N d floats: the
     # states' arrays (the reference's positions and the ladder's positions
     # and velocities, each with local bests for the memory pair); each
-    # channel's tape block and its keys; the costs of each state's
-    # consensus and of the next one; the temporaries on the ladder, four of
-    # the objective (Rastrigin's centred cloud, squares, angles and
-    # cosines) and for the memory pair three of the update (the pulls to
-    # both bests and a term); and for the plain d = 1 pair a window of one step
-    clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (4 if memory else 2)
-              + 2 * (1 + K) + (7 * K if memory else 4 * K)
-              + (K + 1 if metrics else 0))
-    chunk = max(1, _CHUNK_BYTES // (8 * clouds * N * d))
+    # channel's tape block; the temporaries on the ladder, four of the
+    # objective (Rastrigin's centred cloud, squares, angles and cosines) and
+    # for the memory pair three of the update (the pulls to both bests and a
+    # term); and for the plain d = 1 pair a window of one step.  The costs
+    # of each state's consensus and of the next one add 2 (1 + K) rows of N
+    # floats
+    clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (2 if memory else 1)
+              + (7 * K if memory else 4 * K) + (K + 1 if metrics else 0))
+    chunk = max(1, _CHUNK_BYTES // (8 * N * (clouds * d + 2 * (1 + K))))
     times = np.empty(p.n_steps + 1)
     sup_gap = np.full((K, R), -np.inf) if gap else None
     sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None

@@ -9,15 +9,18 @@ PSO-vs-CBO gap a meaningful coupling estimate instead of Monte Carlo noise.
 The generator is a counter hash (splitmix64 finalizer on the linearized index)
 followed by the inverse normal CDF, so there is no stream state to replay.
 The hash key of linear index ``idx`` is ``seed + (idx + 1) * GOLDEN mod
-2**64``, and the index is affine in the step, so a block's keys are its step-0
-keys plus ``n * dim * channels * GOLDEN mod 2**64``.  A tape keeps the step-0
-keys of the last replicates it drew on each channel and adds that scalar per
-step; no block depends on which blocks were drawn before it.
+2**64``, and the index is affine in ``(r, i, n, k, ch)``, so the keys of a
+block are the ``(particles, dim)`` keys of replicate 0, step 0, channel 1
+plus one scalar per replicate row, ``(r P S D C + n D C + ch - 1) * GOLDEN mod
+2**64`` over the layout's sizes.  A tape builds those keys from its layout
+alone, once, on its first draw: a block is a pure function of ``(tape, r, n,
+ch)``, and a tape keeps nothing that depends on what it drew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -96,10 +99,11 @@ class NoiseTape:
     on that one particle and differ everywhere else, even at step 0, so a
     longer horizon does not extend a shorter one.
 
-    ``theta_block`` keeps, per channel, the step-0 keys of the replicates it
-    last drew and adds the step's scalar to them.  These cached keys are not
-    part of the tape's value: they enter neither ``==``, ``hash`` nor
-    ``repr``.
+    ``theta_block`` adds one scalar per replicate row to the keys of
+    replicate 0, step 0, channel 1, which the tape builds from its sizes on
+    its first draw and keeps.  They are a function of the fields, so they
+    enter neither ``==``, ``hash`` nor ``repr``; a tape that only validates
+    a layout never builds them.
     """
 
     seed: int
@@ -108,8 +112,6 @@ class NoiseTape:
     steps: int
     dim: int
     channels: int = 1
-    _step0_keys: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -157,6 +159,12 @@ class NoiseTape:
         idx = self._linear_index([r], i, n, k, ch - 1)
         return float(_standard_normals(_keys(np.uint64(self.seed), idx))[0])
 
+    @cached_property
+    def _base_keys(self) -> np.ndarray:
+        """The ``(particles, dim)`` keys of replicate 0, step 0, channel 1."""
+        i, k = np.ogrid[:self.particles, :self.dim]
+        return _keys(np.uint64(self.seed), self._linear_index(0, i, 0, k, 0))
+
     def theta_block(self, r, n: int, ch: int = 1) -> np.ndarray:
         """All per-particle, per-coordinate variates of one step.
 
@@ -164,29 +172,24 @@ class NoiseTape:
         ``(particles, dim)`` array for one replicate, whose entry ``[i, k]`` is
         bit-identical to ``theta(r, i, n, k, ch)``, and an ``(len(r),
         particles, dim)`` stack for a range or tuple, whose row ``j`` is the
-        block of replicate ``r[j]``.  The step-0 keys of ``(r, ch)`` are built
-        on the first draw and kept until another ``r`` is drawn on ``ch``.
+        block of replicate ``r[j]``; one replicate is drawn as row 0 of a
+        one-row stack.  Row ``j``'s keys are the tape's base keys plus one
+        scalar, so a block depends on ``(r, n, ch)`` alone.
         """
         rows, stacked = _replicate_rows(r)
         for value in rows:
             self._check("r", value, self.replicates)
         self._check("n", n, self.steps)
         self._check("ch", ch, self.channels, base=1)
-        cached = self._step0_keys.get(ch)
-        # keyed on the rows, not on r: a NumPy scalar r would compare with a
-        # tuple elementwise
-        if cached is None or cached[0] != (rows, stacked):
-            rr = np.array(rows, dtype=np.uint64)[:, None, None] if stacked else r
-            i = np.arange(self.particles, dtype=np.uint64)[:, None]
-            k = np.arange(self.dim, dtype=np.uint64)[None, :]
-            idx = self._linear_index(rr, i, 0, k, ch - 1)
-            cached = self._step0_keys[ch] = ((rows, stacked),
-                                             _keys(np.uint64(self.seed), idx))
-        # idx(n) = idx(0) + n * dim * channels, so each key moves by that
-        # many GOLDEN steps, mod 2**64 as in the key itself (in Python ints,
-        # which a NumPy integer step would overflow)
-        shift = int(n) * self.dim * self.channels * int(_GOLDEN) & _U64_MASK
-        return _standard_normals(cached[1] + np.uint64(shift))
+        # idx(r, i, n, k, ch) = idx(0, i, 0, k, 1) + r P S D C + n D C + ch - 1,
+        # so each row's keys move by that many GOLDEN steps, mod 2**64 as in
+        # the key itself (in Python ints, which NumPy integers would overflow)
+        step = self.dim * self.channels
+        shifts = [(int(rep) * self.particles * self.steps * step + int(n) * step
+                   + int(ch) - 1) * int(_GOLDEN) & _U64_MASK for rep in rows]
+        block = _standard_normals(self._base_keys
+                                  + np.array(shifts, dtype=np.uint64)[:, None, None])
+        return block if stacked else block[0]
 
 
 _DIST_PARAMS = {"gaussian": ("mean", "var"), "uniform": ("a", "b")}

@@ -496,6 +496,11 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
     *(([command, "--config", "CFG", "--seed", "-1", "--out", "OUT"],
        "seed must be an integer in [0, 2**64), got -1")
       for command in ("limit-study", "compare", "laplace-check")),
+    # the study's own check names a bad ladder, not an inertia it never reads
+    *((["limit-study", "--config", "CFG", "--m-ladder", ladder, "--out", "OUT"],
+       f"m_ladder values must lie in (0, 1/2], got {values}")
+      for ladder, values in (("2,0.1", "(2.0, 0.1)"),
+                             ("nan,0.1", "(nan, 0.1)"))),
 ])
 def test_cli_bad_command_line_exits_2_with_one_line(tmp_path, capsys, argv,
                                                     message):

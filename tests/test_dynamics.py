@@ -474,17 +474,27 @@ def test_params_reject_a_grid_whose_tape_index_overflows(make, channels):
         f"channels={channels} has more than 2**64 indices")
 
 
-def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
+@pytest.mark.parametrize("first, second", [("cbo", "pso"),
+                                            ("cbo_mem", "pso_mem")],
+                         ids=["plain", "memory"])
+def test_pso_step_from_rest_approaches_cbo_step_at_rate_m(first, second):
     # the semi-implicit update is asymptotic-preserving: from V = 0 with the
     # same cloud, tape and consensus, X'_pso - X = (X'_cbo - X) dt / (m + (1-m) dt),
-    # so the position gap is (X'_cbo - X) c / (1 + c) with c = m (1 - dt) / dt
+    # so the position gap is (X'_cbo - X) c / (1 + c) with c = m (1 - dt) / dt;
+    # the memory pair starts with Y = X and shares the pre-step consensus too
     dt = 0.1
     obj = ackley(1)
-    base = plain_params(lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0, dt=dt,
-                        n_particles=50)
-    tape = tape_for(base, seed=17)
+    if first == "cbo_mem":
+        def make(**kw):
+            return memory_params(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
+                                 sigma2=1 / np.sqrt(3), **kw)
+    else:
+        def make(**kw):
+            return plain_params(lam=1.0, sigma=1 / np.sqrt(3), **kw)
+    base = make(alpha=30.0, dt=dt, n_particles=50)
+    tape = tape_for(base, seed=17, channels=2 if base.memory else 1)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = _initial_state("cbo", x0)
+    cbo_out = _initial_state(first, x0)
     cons = _consensus_of(cbo_out, base, obj)
     _step(cbo_out, base, obj, blocks(tape, 0), cons)
     increment = np.max(np.abs(cbo_out.x - x0))
@@ -493,9 +503,8 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m():
     m_values = 1e-2 * 2.0 ** -np.arange(11)  # 1e-2 down to ~1e-5
     gaps = []
     for m in m_values:
-        p = plain_params(m=m, lam=1.0, sigma=1 / np.sqrt(3), alpha=30.0,
-                         dt=dt, n_particles=50)
-        pso_out = _initial_state("pso", x0, m)
+        p = make(m=m, alpha=30.0, dt=dt, n_particles=50)
+        pso_out = _initial_state(second, x0, m)
         _step(pso_out, p, obj, blocks(tape, 0), cons)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)

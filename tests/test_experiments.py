@@ -532,10 +532,10 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
     # one replicate's bytes at a step's peak, in clouds of N floats: the
     # states (the positions and velocities of 3 rungs and the reference's
     # positions, and each one's local bests for the memory pair), each
-    # channel's tape block and keys, two cost rows per state, the ladder's
+    # channel's tape block, two cost rows per state, the ladder's
     # temporaries (4 clouds a rung for the objective and 3 more for the
     # memory update) and for the plain pair a window of one step
-    per_replicate = 8 * base.n_particles * (44 if memory else 33)
+    per_replicate = 8 * base.n_particles * (42 if memory else 32)
     passes = []
 
     def recorded(schemes, x0, p, obj, seed, r, m):
@@ -567,8 +567,8 @@ def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
     # window of one step, 4x the replicates raise the peak by < 1.5x
     base = study_base(n_particles=2, t_end=0.5)
     ladder = (0.2, 0.1, 0.05)
-    # a replicate's 33 clouds of N floats, as in the chunk test above
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 33)
+    # a replicate's 32 clouds of N floats, as in the chunk test above
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 32)
     monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
     peaks = []
     for replicates in (100, 25, 100):
@@ -627,7 +627,8 @@ def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if pair == "memory" else None
     base = study_base(n_particles=200, t_end=0.05, dim=dim, memory=mem)
-    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=20, base=base,
+    # 25 replicates make at least 5 chunks of the plain d = 1 pair's 5
+    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=25, base=base,
                            scheme_pair=pair)
     chunks = []
 

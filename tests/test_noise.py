@@ -1,11 +1,12 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from swarmlimit import NoiseTape, initial_positions
+from swarmlimit import LimitStudyConfig, NoiseTape, Params, initial_positions
 from swarmlimit.noise import _keys, _mix64
 
 
@@ -181,11 +182,11 @@ def test_block_of_a_replicate_sequence_checks_every_replicate():
         tape.theta_block((), 0)
 
 
-def test_cached_step0_keys_match_theta_where_the_keys_wrap():
+def test_block_keys_match_theta_where_the_keys_wrap():
     # seed 2**64 - 1 and a step count at the 64-bit index bound: every key
     # wraps mod 2**64, and the last step's indices are the largest the
-    # layout has; solo and stacked replicates switch the cached keys, and
-    # step 5 is drawn before step 0
+    # layout has, so each row's shift of the base keys wraps too; solo and
+    # stacked replicates alternate, and step 5 is drawn before step 0
     replicates, particles, dim, channels = 3, 2, 2, 2
     steps = 2**64 // (replicates * particles * dim * channels)
     tape = NoiseTape(2**64 - 1, replicates, particles, steps, dim, channels)
@@ -202,7 +203,7 @@ def test_cached_step0_keys_match_theta_where_the_keys_wrap():
 
 
 def test_a_tape_that_has_drawn_blocks_equals_a_fresh_one():
-    # the cached keys are not part of the tape's value: the tracer keeps
+    # the base keys are not part of the tape's value: the tracer keeps
     # (tape, r, n, ch) in a set, and drawing must not change its hash
     fresh = NoiseTape(seed=4, replicates=2, particles=3, steps=6, dim=2,
                       channels=2)
@@ -215,6 +216,42 @@ def test_a_tape_that_has_drawn_blocks_equals_a_fresh_one():
     assert hash(used) == hash(fresh) == before
     assert repr(used) == repr(fresh)
     assert len({(used, 0, 3, 1), (fresh, 0, 3, 1)}) == 1
+
+
+def test_a_tape_keeps_only_its_base_keys_whatever_it_drew():
+    # every block's keys are the tape's one (particles, dim) key array plus
+    # a scalar per row, so stacked draws on both channels leave nothing of
+    # the stack's size behind
+    particles, dim = 500, 2
+    tape = NoiseTape(seed=5, replicates=200, particles=particles, steps=3,
+                     dim=dim, channels=2)
+    # warm up what any draw allocates once, on another tape
+    NoiseTape(6, 2, 3, 3, 2, 2).theta_block(range(2), 0, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(tape.steps):
+            for ch in (1, 2):
+                tape.theta_block(range(200), n, ch)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one key array and the small objects that hold it, far below a second
+    assert kept <= 8 * particles * dim + 4096
+
+
+def test_a_valid_layout_allocates_no_keys():
+    # Params and LimitStudyConfig build a tape only to check its layout; at
+    # 10**8 particles its keys would take 800 MB
+    tracemalloc.start()
+    try:
+        p = Params(m=0.5, lam=1.0, sigma=0.5, alpha=1.0, dt=0.1, t_end=1.0,
+                   n_particles=10**8, dim=1)
+        LimitStudyConfig(m_ladder=(0.2, 0.1), base=p, replicates=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
 
 
 def _block_keys(tape, r, n, ch):
@@ -269,7 +306,7 @@ def test_theta_rejects_an_index_that_is_not_an_integer(name, value):
                          ids=["fraction", "float", "numpy-float"])
 @pytest.mark.parametrize("name", ["r", "r in a tuple", "n", "ch"])
 def test_theta_block_rejects_an_index_that_is_not_an_integer(name, value):
-    # checked before any draw: the cached step-0 keys stay unbuilt
+    # checked before any draw
     tape = NoiseTape(0, 3, 4, 5, 2, 2)
     args = {"r": (value, 1, 1), "r in a tuple": ((0, value), 1, 1),
             "n": (1, value, 1), "ch": (1, 1, value)}[name]
@@ -277,7 +314,6 @@ def test_theta_block_rejects_an_index_that_is_not_an_integer(name, value):
             f"noise tape layout violation: {name.split()[0]}={value} "
             "is not an integer")):
         tape.theta_block(*args)
-    assert not tape._step0_keys
 
 
 def test_numpy_integer_indices_draw_the_int_variates():
