@@ -48,11 +48,11 @@ scheme at rest, each on its own copy, and from the seed, the replicates,
 ``Params`` and the channels the schemes draw it builds the one tape they
 run on, so the initial data and the layout a run draws from are decided in
 one place.  It advances the states together, drawing each tape block once
-per step (one ``(R, N, d)`` block for all R replicates) and handing the same
-array to every slice of every state, and yields the coupled path one time
-point at a time; a state's arrays are the same objects on every item.  A
-caller reads the path in a ``for`` loop; ``run`` is that loop over a single
-unstacked scheme, recording every step.
+(one ``(R, N, d)`` block for all R replicates, a window of consecutive steps'
+blocks per draw) and handing the same array to every slice of every state,
+and yields the coupled path one time point at a time; a state's arrays are
+the same objects on every item.  A caller reads the path in a ``for`` loop;
+``run`` is that loop over a single unstacked scheme, recording every step.
 """
 
 from __future__ import annotations
@@ -263,6 +263,12 @@ def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
 # from outside the package
 _STEPPERS = {"step": _step}
 
+# the most bytes of tape blocks ``lockstep`` draws in one window of steps, per
+# channel: a window of a few steps pays a draw's fixed cost once for all of
+# them, while larger windows hold more memory for no measured gain (512 KiB
+# timed as 128 KiB on the benchmark's optimize-2d call, and 2 MiB slower)
+_TAPE_WINDOW_BYTES = 128 * 1024
+
 
 @dataclass
 class RunRecord:
@@ -323,9 +329,13 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     takes the inertia ``m``, a float, or a nonempty 1-d sequence of K
     inertias for a rung-major ``(K, *x0.shape)`` stack.  The tape has the
     grid of ``p``, ``max(r) + 1`` replicates and the channels the schemes
-    draw: two if any is a memory scheme, else one.  Per step, the tape blocks
-    are drawn once, one ``(R, N, d)`` block per channel for all replicates,
-    and handed to every state, and each state's consensus is computed once.
+    draw: two if any is a memory scheme, else one.  Each channel's blocks
+    are drawn once, a window of W consecutive steps per ``theta_block``
+    call, W the most steps whose ``(R, N, d)`` blocks fit
+    ``_TAPE_WINDOW_BYTES`` (at least one, and none past the last step);
+    step ``n`` takes row ``n mod W`` of its window and hands it to every
+    state.  A window is drawn when its first step runs, after the last one
+    is freed, and each state's consensus is computed once per step.
     Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states,
     one per scheme in order, first at rest, then after step ``n - 1``, each
     time with the consensus points the next step uses.  Non-finite states
@@ -366,11 +376,20 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     # it into a variate, so replicate r has the same blocks on any longer tape
     tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
                      channels)
+    # the most steps whose blocks of one channel fit the window's budget
+    W = max(1, min(p.n_steps,
+                   _TAPE_WINDOW_BYTES // (8 * len(rows) * p.n_particles * p.dim)))
     stepper = _STEPPERS["step"]
     cons = [_consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]
     for n in range(p.n_steps):
-        theta = tuple(tape.theta_block(r, n, ch) for ch in range(1, channels + 1))
+        j = n % W
+        if j == 0:
+            # free the last window before drawing the next
+            theta = window = None
+            window = [tape.theta_block(r, range(n, min(n + W, p.n_steps)), ch)
+                      for ch in range(1, channels + 1)]
+        theta = tuple(w[j] for w in window)
         for s, c in zip(states, cons):
             stepper(s, p, obj, theta, c)
             s.check_finite(n)

@@ -21,13 +21,16 @@ rung per inertia value.  A chunk has as many replicates as ``_CHUNK_BYTES``
 (64 MiB) hold at a step's peak, and at least one: the pass's one estimate
 counts, per replicate, the states, the tape blocks, the consensus costs,
 the largest set of temporaries a step makes and the metrics' window of one
-step.  A chunk's states and window are freed before the next chunk
-allocates its own.  ``lockstep`` starts both schemes at rest
+step, and once for the chunk ``lockstep``'s tape window: at most
+``dynamics._TAPE_WINDOW_BYTES`` (128 KiB) per channel, plus one more for
+the keys a draw hashes.  A chunk's states and window are freed before the
+next chunk allocates its own.  ``lockstep`` starts both schemes at rest
 from one stack of initial clouds, replicate ``r`` from cloud ``[seed, r]``,
 and builds one tape for them, so the pair is coupled in its initial data and
 its noise by construction.  The reference does not depend on ``m``, so it is
-computed once per replicate, and each step draws one ``(R_c, N, d)`` tape
-block per channel that serves every rung.  The pass reads the path
+computed once per replicate, and each step's ``(R_c, N, d)`` tape block
+per channel, drawn with those of the steps around it in a window of steps,
+serves every rung.  The pass reads the path
 ``lockstep`` yields in a ``for`` loop whose body makes two reductions over
 the whole stack.
 
@@ -36,15 +39,16 @@ for the memory pair, which adds the local bests' gap) updates the chunk's
 columns of the ``(K, R)`` running sup of the paired gap.  For the plain pair
 in one dimension the pass also copies the positions of consecutive steps
 into a window of at most ``_WINDOW_BYTES`` (512 KiB, and at least one step),
-and one ``w2_and_kl`` call gives the W2 and KL of every step in the window:
-it checks the clouds once, sorts each once and bins each reference row once
-for all K rungs.  The window holds several steps only where one step's
-clouds, ``(K + 1) R_c N`` floats, take at most 256 KiB.  The benchmark's
-``ladder-plain`` study (R = 2) does; criterion 1's study (R = 20) and
-``compare`` at N = 10^4 run with windows of one step.  The window pays
-because each ``w2_and_kl`` call has a fixed cost, its checks and its NumPy
-calls on small arrays, which ``ladder-plain`` pays 21 times a study instead
-of 101: with windows of one step its study ran 3-6% slower.  Each window's
+sorts the window in place along the particle axis, and one call of the
+sorted-sample kernel of ``w2_and_kl`` gives the W2 and KL of every step in
+the window, binning each reference row once for all K rungs: the window is
+its own sort buffer, so no cloud is copied twice.  The window holds several
+steps only where one step's clouds, ``(K + 1) R_c N`` floats, take at most
+256 KiB.  The benchmark's ``ladder-plain`` study (R = 2) does; criterion 1's
+study (R = 20) and ``compare`` at N = 10^4 run with windows of one step.
+The window pays because each kernel call has a fixed cost, its NumPy calls
+on small arrays, which ``ladder-plain`` pays 21 times a study instead of
+101: with windows of one step its study ran 3-6% slower.  Each window's
 W2 / KL are added into per-time sums replicate by replicate, in the order
 ``r = 0, ..., R - 1``, and divided by R once, so the pass keeps no
 per-replicate W2 / KL and its memory grows with R only by the gaps.
@@ -75,15 +79,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dynamics
 from .consensus import costs_of, laplace_value
 # ``run``, ``wasserstein2_1d`` and ``kl_histogram`` are not called here; the
 # benchmark's tracer (perfbench/tracing.py) wraps them under this module's name
 from .dynamics import Params, lockstep, run  # noqa: F401
 from .metrics import (  # noqa: F401
+    _w2_and_kl_sorted,
     default_bins,
     kl_histogram,
     paired_msq_gap,
-    w2_and_kl,
     wasserstein2_1d,
 )
 from .noise import NoiseTape, _check_count, initial_positions
@@ -187,12 +192,12 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     local bests for the memory pair, folded into the sup in step order.  For
     the plain pair in one dimension the positions of B consecutive steps are
     copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at least
-    1, at most all), and one ``w2_and_kl`` call reduces the whole window: the
-    ``(B, R_c, N)`` reference window as ``B * R_c`` clouds and the ``(K, B,
-    R_c, N)`` ladder window as K stacks of them.  The last window may be
-    partial.  Each window's values are added into per-time sums replicate by
-    replicate, so the means are a fold over ``r = 0, ..., R - 1`` in that
-    order, divided by R once.
+    1, at most all), sorted there in place, and one ``_w2_and_kl_sorted``
+    call reduces the whole window: the ``(B, R_c, N)`` reference window as
+    ``B * R_c`` samples and the ``(K, B, R_c, N)`` ladder window as K stacks
+    of them.  The last window may be partial.  Each window's values are
+    added into per-time sums replicate by replicate, so the means are a fold
+    over ``r = 0, ..., R - 1`` in that order, divided by R once.
     """
     K, N, d = len(m_values), p.n_particles, p.dim
     metrics = d == 1 and not memory
@@ -207,7 +212,10 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     # floats
     clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (2 if memory else 1)
               + (7 * K if memory else 4 * K) + (K + 1 if metrics else 0))
-    chunk = max(1, _CHUNK_BYTES // (8 * N * (clouds * d + 2 * (1 + K))))
+    # lockstep's tape window, at most its budget per channel plus the one
+    # more window a draw hashes its keys in, is one term for the whole chunk
+    tape = (3 if memory else 2) * dynamics._TAPE_WINDOW_BYTES
+    chunk = max(1, (_CHUNK_BYTES - tape) // (8 * N * (clouds * d + 2 * (1 + K))))
     times = np.empty(p.n_steps + 1)
     sup_gap = np.full((K, R), -np.inf) if gap else None
     sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None
@@ -220,7 +228,7 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
         if metrics:
             # the reference's window first, then the ladder's
             B = max(1, min(p.n_steps + 1, _WINDOW_BYTES // (8 * (K + 1) * R_c * N)))
-            win = np.empty((K + 1, B, R_c, N, 1))
+            win = np.empty((K + 1, B, R_c, N))
         x0 = np.stack([initial_positions([seed, r], N, d, init) for r in reps])
         # lockstep's states copy x0, and lockstep drops it once they have
         path = lockstep(schemes, x0, p, obj, seed, reps, m_values)
@@ -237,15 +245,18 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
                 np.copyto(sup, g, where=g > sup)
             if metrics:
                 j = n % B
-                win[0, j], win[1:, j] = ref.x, ladder.x
+                win[0, j], win[1:, j] = ref.x[..., 0], ladder.x[..., 0]
                 if j == B - 1 or n == p.n_steps:
                     # steps n - j, ..., n, as (j + 1) R_c clouds per rung,
-                    # added into the sums replicate by replicate
+                    # sorted in place and added into the sums replicate by
+                    # replicate
                     b = j + 1
+                    samples = win[:, :b]
+                    samples.sort(axis=-1)
                     w2_kl = np.array(
-                        w2_and_kl(win[1:, :b].reshape(K, b * R_c, N, 1),
-                                  win[0, :b].reshape(b * R_c, N, 1),
-                                  default_bins(N))).reshape(2, K, b, R_c)
+                        _w2_and_kl_sorted(samples[1:].reshape(K, b * R_c, N),
+                                          samples[0].reshape(b * R_c, N),
+                                          default_bins(N))).reshape(2, K, b, R_c)
                     for r in range(R_c):
                         sums[..., n - j:n + 1] += w2_kl[..., r]
     # from zeros the fold equals one from replicate 0, as neither metric

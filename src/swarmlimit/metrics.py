@@ -27,8 +27,10 @@ turns into counts and one normalisation into the smoothed masses.
 
 Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
 ``(wasserstein2_1d, kl_histogram)`` of equal-size 1-d samples from one check
-and one sort of each, with the bits of the two calls.  Means along the
-particle axis are ``np.add.reduce(...) / n``, the arithmetic of ``np.mean``.
+and one sort of each, with the bits of the two calls, and
+``_w2_and_kl_sorted`` is its kernel on samples that a caller has sorted
+itself.  Means along the particle axis are ``np.add.reduce(...) / n``, the
+arithmetic of ``np.mean``.
 Squared norms are ``objectives._square_norm``'s, with the bits of
 ``np.einsum``.
 """
@@ -191,7 +193,12 @@ def w2_and_kl(a, b, bins: int):
     """
     xa, xb = _pair(a, b, flat=True)
     _check_bins(bins)
-    sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
+    return _w2_and_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins)
+
+
+def _w2_and_kl_sorted(sa, sb, bins: int):
+    """``w2_and_kl`` of ``(..., n)`` samples already sorted along the last
+    axis, unchecked: the kernel ``w2_and_kl`` calls after its sort."""
     return _result(np.sqrt(_msq(sa, sb))), _result(_kl_sorted(sa, sb, bins))
 
 

@@ -11,10 +11,12 @@ followed by the inverse normal CDF, so there is no stream state to replay.
 The hash key of linear index ``idx`` is ``seed + (idx + 1) * GOLDEN mod
 2**64``, and the index is affine in ``(r, i, n, k, ch)``, so the keys of a
 block are the ``(particles, dim)`` keys of replicate 0, step 0, channel 1
-plus one scalar per replicate row, ``(r P S D C + n D C + ch - 1) * GOLDEN mod
-2**64`` over the layout's sizes.  A tape builds those keys from its layout
-alone, once, on its first draw: a block is a pure function of ``(tape, r, n,
-ch)``, and a tape keeps nothing that depends on what it drew.
+plus one scalar per replicate row and step, ``(r P S D C + n D C + ch - 1) *
+GOLDEN mod 2**64`` over the layout's sizes.  A tape builds those keys from its
+layout alone, once, on its first draw: a block is a pure function of ``(tape,
+r, n, ch)``, and a tape keeps nothing that depends on what it drew.  So a
+window of several steps can be drawn in one call, ahead of the steps that
+use it, with the bits of one call per step.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = z ^ (z >> np.uint64(30))
+    """splitmix64 finalizer, vectorized over uint64 arrays, in place."""
+    z ^= z >> np.uint64(30)
     z *= _MIX_1
     z ^= z >> np.uint64(27)
     z *= _MIX_2
@@ -72,7 +74,8 @@ def _replicate_rows(r) -> tuple[tuple, bool]:
 
 
 def _standard_normals(keys: np.ndarray) -> np.ndarray:
-    """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF."""
+    """Map hash keys to N(0,1) variates via splitmix64 + inverse CDF; the
+    keys are hashed in place."""
     h = _mix64(keys)
     # 53-bit uniform shifted into (0,1) so ndtri never sees 0 or 1; the top
     # value's 2**53 - 0.5 rounds up to 2**53, so it is clamped back below 1
@@ -99,9 +102,9 @@ class NoiseTape:
     on that one particle and differ everywhere else, even at step 0, so a
     longer horizon does not extend a shorter one.
 
-    ``theta_block`` adds one scalar per replicate row to the keys of
-    replicate 0, step 0, channel 1, which the tape builds from its sizes on
-    its first draw and keeps.  They are a function of the fields, so they
+    ``theta_block`` adds one scalar per replicate row and step to the keys
+    of replicate 0, step 0, channel 1, which the tape builds from its sizes
+    on its first draw and keeps.  They are a function of the fields, so they
     enter neither ``==``, ``hash`` nor ``repr``; a tape that only validates
     a layout never builds them.
     """
@@ -165,31 +168,43 @@ class NoiseTape:
         i, k = np.ogrid[:self.particles, :self.dim]
         return _keys(np.uint64(self.seed), self._linear_index(0, i, 0, k, 0))
 
-    def theta_block(self, r, n: int, ch: int = 1) -> np.ndarray:
-        """All per-particle, per-coordinate variates of one step.
+    def theta_block(self, r, n, ch: int = 1) -> np.ndarray:
+        """All per-particle, per-coordinate variates of one step or a window
+        of steps.
 
-        ``r`` is one replicate or a nonempty range or tuple of them.  Returns a
-        ``(particles, dim)`` array for one replicate, whose entry ``[i, k]`` is
-        bit-identical to ``theta(r, i, n, k, ch)``, and an ``(len(r),
-        particles, dim)`` stack for a range or tuple, whose row ``j`` is the
-        block of replicate ``r[j]``; one replicate is drawn as row 0 of a
-        one-row stack.  Row ``j``'s keys are the tape's base keys plus one
+        ``r`` is one replicate or a nonempty range or tuple of them, and
+        ``n`` one step or a nonempty range of them.  Returns a ``(particles,
+        dim)`` array for one replicate and step, whose entry ``[i, k]`` is
+        bit-identical to ``theta(r, i, n, k, ch)``; a range or tuple ``r``
+        adds an axis of ``len(r)`` rows in front, row ``j`` the block of
+        replicate ``r[j]``, and a range ``n`` one of ``len(n)`` steps in
+        front of that, row ``j`` the block of step ``n[j]``.  One replicate
+        is drawn as row 0 of a one-row stack, and one step as row 0 of a
+        one-step window.  Each row's keys are the tape's base keys plus one
         scalar, so a block depends on ``(r, n, ch)`` alone.
         """
         rows, stacked = _replicate_rows(r)
+        window = isinstance(n, range)
+        steps = n if window else (n,)
+        if not steps:
+            raise ValueError("n must be a step or a nonempty range of them")
         for value in rows:
             self._check("r", value, self.replicates)
-        self._check("n", n, self.steps)
+        for value in steps:
+            self._check("n", value, self.steps)
         self._check("ch", ch, self.channels, base=1)
         # idx(r, i, n, k, ch) = idx(0, i, 0, k, 1) + r P S D C + n D C + ch - 1,
         # so each row's keys move by that many GOLDEN steps, mod 2**64 as in
         # the key itself (in Python ints, which NumPy integers would overflow)
         step = self.dim * self.channels
-        shifts = [(int(rep) * self.particles * self.steps * step + int(n) * step
-                   + int(ch) - 1) * int(_GOLDEN) & _U64_MASK for rep in rows]
+        shifts = [[(int(rep) * self.particles * self.steps * step + int(t) * step
+                    + int(ch) - 1) * int(_GOLDEN) & _U64_MASK for rep in rows]
+                  for t in steps]
         block = _standard_normals(self._base_keys
-                                  + np.array(shifts, dtype=np.uint64)[:, None, None])
-        return block if stacked else block[0]
+                                  + np.array(shifts, dtype=np.uint64)[..., None, None])
+        if not stacked:
+            block = block[:, 0]
+        return block if window else block[0]
 
 
 _DIST_PARAMS = {"gaussian": ("mean", "var"), "uniform": ("a", "b")}

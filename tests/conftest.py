@@ -44,15 +44,16 @@ def step_once(state, p, obj, theta):
 @pytest.fixture
 def drawn_blocks(monkeypatch):
     """Every tape block drawn during the test, as ``(seed, r, n, ch) ->
-    [block, ...]`` in draw order; observed on the class, the way the
-    benchmark's tracer observes draws, so it sees the tapes ``lockstep``
-    builds."""
+    [block, ...]`` in draw order, a window of steps as the blocks of its
+    steps; observed on the class, the way the benchmark's tracer observes
+    draws, so it sees the tapes ``lockstep`` builds."""
     drawn = defaultdict(list)
     theta_block = NoiseTape.theta_block
 
     def recording(tape, r, n, ch=1):
         block = theta_block(tape, r, n, ch)
-        drawn[(tape.seed, r, n, ch)].append(block.copy())
+        for t, rows in zip(n, block) if isinstance(n, range) else [(n, block)]:
+            drawn[(tape.seed, r, t, ch)].append(rows.copy())
         return block
 
     monkeypatch.setattr(NoiseTape, "theta_block", recording)

@@ -16,6 +16,7 @@ from swarmlimit import (
     lockstep,
     run,
 )
+import swarmlimit.dynamics as dynamics
 from swarmlimit.dynamics import SCHEMES, _consensus_of, _initial_state, _step
 
 from certified import step_oracle
@@ -513,7 +514,8 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m(first, second):
     assert np.all((ratios > 1.9) & (ratios < 2.1))
 
 
-def test_lockstep_yields_the_path_from_the_initial_states_on(drawn_blocks):
+def test_lockstep_yields_the_path_from_the_initial_states_on(monkeypatch,
+                                                            drawn_blocks):
     p = plain_params(m=0.2, sigma=0.5, n_particles=5, t_end=0.05)
     x0 = initial_positions([3, 0], p.n_particles, p.dim)
     t = 0.0
@@ -529,12 +531,16 @@ def test_lockstep_yields_the_path_from_the_initial_states_on(drawn_blocks):
         t += p.dt
     assert n == p.n_steps
     assert start[0].t == pytest.approx(p.t_end)
-    # the path is lazy: two items are the states at rest and one step
+    # the path is lazy: two items are the states at rest and one step, and
+    # the path draws at most one window ahead, here of two steps' blocks
+    monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES",
+                        2 * 8 * p.n_particles * p.dim)
     drawn_blocks.clear()
     path = lockstep(("cbo", "pso"), x0, p, ackley(1), 3, 0, (0.2, 0.1))
     next(path)
+    assert not drawn_blocks
     _, states, _ = next(path)
-    assert sorted(drawn_blocks) == [(3, 0, 0, 1)]
+    assert sorted(drawn_blocks) == [(3, 0, 0, 1), (3, 0, 1, 1)]
     assert all(s.t == p.dt for s in states)
 
 
@@ -542,6 +548,35 @@ def _path_arrays(path):
     """Copies of every array of every state, item by item."""
     return [[a.copy() for s in states for k in ("x", "v", "y")
              if (a := getattr(s, k)) is not None] for _, states, _ in path]
+
+
+@pytest.mark.parametrize("pair", [("cbo", "pso"), ("cbo_mem", "pso_mem")],
+                         ids=["plain", "memory"])
+def test_lockstep_path_does_not_depend_on_the_tape_window(monkeypatch, pair,
+                                                          drawn_blocks):
+    # windows of 1 step, of 3 (the last of the 10 steps alone) and the
+    # default, which holds all 10 steps here, give the same path bit for
+    # bit, and each step's blocks are drawn once
+    mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
+                       beta=30.0)
+    p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=5, dim=2,
+                     t_end=0.1, memory=mem)
+    x0 = np.stack([initial_positions([3, j], 5, 2) for j in range(2)])
+    step_bytes = 8 * 2 * p.n_particles * p.dim
+    paths = []
+    for budget in (step_bytes, 3 * step_bytes + 7,
+                   dynamics._TAPE_WINDOW_BYTES):
+        monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", budget)
+        drawn_blocks.clear()
+        paths.append(_path_arrays(lockstep(pair, x0, p, ackley(2), 3, range(2),
+                                           (0.2, 0.1))))
+        channels = 2 if pair[0].endswith("_mem") else 1
+        assert len(drawn_blocks) == p.n_steps * channels
+        assert all(len(drawn) == 1 for drawn in drawn_blocks.values())
+    assert p.n_steps == 10 and len(paths[0]) == 11
+    for path in paths[1:]:
+        for arrays, first in zip(path, paths[0]):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, first))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])

@@ -28,9 +28,10 @@ from swarmlimit import (
     wasserstein2_1d,
     zero_inertia_study,
 )
+import swarmlimit.dynamics as dynamics
 import swarmlimit.experiments as experiments
 from swarmlimit.experiments import _coupled_pass
-from swarmlimit.metrics import w2_and_kl
+from swarmlimit.metrics import _w2_and_kl_sorted
 
 from certified import alpha0_gap_factors
 from conftest import linear_cost, trajectory
@@ -425,9 +426,9 @@ def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
         monkeypatch):
     # every pass takes its gap from one paired_msq_gap call per time point on
     # the whole (K, R, N, d) stack, two for the memory pair, and compare
-    # takes none; the plain d = 1 pass takes W2 / KL from one w2_and_kl call
-    # per window of steps.  At this size a window holds all 6 time points:
-    # (K, 6 R, N, 1) against (6 R, N, 1).
+    # takes none; the plain d = 1 pass takes W2 / KL from one call of the
+    # sorted-sample kernel per window of steps, which it sorts in place.  At
+    # this size a window holds all 6 time points: (K, 6 R, N) against (6 R, N).
     p = study_base(t_end=0.05, n_particles=20)
     N = p.n_particles
     assert p.n_steps + 1 == 6
@@ -440,20 +441,21 @@ def test_compare_ladder_computes_no_paired_gap_and_the_study_one_per_step(
 
     def counted_window(a, b, bins):
         windows.append((a.shape, b.shape))
-        return w2_and_kl(a, b, bins)
+        assert (np.diff(a) >= 0).all() and (np.diff(b) >= 0).all()
+        return _w2_and_kl_sorted(a, b, bins)
 
     monkeypatch.setattr(experiments, "paired_msq_gap", counted_gap)
-    monkeypatch.setattr(experiments, "w2_and_kl", counted_window)
+    monkeypatch.setattr(experiments, "_w2_and_kl_sorted", counted_window)
     tables = compare_ladder(p, ackley(1), 3, (0.2, 0.1))
     assert [len(t.times) for t in tables] == [p.n_steps + 1] * 2
     assert gaps == []
-    assert windows == [((2, 6, N, 1), (6, N, 1))]
+    assert windows == [((2, 6, N), (6, N))]
 
     windows.clear()
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=p)
     zero_inertia_study(cfg, ackley(1), 3)
     assert gaps == [((2, 2, N, 1), (2, N, 1), (2, 2))] * 6
-    assert windows == [((2, 12, N, 1), (12, N, 1))]
+    assert windows == [((2, 12, N), (12, N))]
 
     # d >= 2 and the memory pair: the same per-step gap, and no window
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
@@ -491,9 +493,9 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
 
     def counted(a, b, bins):
         calls.append((a.shape, b.shape))
-        return w2_and_kl(a, b, bins)
+        return _w2_and_kl_sorted(a, b, bins)
 
-    monkeypatch.setattr(experiments, "w2_and_kl", counted)
+    monkeypatch.setattr(experiments, "_w2_and_kl_sorted", counted)
     results = []
     for B, budget in ((1, 0), (1, 2 * step_bytes - 1), (2, 2 * step_bytes),
                       (3, 3 * step_bytes + 7), (7, 7 * step_bytes),
@@ -504,7 +506,7 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
                             gap=gap)
         sizes = [B] * (n_points // B) + ([n_points % B] if n_points % B else [])
         assert len(calls) == -(-n_points // B)
-        assert calls == [((K, b * R, N, 1), (b * R, N, 1)) for b in sizes]
+        assert calls == [((K, b * R, N), (b * R, N)) for b in sizes]
         assert res.w2.shape == res.kl.shape == (K, n_points)
         assert (res.sup_gap is None) == (not gap)
         if gap:
@@ -534,8 +536,11 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
     # positions, and each one's local bests for the memory pair), each
     # channel's tape block, two cost rows per state, the ladder's
     # temporaries (4 clouds a rung for the objective and 3 more for the
-    # memory update) and for the plain pair a window of one step
+    # memory update) and for the plain pair a window of one step; and once
+    # for the chunk, lockstep's tape window, its budget per channel plus one
+    # more for a draw, whose steps change with the chunk's replicates
     per_replicate = 8 * base.n_particles * (42 if memory else 32)
+    tape = (3 if memory else 2) * dynamics._TAPE_WINDOW_BYTES
     passes = []
 
     def recorded(schemes, x0, p, obj, seed, r, m):
@@ -544,8 +549,9 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
 
     monkeypatch.setattr(experiments, "lockstep", recorded)
     results = []
-    for chunk, budget in ((1, 0), (1, 2 * per_replicate - 1),
-                          (2, 2 * per_replicate), (R, R * per_replicate)):
+    for chunk, budget in ((1, 0), (1, tape + 2 * per_replicate - 1),
+                          (2, tape + 2 * per_replicate),
+                          (R, tape + R * per_replicate)):
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
         passes.clear()
         results.append(zero_inertia_study(cfg, ackley(1), 6))
@@ -567,9 +573,11 @@ def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
     # window of one step, 4x the replicates raise the peak by < 1.5x
     base = study_base(n_particles=2, t_end=0.5)
     ladder = (0.2, 0.1, 0.05)
-    # a replicate's 32 clouds of N floats, as in the chunk test above
+    # a replicate's 32 clouds of N floats, as in the chunk test above, and
+    # tape windows of one step, which the chunk estimate counts per replicate
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 32)
     monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
+    monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", 0)
     peaks = []
     for replicates in (100, 25, 100):
         cfg = LimitStudyConfig(m_ladder=ladder, replicates=replicates, base=base)
@@ -609,21 +617,29 @@ def test_a_pass_frees_each_chunks_states_before_the_next_chunk_allocates(
     assert len(states) == 3 * 2 * 4
 
 
-@pytest.mark.parametrize("pair, dim", [("plain", 1), ("memory", 1),
-                                       ("plain", 2), ("memory", 2)],
-                         ids=["plain", "memory", "plain-dim2", "memory-dim2"])
+@pytest.mark.parametrize(
+    "pair, dim, tape_window",
+    [("plain", 1, False), ("memory", 1, False), ("plain", 2, False),
+     ("memory", 2, False), ("plain", 1, True)],
+    ids=["plain", "memory", "plain-dim2", "memory-dim2", "plain-tape-window"])
 def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
-                                                          dim):
+                                                          dim, tape_window):
     # the chunk budget counts what a step holds at its peak, temporaries
     # included, so a study of many chunks peaks within the budget plus a
     # one-off 32 KiB: the pass's per-time sums and gaps and the Python and
     # NumPy objects that do not grow with a chunk.  A window of one step is
-    # what the budget counts for the plain pair; a longer one is the
-    # separate _WINDOW_BYTES.  Rastrigin makes the most temporaries of the
-    # shipped objectives.
+    # what the budget counts per replicate for the plain pair; a longer one
+    # is the separate _WINDOW_BYTES.  lockstep's tape window is one term for
+    # the chunk: the cases without it draw windows of one step, and the one
+    # with it has the default window and a budget that holds it.  Rastrigin
+    # makes the most temporaries of the shipped objectives.
     budget = 256 * 1024
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
+    if tape_window:
+        budget += 2 * dynamics._TAPE_WINDOW_BYTES
+    else:
+        monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", 0)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if pair == "memory" else None
     base = study_base(n_particles=200, t_end=0.05, dim=dim, memory=mem)

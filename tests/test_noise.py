@@ -182,6 +182,44 @@ def test_block_of_a_replicate_sequence_checks_every_replicate():
         tape.theta_block((), 0)
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_block_of_a_step_window_stacks_the_per_step_blocks(channels):
+    # row j of the block of a range of steps is the block of step n[j], bit
+    # for bit, for a solo replicate and a stack of them; the window
+    # range(5, 9) ends at the last step
+    tape = NoiseTape(6, 4, 7, 9, 3, channels)
+    for r, rows in ((2, ()), (range(4), (4,)), ((3, 1), (2,))):
+        for n in (range(4), range(5, 9), range(3, 4), range(1, 9, 3)):
+            for ch in range(1, channels + 1):
+                block = tape.theta_block(r, n, ch)
+                assert block.shape == (len(n), *rows, 7, 3)
+                for row, t in zip(block, n):
+                    assert np.array_equal(row, tape.theta_block(r, t, ch))
+
+
+def test_step_windows_match_per_step_blocks_where_the_keys_wrap():
+    # the layout of the test below: the window that ends at the last step
+    # holds the largest indices the layout has, and every key wraps
+    replicates, particles, dim, channels = 3, 2, 2, 2
+    steps = 2**64 // (replicates * particles * dim * channels)
+    tape = NoiseTape(2**64 - 1, replicates, particles, steps, dim, channels)
+    for r in (1, range(3)):
+        for n in (range(steps - 3, steps), range(3)):
+            for ch in (1, 2):
+                for row, t in zip(tape.theta_block(r, n, ch), n):
+                    assert np.array_equal(row, tape.theta_block(r, t, ch))
+
+
+def test_step_window_checks_every_step():
+    tape = NoiseTape(seed=0, replicates=2, particles=2, steps=4, dim=1)
+    with pytest.raises(IndexError, match=r"n=4 outside \[0, 4\)"):
+        tape.theta_block(0, range(2, 5))
+    with pytest.raises(IndexError, match=r"n=-1 outside"):
+        tape.theta_block(range(2), range(-1, 2))
+    with pytest.raises(ValueError, match="n must be a step or a nonempty range"):
+        tape.theta_block(0, range(3, 3))
+
+
 def test_block_keys_match_theta_where_the_keys_wrap():
     # seed 2**64 - 1 and a step count at the 64-bit index bound: every key
     # wraps mod 2**64, and the last step's indices are the largest the

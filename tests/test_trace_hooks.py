@@ -32,7 +32,12 @@ def test_tracer_counts_steps_and_tape_blocks_of_lockstep():
                                                 p.m):
             pass
     assert tracer.calls["dynamics.step"] == 3
-    assert tracer.calls["noise.theta_block"] == 3
+    # the 3 steps' blocks of 10 variates are one window of the tape, drawn
+    # once
+    counters = tracer.counters()
+    assert counters["noise.theta_block.calls"] == 1
+    assert counters["noise.variates"] == 3 * p.n_particles * p.dim
+    assert counters["noise.redraw_ratio"] == 1
     assert np.all(np.isfinite(final.x))
 
 
