@@ -28,7 +28,6 @@ from .metrics import (
     empirical_moments,
     kl_histogram,
     paired_msq_gap,
-    w2_and_kl,
     wasserstein2_1d,
 )
 from .noise import NoiseTape, initial_positions
@@ -72,7 +71,6 @@ __all__ = [
     "rastrigin",
     "run",
     "sphere",
-    "w2_and_kl",
     "wasserstein2_1d",
     "zero_inertia_study",
 ]

@@ -53,6 +53,12 @@ blocks per draw) and handing the same array to every slice of every state,
 and yields the coupled path one time point at a time; a state's arrays are
 the same objects on every item.  A caller reads the path in a ``for`` loop;
 ``run`` is that loop over a single unstacked scheme, recording every step.
+
+The module owns the one window rule, ``_window_steps``: a window holds the
+most consecutive steps whose ``(R, N, d)`` rows fit ``_WINDOW_BYTES``
+(128 KiB), at least 1 and at most ``n_steps + 1``.  ``lockstep``'s tape
+draws take their window from it, and so does the W2 / KL window of a
+coupled pass (``experiments``).
 """
 
 from __future__ import annotations
@@ -263,11 +269,19 @@ def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
 # from outside the package
 _STEPPERS = {"step": _step}
 
-# the most bytes of tape blocks ``lockstep`` draws in one window of steps, per
-# channel: a window of a few steps pays a draw's fixed cost once for all of
-# them, while larger windows hold more memory for no measured gain (512 KiB
-# timed as 128 KiB on the benchmark's optimize-2d call, and 2 MiB slower)
-_TAPE_WINDOW_BYTES = 128 * 1024
+# the most bytes of one ``(R, N, d)`` row per step that a window of
+# consecutive steps holds: ``lockstep``'s tape draws and a coupled pass's
+# W2 / KL window pay a call's fixed cost once for all the window's steps,
+# while larger windows hold more memory for no measured gain (512 KiB timed
+# as 128 KiB on the benchmark's optimize-2d call, and 2 MiB slower)
+_WINDOW_BYTES = 128 * 1024
+
+
+def _window_steps(p: Params, R: int) -> int:
+    """W, the most steps whose ``(R, N, d)`` rows fit ``_WINDOW_BYTES``: at
+    least 1, and at most ``n_steps + 1``, the time points of a path."""
+    return max(1, min(p.n_steps + 1,
+                      _WINDOW_BYTES // (8 * R * p.n_particles * p.dim)))
 
 
 @dataclass
@@ -331,11 +345,12 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     grid of ``p``, ``max(r) + 1`` replicates and the channels the schemes
     draw: two if any is a memory scheme, else one.  Each channel's blocks
     are drawn once, a window of W consecutive steps per ``theta_block``
-    call, W the most steps whose ``(R, N, d)`` blocks fit
-    ``_TAPE_WINDOW_BYTES`` (at least one, and none past the last step);
-    step ``n`` takes row ``n mod W`` of its window and hands it to every
-    state.  A window is drawn when its first step runs, after the last one
-    is freed, and each state's consensus is computed once per step.
+    call, W from the one window rule, ``_window_steps``: the most steps
+    whose ``(R, N, d)`` blocks fit ``_WINDOW_BYTES``, at least 1 and at most
+    ``n_steps + 1``, and a window's draw stops at the last step.  Step ``n``
+    takes row ``n mod W`` of its window and hands it to every state.  A
+    window is drawn when its first step runs, after the last one is freed,
+    and each state's consensus is computed once per step.
     Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states,
     one per scheme in order, first at rest, then after step ``n - 1``, each
     time with the consensus points the next step uses.  Non-finite states
@@ -376,9 +391,7 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     # it into a variate, so replicate r has the same blocks on any longer tape
     tape = NoiseTape(seed, max(rows) + 1, p.n_particles, p.n_steps, p.dim,
                      channels)
-    # the most steps whose blocks of one channel fit the window's budget
-    W = max(1, min(p.n_steps,
-                   _TAPE_WINDOW_BYTES // (8 * len(rows) * p.n_particles * p.dim)))
+    W = _window_steps(p, len(rows))
     stepper = _STEPPERS["step"]
     cons = [_consensus_of(s, p, obj) for s in states]
     yield 0, states, [c.point for c in cons]

@@ -19,18 +19,20 @@ seed's noise tape over two schemes, the ``(R_c, N, d)`` first-order
 reference and one rung-major ``(K, R_c, N, d)`` second-order stack with one
 rung per inertia value.  A chunk has as many replicates as ``_CHUNK_BYTES``
 (64 MiB) hold at a step's peak, and at least one: the pass's one estimate
-counts, per replicate, the states, the tape blocks, the consensus costs,
-the largest set of temporaries a step makes and the metrics' window of one
-step, and once for the chunk ``lockstep``'s tape window: at most
-``dynamics._TAPE_WINDOW_BYTES`` (128 KiB) per channel, plus one more for
-the keys a draw hashes.  A chunk's states and window are freed before the
-next chunk allocates its own.  ``lockstep`` starts both schemes at rest
-from one stack of initial clouds, replicate ``r`` from cloud ``[seed, r]``,
-and builds one tape for them, so the pair is coupled in its initial data and
-its noise by construction.  The reference does not depend on ``m``, so it is
-computed once per replicate, and each step's ``(R_c, N, d)`` tape block
-per channel, drawn with those of the steps around it in a window of steps,
-serves every rung.  The pass reads the path
+counts, per replicate, the states, the tape blocks, the consensus costs, the
+largest set of temporaries a step makes and the metrics' window of one step,
+and once for the chunk every window of steps, as a whole number of rows of
+``dynamics._WINDOW_BYTES`` (128 KiB): for ``lockstep``'s tape window one row
+per channel plus one more for the keys a draw hashes, and for the plain
+d = 1 pair the W2 / KL window's K + 1 rows, twice, as its reduction makes a
+difference array of up to K rows.  A chunk's states and window are freed
+before the next chunk allocates its own.  ``lockstep`` starts both schemes
+at rest from one stack of initial clouds, replicate ``r`` from cloud
+``[seed, r]``, and builds one tape for them, so the pair is coupled in its
+initial data and its noise by construction.  The reference does not depend
+on ``m``, so it is computed once per replicate, and each step's
+``(R_c, N, d)`` tape block per channel, drawn with those of the steps around
+it in a window of steps, serves every rung.  The pass reads the path
 ``lockstep`` yields in a ``for`` loop whose body makes two reductions over
 the whole stack.
 
@@ -38,28 +40,30 @@ Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
 for the memory pair, which adds the local bests' gap) updates the chunk's
 columns of the ``(K, R)`` running sup of the paired gap.  For the plain pair
 in one dimension the pass also copies the positions of consecutive steps
-into a window of at most ``_WINDOW_BYTES`` (512 KiB, and at least one step),
-sorts the window in place along the particle axis, and one call of the
-sorted-sample kernel of ``w2_and_kl`` gives the W2 and KL of every step in
-the window, binning each reference row once for all K rungs: the window is
-its own sort buffer, so no cloud is copied twice.  The window holds several
-steps only where one step's clouds, ``(K + 1) R_c N`` floats, take at most
-256 KiB.  The benchmark's ``ladder-plain`` study (R = 2) does; criterion 1's
-study (R = 20) and ``compare`` at N = 10^4 run with windows of one step.
-The window pays because each kernel call has a fixed cost, its NumPy calls
-on small arrays, which ``ladder-plain`` pays 21 times a study instead of
-101: with windows of one step its study ran 3-6% slower.  Each window's
-W2 / KL are added into per-time sums replicate by replicate, in the order
-``r = 0, ..., R - 1``, and divided by R once, so the pass keeps no
-per-replicate W2 / KL and its memory grows with R only by the gaps.
-``lockstep`` advances the two states in place, so a chunk holds one set of
-arrays per state and no positions but the window's.  ``compare_ladder``
-makes the pass with R = 1, computes no gap, and selects its snapshot steps
-from the per-step means, which for one replicate are the values themselves:
-``0 + v = v`` and ``v / 1 = v``, as neither metric returns -0.0.  Each
-slice's arithmetic is elementwise that of a solo run and every reduction,
-the metrics' included, stays within one slice, which keeps the results
-bit-identical to pairs of ``run`` calls, whatever the window and the chunks.
+into a window, sorts the window in place along the particle axis, and one
+call of the sorted-sample kernel ``_w2_and_kl_sorted`` gives the W2 and KL
+of every step in the window, binning each reference row once for all K
+rungs: the window is its own sort buffer, so no cloud is copied twice.  Its
+length is the one window rule's, ``dynamics._window_steps``, as for
+``lockstep``'s tape draws: the most steps whose ``(R_c, N)`` rows fit
+128 KiB, at least one and at most all ``n_steps + 1``, and a step holds
+K + 1 such rows.  Each kernel call has a fixed cost, its NumPy calls on
+small arrays, which a window pays once for all its steps: the benchmark's
+``ladder-plain`` study (R = 2, N = 1000, 101 time points) holds 8 steps a
+window and makes 13 calls, where windows of one step would make 101;
+criterion 1's study (R = 20) and ``compare`` at N = 10^4 run with windows of
+one step.  Each window's W2 / KL are added into per-time sums replicate by
+replicate, in the order ``r = 0, ..., R - 1``, and divided by R once, so the
+pass keeps no per-replicate W2 / KL and its memory grows with R only by the
+gaps.  ``lockstep`` advances the two states in place, so a chunk holds one
+set of arrays per state and no positions but the window's.
+``compare_ladder`` makes the pass with R = 1, computes no gap, and selects
+its snapshot steps from the per-step means, which for one replicate are the
+values themselves: ``0 + v = v`` and ``v / 1 = v``, as neither metric
+returns -0.0.  Each slice's arithmetic is elementwise that of a solo run and
+every reduction, the metrics' included, stays within one slice, which keeps
+the results bit-identical to pairs of ``run`` calls, whatever the window and
+the chunks.
 
 Results hold what callers read and nothing they passed in: a ``StudyResult``
 row is the ladder point of the same index, and ``compare_ladder`` returns its
@@ -75,7 +79,6 @@ split across calls without changing a bit; per-time averages are a fold over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +96,8 @@ from .metrics import (  # noqa: F401
 )
 from .noise import NoiseTape, _check_count, initial_positions
 
-# the most bytes of position clouds a coupled pass copies into one window of
-# steps for the metrics, and of arrays one chunk of its replicates holds at
+# the most bytes of arrays one chunk of a coupled pass's replicates holds at
 # a step's peak
-_WINDOW_BYTES = 512 * 1024
 _CHUNK_BYTES = 64 * 1024 * 1024
 
 
@@ -162,28 +163,20 @@ class StudyResult:
     kl_mean: np.ndarray | None
 
 
-class _PassResult(NamedTuple):
-    """What one coupled pass reduces its path to; see ``_coupled_pass``."""
-
-    times: np.ndarray
-    sup_gap: np.ndarray | None
-    w2: np.ndarray | None
-    kl: np.ndarray | None
-
-
 def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
-                  memory: bool = False, gap: bool = True) -> _PassResult:
+                  memory: bool = False, gap: bool = True):
     """The coupled replicates ``0, ..., R - 1``: the first-order reference
     and the second-order stack of ``m_values`` (with local bests if
     ``memory``), replicate ``r`` from cloud ``[seed, r]`` on replicate ``r``
     of the seed's tape.
 
-    Returns ``times``, the time of every step; ``sup_gap``, the ``(K, R)``
-    sup over time of each rung's and replicate's paired mean-square gap
-    (positions, plus local bests for the memory pair), ``None`` unless
-    ``gap``; and ``w2`` / ``kl``, the ``(K, n_steps + 1)`` replicate means of
-    the W2 / KL of each rung against its reference position cloud at every
-    step, ``None`` unless the pair is plain and ``p.dim == 1``.
+    Returns ``(times, sup_gap, w2, kl)``: ``times``, the time of every
+    step; ``sup_gap``, the ``(K, R)`` sup over time of each rung's and
+    replicate's paired mean-square gap (positions, plus local bests for the
+    memory pair), ``None`` unless ``gap``; and ``w2`` / ``kl``, the ``(K,
+    n_steps + 1)`` replicate means of the W2 / KL of each rung against its
+    reference position cloud at every step, ``None`` unless the pair is
+    plain and ``p.dim == 1``.
 
     The replicates run in consecutive chunks, one ``lockstep`` run each, of
     as many replicates as ``_CHUNK_BYTES`` hold at a step's peak (at least
@@ -191,8 +184,9 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     R_c, N, d)`` stack against the ``(R_c, N, d)`` reference, plus one on the
     local bests for the memory pair, folded into the sup in step order.  For
     the plain pair in one dimension the positions of B consecutive steps are
-    copied into a window, B as many steps as ``_WINDOW_BYTES`` hold (at least
-    1, at most all), sorted there in place, and one ``_w2_and_kl_sorted``
+    copied into a window, B from the one window rule on the chunk's ``(R_c,
+    N)`` rows, ``dynamics._window_steps``, as W is for ``lockstep``'s tape
+    draws.  They are sorted there in place, and one ``_w2_and_kl_sorted``
     call reduces the whole window: the ``(B, R_c, N)`` reference window as
     ``B * R_c`` samples and the ``(K, B, R_c, N)`` ladder window as K stacks
     of them.  The last window may be partial.  Each window's values are
@@ -212,10 +206,14 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     # floats
     clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (2 if memory else 1)
               + (7 * K if memory else 4 * K) + (K + 1 if metrics else 0))
-    # lockstep's tape window, at most its budget per channel plus the one
-    # more window a draw hashes its keys in, is one term for the whole chunk
-    tape = (3 if memory else 2) * dynamics._TAPE_WINDOW_BYTES
-    chunk = max(1, (_CHUNK_BYTES - tape) // (8 * N * (clouds * d + 2 * (1 + K))))
+    # every window of steps is one term for the whole chunk, in rows of the
+    # window budget: lockstep's tape window, a row per channel plus the one
+    # more a draw hashes its keys in, and for the plain d = 1 pair the
+    # W2 / KL window's K + 1 rows, twice, for the difference array of its
+    # reduction, K of those rows
+    rows = (3 if memory else 2) + (2 * (K + 1) if metrics else 0)
+    windows = rows * dynamics._WINDOW_BYTES
+    chunk = max(1, (_CHUNK_BYTES - windows) // (8 * N * (clouds * d + 2 * (1 + K))))
     times = np.empty(p.n_steps + 1)
     sup_gap = np.full((K, R), -np.inf) if gap else None
     sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None
@@ -227,7 +225,7 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
         ref = ladder = win = None
         if metrics:
             # the reference's window first, then the ladder's
-            B = max(1, min(p.n_steps + 1, _WINDOW_BYTES // (8 * (K + 1) * R_c * N)))
+            B = dynamics._window_steps(p, R_c)
             win = np.empty((K + 1, B, R_c, N))
         x0 = np.stack([initial_positions([seed, r], N, d, init) for r in reps])
         # lockstep's states copy x0, and lockstep drops it once they have
@@ -262,7 +260,7 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     # from zeros the fold equals one from replicate 0, as neither metric
     # returns -0.0, and dividing by R = 1 keeps every bit
     w2, kl = sums / R if metrics else (None, None)
-    return _PassResult(times, sup_gap, w2, kl)
+    return times, sup_gap, w2, kl
 
 
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:

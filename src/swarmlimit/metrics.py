@@ -25,12 +25,11 @@ pair it belongs to: a reference cloud of a stack of K is searched once, not K
 times.  Both clouds' insertion points fill one array, which one ``np.diff``
 turns into counts and one normalisation into the smoothed masses.
 
-Both 1-d metrics work on sorted samples.  ``w2_and_kl`` returns the pair
-``(wasserstein2_1d, kl_histogram)`` of equal-size 1-d samples from one check
-and one sort of each, with the bits of the two calls, and
-``_w2_and_kl_sorted`` is its kernel on samples that a caller has sorted
-itself.  Means along the particle axis are ``np.add.reduce(...) / n``, the
-arithmetic of ``np.mean``.
+Both 1-d metrics work on sorted samples.  ``_w2_and_kl_sorted`` gives the
+pair ``(wasserstein2_1d, kl_histogram)`` of equal-size samples that a caller
+has sorted itself, with the bits of the two calls: the kernel a coupled pass
+runs on its window of steps.  Means along the particle axis are
+``np.add.reduce(...) / n``, the arithmetic of ``np.mean``.
 Squared norms are ``objectives._square_norm``'s, with the bits of
 ``np.einsum``.
 """
@@ -184,21 +183,10 @@ def kl_histogram(a, b, bins: int):
     return _result(_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins))
 
 
-def w2_and_kl(a, b, bins: int):
-    """``(wasserstein2_1d(a, b), kl_histogram(a, b, bins))`` from one check and
-    one sort of each sample, each value with the bits of its own call.
-
-    The samples follow the shape rule of the 1-d metrics and must have the
-    same size, as for ``wasserstein2_1d``.
-    """
-    xa, xb = _pair(a, b, flat=True)
-    _check_bins(bins)
-    return _w2_and_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins)
-
-
 def _w2_and_kl_sorted(sa, sb, bins: int):
-    """``w2_and_kl`` of ``(..., n)`` samples already sorted along the last
-    axis, unchecked: the kernel ``w2_and_kl`` calls after its sort."""
+    """``(wasserstein2_1d, kl_histogram)`` of every pair of equal-size
+    ``(..., n)`` samples already sorted along the last axis, unchecked, each
+    value with the bits of its own call on the unsorted samples."""
     return _result(np.sqrt(_msq(sa, sb))), _result(_kl_sorted(sa, sb, bins))
 
 

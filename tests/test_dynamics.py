@@ -533,7 +533,7 @@ def test_lockstep_yields_the_path_from_the_initial_states_on(monkeypatch,
     assert start[0].t == pytest.approx(p.t_end)
     # the path is lazy: two items are the states at rest and one step, and
     # the path draws at most one window ahead, here of two steps' blocks
-    monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES",
+    monkeypatch.setattr(dynamics, "_WINDOW_BYTES",
                         2 * 8 * p.n_particles * p.dim)
     drawn_blocks.clear()
     path = lockstep(("cbo", "pso"), x0, p, ackley(1), 3, 0, (0.2, 0.1))
@@ -554,8 +554,9 @@ def _path_arrays(path):
                          ids=["plain", "memory"])
 def test_lockstep_path_does_not_depend_on_the_tape_window(monkeypatch, pair,
                                                           drawn_blocks):
-    # windows of 1 step, of 3 (the last of the 10 steps alone) and the
-    # default, which holds all 10 steps here, give the same path bit for
+    # windows of 1 step, of 3 (the last of the 10 steps alone), of all 11
+    # time points (W = n_steps + 1, whose draw stops at the last step) and
+    # the default, which holds all 11 here too, give the same path bit for
     # bit, and each step's blocks are drawn once
     mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
                        beta=30.0)
@@ -563,14 +564,26 @@ def test_lockstep_path_does_not_depend_on_the_tape_window(monkeypatch, pair,
                      t_end=0.1, memory=mem)
     x0 = np.stack([initial_positions([3, j], 5, 2) for j in range(2)])
     step_bytes = 8 * 2 * p.n_particles * p.dim
+    channels = 2 if pair[0].endswith("_mem") else 1
+    draw = NoiseTape.theta_block
+    windows = []
+
+    def recorded(tape, r, n, ch=1):
+        windows.append((n, ch))
+        return draw(tape, r, n, ch)
+
+    monkeypatch.setattr(NoiseTape, "theta_block", recorded)
     paths = []
-    for budget in (step_bytes, 3 * step_bytes + 7,
-                   dynamics._TAPE_WINDOW_BYTES):
-        monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", budget)
+    for W, budget in ((1, step_bytes), (3, 3 * step_bytes + 7),
+                      (11, 11 * step_bytes), (11, dynamics._WINDOW_BYTES)):
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", budget)
         drawn_blocks.clear()
+        windows.clear()
         paths.append(_path_arrays(lockstep(pair, x0, p, ackley(2), 3, range(2),
                                            (0.2, 0.1))))
-        channels = 2 if pair[0].endswith("_mem") else 1
+        assert windows == [(range(n, min(n + W, 10)), ch)
+                           for n in range(0, 10, W)
+                           for ch in range(1, channels + 1)]
         assert len(drawn_blocks) == p.n_steps * channels
         assert all(len(drawn) == 1 for drawn in drawn_blocks.values())
     assert p.n_steps == 10 and len(paths[0]) == 11

@@ -481,14 +481,15 @@ def _bits(a):
 @pytest.mark.parametrize("gap", [True, False], ids=["study", "compare"])
 def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates):
     # 11 time points, so windows of 2, 3 and 7 steps end in a partial window;
-    # a budget under one step's clouds still gives windows of one step, and
-    # one over all steps' clouds one window of all 11
+    # the one window budget counts a step's (R, N) rows, so a budget under
+    # one row still gives windows of one step, and one over all steps' rows
+    # one window of all 11
     p = study_base(n_particles=30, t_end=0.1)
     n_points = p.n_steps + 1
     assert n_points == 11
     ladder = (0.2, 0.1, 0.05)
     K, R, N = len(ladder), replicates, p.n_particles
-    step_bytes = 8 * (K + 1) * R * N
+    row_bytes = 8 * R * N
     calls = []
 
     def counted(a, b, bins):
@@ -497,27 +498,27 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
 
     monkeypatch.setattr(experiments, "_w2_and_kl_sorted", counted)
     results = []
-    for B, budget in ((1, 0), (1, 2 * step_bytes - 1), (2, 2 * step_bytes),
-                      (3, 3 * step_bytes + 7), (7, 7 * step_bytes),
-                      (n_points, 10**9)):
-        monkeypatch.setattr(experiments, "_WINDOW_BYTES", budget)
+    for B, budget in ((1, 0), (1, 2 * row_bytes - 1), (2, 2 * row_bytes),
+                      (3, 3 * row_bytes + 7), (7, 7 * row_bytes),
+                      (n_points, 10**6)):
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", budget)
         calls.clear()
         res = _coupled_pass(p, ackley(1), 4, R, ("uniform", -2.0, 3.0), ladder,
                             gap=gap)
+        times, sup_gap, w2, kl = res
         sizes = [B] * (n_points // B) + ([n_points % B] if n_points % B else [])
         assert len(calls) == -(-n_points // B)
         assert calls == [((K, b * R, N), (b * R, N)) for b in sizes]
-        assert res.w2.shape == res.kl.shape == (K, n_points)
-        assert (res.sup_gap is None) == (not gap)
+        assert w2.shape == kl.shape == (K, n_points)
+        assert (sup_gap is None) == (not gap)
         if gap:
-            assert res.sup_gap.shape == (K, R)
+            assert sup_gap.shape == (K, R)
         results.append(res)
 
     first = results[0]
     for res in results[1:]:
-        for name in ("times", "sup_gap", "w2", "kl"):
-            assert np.array_equal(_bits(getattr(res, name)),
-                                  _bits(getattr(first, name))), name
+        for name, a, b in zip(("times", "sup_gap", "w2", "kl"), res, first):
+            assert np.array_equal(_bits(a), _bits(b)), name
 
 
 @pytest.mark.parametrize("pair", ["plain", "memory"])
@@ -536,11 +537,13 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
     # positions, and each one's local bests for the memory pair), each
     # channel's tape block, two cost rows per state, the ladder's
     # temporaries (4 clouds a rung for the objective and 3 more for the
-    # memory update) and for the plain pair a window of one step; and once
-    # for the chunk, lockstep's tape window, its budget per channel plus one
-    # more for a draw, whose steps change with the chunk's replicates
+    # memory update) and for the plain pair a W2 / KL window of one step;
+    # and once for the chunk, its windows of steps, whose steps change with
+    # the chunk's replicates, in rows of the window budget: lockstep's tape
+    # window, a row per channel plus one more for a draw, and for the plain
+    # pair the W2 / KL window's 4 rows, twice
     per_replicate = 8 * base.n_particles * (42 if memory else 32)
-    tape = (3 if memory else 2) * dynamics._TAPE_WINDOW_BYTES
+    windows = (3 if memory else (2 + 2 * 4)) * dynamics._WINDOW_BYTES
     passes = []
 
     def recorded(schemes, x0, p, obj, seed, r, m):
@@ -549,9 +552,9 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
 
     monkeypatch.setattr(experiments, "lockstep", recorded)
     results = []
-    for chunk, budget in ((1, 0), (1, tape + 2 * per_replicate - 1),
-                          (2, tape + 2 * per_replicate),
-                          (R, tape + R * per_replicate)):
+    for chunk, budget in ((1, 0), (1, windows + 2 * per_replicate - 1),
+                          (2, windows + 2 * per_replicate),
+                          (R, windows + R * per_replicate)):
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
         passes.clear()
         results.append(zero_inertia_study(cfg, ackley(1), 6))
@@ -574,10 +577,9 @@ def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
     base = study_base(n_particles=2, t_end=0.5)
     ladder = (0.2, 0.1, 0.05)
     # a replicate's 32 clouds of N floats, as in the chunk test above, and
-    # tape windows of one step, which the chunk estimate counts per replicate
+    # windows of one step, which the chunk estimate counts per replicate
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 32)
-    monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
-    monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", 0)
+    monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 0)
     peaks = []
     for replicates in (100, 25, 100):
         cfg = LimitStudyConfig(m_ladder=ladder, replicates=replicates, base=base)
@@ -618,31 +620,34 @@ def test_a_pass_frees_each_chunks_states_before_the_next_chunk_allocates(
 
 
 @pytest.mark.parametrize(
-    "pair, dim, tape_window",
+    "pair, dim, windows",
     [("plain", 1, False), ("memory", 1, False), ("plain", 2, False),
      ("memory", 2, False), ("plain", 1, True)],
     ids=["plain", "memory", "plain-dim2", "memory-dim2", "plain-tape-window"])
 def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
-                                                          dim, tape_window):
+                                                          dim, windows):
     # the chunk budget counts what a step holds at its peak, temporaries
     # included, so a study of many chunks peaks within the budget plus a
     # one-off 32 KiB: the pass's per-time sums and gaps and the Python and
-    # NumPy objects that do not grow with a chunk.  A window of one step is
-    # what the budget counts per replicate for the plain pair; a longer one
-    # is the separate _WINDOW_BYTES.  lockstep's tape window is one term for
-    # the chunk: the cases without it draw windows of one step, and the one
-    # with it has the default window and a budget that holds it.  Rastrigin
-    # makes the most temporaries of the shipped objectives.
+    # NumPy objects that do not grow with a chunk.  Windows of one step are
+    # what the budget counts per replicate; the windows of several steps,
+    # lockstep's tape window and the plain d = 1 pair's W2 / KL window, are
+    # one fixed term for the chunk.  The cases without them have windows of
+    # one step.  The one with them has the default window budget and T = 0.2,
+    # 20 steps, so windows of 16 steps, and a chunk budget that adds the
+    # fixed term: 2 rows of the window budget for the tape and 2 (K + 1) for
+    # W2 / KL.
+    # Rastrigin makes the most temporaries of the shipped objectives.
     budget = 256 * 1024
-    monkeypatch.setattr(experiments, "_WINDOW_BYTES", 0)
-    if tape_window:
-        budget += 2 * dynamics._TAPE_WINDOW_BYTES
+    if windows:
+        budget += (2 + 2 * 4) * dynamics._WINDOW_BYTES
     else:
-        monkeypatch.setattr(dynamics, "_TAPE_WINDOW_BYTES", 0)
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 0)
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if pair == "memory" else None
-    base = study_base(n_particles=200, t_end=0.05, dim=dim, memory=mem)
+    base = study_base(n_particles=200, t_end=0.2 if windows else 0.05, dim=dim,
+                      memory=mem)
     # 25 replicates make at least 5 chunks of the plain d = 1 pair's 5
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=25, base=base,
                            scheme_pair=pair)

@@ -10,9 +10,9 @@ from swarmlimit import (
     empirical_moments,
     kl_histogram,
     paired_msq_gap,
-    w2_and_kl,
     wasserstein2_1d,
 )
+from swarmlimit.metrics import _w2_and_kl_sorted
 from swarmlimit.objectives import _square_norm
 
 from certified import kl_histogram_oracle
@@ -107,7 +107,7 @@ def test_kl_degenerate_range_returns_zero():
 
 
 def test_kl_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bins must be >= 2"):
         kl_histogram(np.zeros(3), np.zeros(3), bins=1)
 
 
@@ -249,6 +249,11 @@ def test_kl_rejects_non_finite_samples():
             kl_histogram(np.array([0.0, bad]), np.zeros(3), 2)
         with pytest.raises(ValueError, match="finite"):
             kl_histogram(np.zeros((2, 3)), np.array([1.0, bad]), 2)
+        # a batch of references, one of them not finite, against a stack
+        refs = np.zeros((2, 2, 1))
+        refs[1, 0] = bad
+        with pytest.raises(ValueError, match="finite samples"):
+            kl_histogram(np.zeros((3, 2, 2, 1)), refs, 2)
 
 
 @pytest.mark.parametrize("k, r", [(1, 1), (3, 2), (5, 4)])
@@ -308,31 +313,15 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def test_w2_and_kl_validation():
-    with pytest.raises(ValueError, match="bins must be >= 2"):
-        w2_and_kl(np.zeros(3), np.zeros(3), 1)
-    # W2 needs samples of one size, unlike kl_histogram alone
-    with pytest.raises(ValueError):
-        w2_and_kl(np.zeros(3), np.zeros(4), 2)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite samples"):
-            w2_and_kl(np.array([0.0, bad]), np.zeros(2), 2)
-        refs = np.zeros((2, 2, 1))
-        refs[1, 0] = bad
-        with pytest.raises(ValueError, match="finite samples"):
-            w2_and_kl(np.zeros((3, 2, 2, 1)), refs, 2)
-
-
 @pytest.mark.parametrize("bins", [2.5, 3.0, np.float64(4.0), "4", None, 4 + 0j])
 def test_bins_must_be_an_integer_checked_before_any_sort(bins, monkeypatch):
     def no_sort(*args, **kwargs):
         raise AssertionError("sorted before checking bins")
 
     monkeypatch.setattr(np, "sort", no_sort)
-    for call in (kl_histogram, w2_and_kl):
-        with pytest.raises(ValueError) as excinfo:
-            call(np.zeros(3), np.zeros(3), bins)
-        assert str(excinfo.value) == f"bins must be an integer, got {bins!r}"
+    with pytest.raises(ValueError) as excinfo:
+        kl_histogram(np.zeros(3), np.zeros(3), bins)
+    assert str(excinfo.value) == f"bins must be an integer, got {bins!r}"
 
 
 def test_bins_may_be_any_integer_type():
@@ -340,7 +329,6 @@ def test_bins_may_be_any_integer_type():
     kl = kl_histogram(a, b, 3)
     for bins in (np.int64(3), np.int32(3), np.uint8(3)):
         assert _bits(kl_histogram(a, b, bins)) == _bits(kl)
-        assert _bits(w2_and_kl(a, b, bins)[1]) == _bits(kl)
 
 
 def test_kl_of_a_degenerate_pair_is_0_wherever_its_point_lies():
@@ -350,7 +338,7 @@ def test_kl_of_a_degenerate_pair_is_0_wherever_its_point_lies():
     for point in (-2.0, -0.0, 0.0, 0.5, 1.0, 1.5, -1e300):
         one = np.full(3, point)
         assert kl_histogram(one, one, 2) == 0.0
-        assert w2_and_kl(one, one, 4) == (0.0, 0.0)
+        assert wasserstein2_1d(one, one) == 0.0
         assert paired_msq_gap(one, one) == 0.0
         stack = np.stack([one, one + 1.0, one - 1.0])
         kl = kl_histogram(stack, one, 3)
@@ -375,9 +363,9 @@ def test_a_pair_of_zero_linspace_step_leaves_the_edges_of_the_others():
     b[0, :, 0] = [lo, edge - 0.01, 0.1, 0.2, 0.3, hi]
     a[0, 1, 3] = b[1, 1] = 5e-324
     assert 0.0 < 5e-324 and 5e-324 / bins == 0.0
-    for kl in (kl_histogram(a, b, bins), w2_and_kl(a, b, bins)[1]):
-        for j in range(2):
-            assert _bits(kl[0, j]) == _bits(kl_histogram(a[0, j], b[j], bins))
+    kl = kl_histogram(a, b, bins)
+    for j in range(2):
+        assert _bits(kl[0, j]) == _bits(kl_histogram(a[0, j], b[j], bins))
 
 
 def _kernel_cases(rng, k, r, n):
@@ -403,10 +391,12 @@ def _kernel_cases(rng, k, r, n):
 
 @pytest.mark.parametrize("k, r", [(1, 1), (3, 2)])
 def test_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
+    # the kernel a coupled pass runs on samples it has sorted itself
     for n in (1, 2, 9, 400):
         bins = default_bins(n)
         for case, (a, b) in enumerate(_kernel_cases(rng, k, r, n)):
-            w2, kl = w2_and_kl(a, b, bins)
+            w2, kl = _w2_and_kl_sorted(np.sort(a[..., 0]), np.sort(b[..., 0]),
+                                       bins)
             assert w2.shape == kl.shape == (k, r)
             assert np.array_equal(_bits(w2), _bits(wasserstein2_1d(a, b)))
             assert np.array_equal(_bits(kl), _bits(kl_histogram(a, b, bins)))
@@ -416,7 +406,8 @@ def test_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
                 pair = np.concatenate([a[k - 1, 0], b[0]])
                 assert pair.min() < pair.max()
                 assert (pair.max() - pair.min()) / bins == 0.0
-            # each pair alone, as (n, 1) columns and as (n,) samples
+            # each pair alone: the kernel on its sorted samples, and the
+            # separate calls on (n, 1) columns and on (n,) samples
             for i in range(k):
                 for j in range(r):
                     if case < 2 or (i, j) != (k - 1, 0):
@@ -425,10 +416,11 @@ def test_w2_and_kl_have_the_bits_of_the_separate_calls(rng, k, r):
                         oracle = kl_histogram_oracle(a[i, j, :, 0], b[j, :, 0], bins)
                         assert _bits(kl[i, j]) == _bits(oracle)
                     want = _bits([w2[i, j], kl[i, j]]).tolist()
+                    pair = _w2_and_kl_sorted(np.sort(a[i, j, :, 0]),
+                                             np.sort(b[j, :, 0]), bins)
+                    assert _bits(pair).tolist() == want
+                    assert all(isinstance(value, float) for value in pair)
                     for x, y in ((a[i, j], b[j]), (a[i, j, :, 0], b[j, :, 0])):
-                        pair = w2_and_kl(x, y, bins)
-                        assert _bits(pair).tolist() == want
-                        assert all(isinstance(value, float) for value in pair)
                         assert _bits([wasserstein2_1d(x, y),
                                       kl_histogram(x, y, bins)]).tolist() == want
 
