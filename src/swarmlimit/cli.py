@@ -123,8 +123,8 @@ def _cmd_limit_study(cfg: dict, args, obj, seed: int):
         )
     pair = "memory" if scheme == "pso_mem" else "plain"
     ladder = tuple(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-    # the study reads no base inertia: any m in (0, 1] lets the ladder be
-    # checked, and named, by LimitStudyConfig
+    # the study reads no base inertia, and LimitStudyConfig checks the
+    # ladder itself: any m in (0, 1] only satisfies Params
     base = _params_from({**cfg, "m": 1.0}, scheme)
     reps = cfg["replicates"]
 
@@ -245,9 +245,9 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # a study steps one chunk of its replicates at once, at least one,
-        # and keeps the per-replicate results of all, so its size scales
-        # with them
+        # a study steps one chunk of its replicates at once, at least one
+        # replicate's K + 1 position clouds, and keeps the (K, R) gaps of
+        # all, so either can run out
         keys = ("N", "dim", "dt", "T") + (
             ("replicates",) if args.command == "limit-study" else ())
         sizes = ", ".join(f"{key}={_shortest(cfg.get(key))}" for key in keys)

@@ -17,22 +17,18 @@ their replicates ``0, ..., R - 1``.  The pass runs them in consecutive
 chunks, each one ``dynamics.lockstep`` run on its R_c replicates of the
 seed's noise tape over two schemes, the ``(R_c, N, d)`` first-order
 reference and one rung-major ``(K, R_c, N, d)`` second-order stack with one
-rung per inertia value.  A chunk has as many replicates as ``_CHUNK_BYTES``
-(64 MiB) hold at a step's peak, and at least one: the pass's one estimate
-counts, per replicate, the states, the tape blocks, the consensus costs, the
-largest set of temporaries a step makes and the metrics' window of one step,
-and once for the chunk every window of steps, as a whole number of rows of
-``dynamics._WINDOW_BYTES`` (128 KiB): for ``lockstep``'s tape window one row
-per channel plus one more for the keys a draw hashes, and for the plain
-d = 1 pair the W2 / KL window's K + 1 rows, twice, as its reduction makes a
-difference array of up to K rows.  A chunk's states and window are freed
-before the next chunk allocates its own.  ``lockstep`` starts both schemes
-at rest from one stack of initial clouds, replicate ``r`` from cloud
-``[seed, r]``, and builds one tape for them, so the pair is coupled in its
-initial data and its noise by construction.  The reference does not depend
-on ``m``, so it is computed once per replicate, and each step's
-``(R_c, N, d)`` tape block per channel, drawn with those of the steps around
-it in a window of steps, serves every rung.  The pass reads the path
+rung per inertia value.  A chunk has the most replicates whose K + 1
+position clouds, the reference's and every rung's, fit ``_CHUNK_BYTES``
+(5 MiB), and at least one; a step holds less than 12 times as much, plus
+its windows of steps, whatever the pair, dimension and objective.  A
+chunk's states and window are freed before the next chunk allocates its
+own.  ``lockstep`` starts both schemes at rest from one stack of initial
+clouds, replicate ``r`` from cloud ``[seed, r]``, and builds one tape for
+them, so the pair is coupled in its initial data and its noise by
+construction.  The reference does not depend on ``m``, so it is computed
+once per replicate, and each step's ``(R_c, N, d)`` tape block per
+channel, drawn with those of the steps around it in a window of steps,
+serves every rung.  The pass reads the path
 ``lockstep`` yields in a ``for`` loop whose body makes two reductions over
 the whole stack.
 
@@ -96,9 +92,12 @@ from .metrics import (  # noqa: F401
 )
 from .noise import NoiseTape, _check_count, initial_positions
 
-# the most bytes of arrays one chunk of a coupled pass's replicates holds at
-# a step's peak
-_CHUNK_BYTES = 64 * 1024 * 1024
+# the most bytes of positions one chunk of a coupled pass's replicates holds:
+# the reference's and every rung's (R_c, N, d) clouds.  A step peaks below 12
+# times its chunk's positions, plus its windows of several steps, for every
+# pair, dimension and shipped objective, so a study of the default ladder
+# peaks under 64 MiB
+_CHUNK_BYTES = 5 * 1024 * 1024
 
 
 class NonFiniteValueError(ValueError):
@@ -179,15 +178,16 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     plain and ``p.dim == 1``.
 
     The replicates run in consecutive chunks, one ``lockstep`` run each, of
-    as many replicates as ``_CHUNK_BYTES`` hold at a step's peak (at least
-    one).  The gap of every step is one ``paired_msq_gap`` call on the ``(K,
-    R_c, N, d)`` stack against the ``(R_c, N, d)`` reference, plus one on the
-    local bests for the memory pair, folded into the sup in step order.  For
-    the plain pair in one dimension the positions of B consecutive steps are
-    copied into a window, B from the one window rule on the chunk's ``(R_c,
-    N)`` rows, ``dynamics._window_steps``, as W is for ``lockstep``'s tape
-    draws.  They are sorted there in place, and one ``_w2_and_kl_sorted``
-    call reduces the whole window: the ``(B, R_c, N)`` reference window as
+    the most replicates whose K + 1 ``(R_c, N, d)`` position clouds fit
+    ``_CHUNK_BYTES``, and at least one.  The gap of every step is one
+    ``paired_msq_gap`` call on the ``(K, R_c, N, d)`` stack against the
+    ``(R_c, N, d)`` reference, plus one on the local bests for the memory
+    pair, folded into the sup in step order.  For the plain pair in one
+    dimension the positions of B consecutive steps are copied into a window,
+    B from the one window rule on the chunk's ``(R_c, N)`` rows,
+    ``dynamics._window_steps``, as W is for ``lockstep``'s tape draws.
+    They are sorted there in place, and one ``_w2_and_kl_sorted`` call
+    reduces the whole window: the ``(B, R_c, N)`` reference window as
     ``B * R_c`` samples and the ``(K, B, R_c, N)`` ladder window as K stacks
     of them.  The last window may be partial.  Each window's values are
     added into per-time sums replicate by replicate, so the means are a fold
@@ -195,25 +195,7 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     """
     K, N, d = len(m_values), p.n_particles, p.dim
     metrics = d == 1 and not memory
-    # one replicate's floats at a step's peak, in clouds of N d floats: the
-    # states' arrays (the reference's positions and the ladder's positions
-    # and velocities, each with local bests for the memory pair); each
-    # channel's tape block; the temporaries on the ladder, four of the
-    # objective (Rastrigin's centred cloud, squares, angles and cosines) and
-    # for the memory pair three of the update (the pulls to both bests and a
-    # term); and for the plain d = 1 pair a window of one step.  The costs
-    # of each state's consensus and of the next one add 2 (1 + K) rows of N
-    # floats
-    clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (2 if memory else 1)
-              + (7 * K if memory else 4 * K) + (K + 1 if metrics else 0))
-    # every window of steps is one term for the whole chunk, in rows of the
-    # window budget: lockstep's tape window, a row per channel plus the one
-    # more a draw hashes its keys in, and for the plain d = 1 pair the
-    # W2 / KL window's K + 1 rows, twice, for the difference array of its
-    # reduction, K of those rows
-    rows = (3 if memory else 2) + (2 * (K + 1) if metrics else 0)
-    windows = rows * dynamics._WINDOW_BYTES
-    chunk = max(1, (_CHUNK_BYTES - windows) // (8 * N * (clouds * d + 2 * (1 + K))))
+    chunk = max(1, _CHUNK_BYTES // (8 * N * d * (K + 1)))
     times = np.empty(p.n_steps + 1)
     sup_gap = np.full((K, R), -np.inf) if gap else None
     sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None

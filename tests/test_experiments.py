@@ -521,29 +521,21 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
             assert np.array_equal(_bits(a), _bits(b)), name
 
 
-@pytest.mark.parametrize("pair", ["plain", "memory"])
+@pytest.mark.parametrize("pair", ["plain", "memory", "plain-dim2"])
 def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
                                                                    pair):
     memory = pair == "memory"
+    dim = 2 if pair == "plain-dim2" else 1
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
                        beta=30.0) if memory else None
-    base = study_base(n_particles=30, t_end=0.1, memory=mem,
+    base = study_base(n_particles=30, t_end=0.1, dim=dim, memory=mem,
                       lam=0.0 if memory else 1.0)
     R = 5
     cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=R, base=base,
-                           scheme_pair=pair)
-    # one replicate's bytes at a step's peak, in clouds of N floats: the
-    # states (the positions and velocities of 3 rungs and the reference's
-    # positions, and each one's local bests for the memory pair), each
-    # channel's tape block, two cost rows per state, the ladder's
-    # temporaries (4 clouds a rung for the objective and 3 more for the
-    # memory update) and for the plain pair a W2 / KL window of one step;
-    # and once for the chunk, its windows of steps, whose steps change with
-    # the chunk's replicates, in rows of the window budget: lockstep's tape
-    # window, a row per channel plus one more for a draw, and for the plain
-    # pair the W2 / KL window's 4 rows, twice
-    per_replicate = 8 * base.n_particles * (42 if memory else 32)
-    windows = (3 if memory else (2 + 2 * 4)) * dynamics._WINDOW_BYTES
+                           scheme_pair="memory" if memory else "plain")
+    # a chunk holds the most replicates whose positions fit the budget: the
+    # reference's and 3 rungs' clouds of N d floats each
+    per_replicate = 8 * base.n_particles * dim * 4
     passes = []
 
     def recorded(schemes, x0, p, obj, seed, r, m):
@@ -552,17 +544,16 @@ def test_study_is_bit_identical_however_its_replicates_are_chunked(monkeypatch,
 
     monkeypatch.setattr(experiments, "lockstep", recorded)
     results = []
-    for chunk, budget in ((1, 0), (1, windows + 2 * per_replicate - 1),
-                          (2, windows + 2 * per_replicate),
-                          (R, windows + R * per_replicate)):
+    for chunk, budget in ((1, 0), (1, 2 * per_replicate - 1),
+                          (2, 2 * per_replicate), (R, R * per_replicate)):
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
         passes.clear()
-        results.append(zero_inertia_study(cfg, ackley(1), 6))
+        results.append(zero_inertia_study(cfg, ackley(dim), 6))
         assert passes == [range(r, min(r + chunk, R)) for r in range(0, R, chunk)]
 
     first = results[0]
     assert first.sup_gaps.shape == (3, R)
-    assert (first.w2_mean is None) == memory
+    assert (first.w2_mean is None) == (memory or dim == 2)
     for res in results[1:]:
         for name in ("sup_gaps", "gap_mean", "slope", "intercept", "w2_mean",
                      "kl_mean"):
@@ -576,9 +567,9 @@ def test_study_memory_does_not_grow_with_its_replicates(monkeypatch):
     # window of one step, 4x the replicates raise the peak by < 1.5x
     base = study_base(n_particles=2, t_end=0.5)
     ladder = (0.2, 0.1, 0.05)
-    # a replicate's 32 clouds of N floats, as in the chunk test above, and
-    # windows of one step, which the chunk estimate counts per replicate
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 32)
+    # a replicate's 4 position clouds of N floats, as in the chunk test
+    # above, and windows of one step
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 25 * 8 * 2 * 4)
     monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 0)
     peaks = []
     for replicates in (100, 25, 100):
@@ -619,38 +610,53 @@ def test_a_pass_frees_each_chunks_states_before_the_next_chunk_allocates(
     assert len(states) == 3 * 2 * 4
 
 
-@pytest.mark.parametrize(
-    "pair, dim, windows",
-    [("plain", 1, False), ("memory", 1, False), ("plain", 2, False),
-     ("memory", 2, False), ("plain", 1, True)],
-    ids=["plain", "memory", "plain-dim2", "memory-dim2", "plain-tape-window"])
+# the K = 3 cases keep their ids without the rung count
+@pytest.mark.parametrize("pair, dim, windows, K", [
+    pytest.param(pair, dim, windows, K, id=name + ("" if K == 3 else f"-K{K}"))
+    for K in (1, 3, 8)
+    for name, pair, dim, windows in (
+        ("plain", "plain", 1, False), ("memory", "memory", 1, False),
+        ("plain-dim2", "plain", 2, False), ("memory-dim2", "memory", 2, False),
+        ("plain-tape-window", "plain", 1, True))])
 def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
-                                                          dim, windows):
-    # the chunk budget counts what a step holds at its peak, temporaries
-    # included, so a study of many chunks peaks within the budget plus a
-    # one-off 32 KiB: the pass's per-time sums and gaps and the Python and
-    # NumPy objects that do not grow with a chunk.  Windows of one step are
-    # what the budget counts per replicate; the windows of several steps,
-    # lockstep's tape window and the plain d = 1 pair's W2 / KL window, are
-    # one fixed term for the chunk.  The cases without them have windows of
-    # one step.  The one with them has the default window budget and T = 0.2,
-    # 20 steps, so windows of 16 steps, and a chunk budget that adds the
-    # fixed term: 2 rows of the window budget for the tape and 2 (K + 1) for
-    # W2 / KL.
+                                                          dim, windows, K):
+    # a chunk holds the most replicates whose K + 1 position clouds fit the
+    # budget, here 5 of 25, and a step peaks within a count of every array
+    # it holds, plus a one-off 32 KiB: the pass's per-time sums and gaps and
+    # the Python and NumPy objects that do not grow with a chunk.  The count
+    # is, per replicate, in clouds of N d floats: the states (the reference's
+    # positions and the ladder's positions and velocities, each with local
+    # bests for the memory pair), each channel's tape block, the ladder's
+    # temporaries, four of the objective and for the memory pair three of
+    # the update, and for the plain d = 1 pair a W2 / KL window of one step;
+    # and 2 (1 + K) rows of N floats for the costs of each state's consensus
+    # and of the next one.  Once per chunk it adds the windows of several
+    # steps, in rows of the window budget: the tape window, a row per
+    # channel plus one for the keys a draw hashes, and for the plain d = 1
+    # pair the W2 / KL window's K + 1 rows, twice, for the difference array
+    # of its reduction.  The cases without windows of several steps have
+    # windows of one step; the one with them has the default window budget
+    # and T = 0.2, 20 steps, so windows of 16 steps.
     # Rastrigin makes the most temporaries of the shipped objectives.
-    budget = 256 * 1024
+    memory = pair == "memory"
+    metrics = dim == 1 and not memory
+    N, chunk = 200, 5
+    clouds = ((2 + 3 * K if memory else 1 + 2 * K) + (2 if memory else 1)
+              + (7 * K if memory else 4 * K) + (K + 1 if metrics else 0))
+    bound = chunk * 8 * N * (clouds * dim + 2 * (1 + K))
     if windows:
-        budget += (2 + 2 * 4) * dynamics._WINDOW_BYTES
+        rows = (3 if memory else 2) + (2 * (K + 1) if metrics else 0)
+        bound += rows * dynamics._WINDOW_BYTES
     else:
         monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 0)
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES",
+                        chunk * 8 * N * dim * (K + 1))
     mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
-                       beta=30.0) if pair == "memory" else None
-    base = study_base(n_particles=200, t_end=0.2 if windows else 0.05, dim=dim,
+                       beta=30.0) if memory else None
+    base = study_base(n_particles=N, t_end=0.2 if windows else 0.05, dim=dim,
                       memory=mem)
-    # 25 replicates make at least 5 chunks of the plain d = 1 pair's 5
-    cfg = LimitStudyConfig(m_ladder=(0.2, 0.1, 0.05), replicates=25, base=base,
-                           scheme_pair=pair)
+    cfg = LimitStudyConfig(m_ladder=tuple(0.2 / 2**k for k in range(K)),
+                           replicates=25, base=base, scheme_pair=pair)
     chunks = []
 
     def recorded(schemes, x0, p, obj, seed, r, m):
@@ -668,7 +674,7 @@ def test_chunked_study_peak_stays_within_the_chunk_budget(monkeypatch, pair,
     finally:
         tracemalloc.stop()
     assert len(chunks) >= 5 and sum(chunks) == cfg.replicates
-    assert peak <= budget + 32 * 1024
+    assert peak <= bound + 32 * 1024
 
 
 @pytest.mark.parametrize("dim", [1, 2])
