@@ -69,7 +69,7 @@ def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
             handle.write(",".join(format_value(v) for v in row) + "\n")
 
 
-def _params_from(cfg: dict, scheme: str) -> Params:
+def _params_from(cfg: dict, scheme: str, m: float | None = None) -> Params:
     context = f"scheme {scheme}"
     require_keys(cfg, ("N", "dt", "T", "alpha", "dim"), context)
     memory = None
@@ -84,11 +84,6 @@ def _params_from(cfg: dict, scheme: str) -> Params:
     else:
         require_keys(cfg, _PLAIN_KEYS, context)
         lam, sigma = cfg["lambda"], cfg["sigma"]
-    if scheme.startswith("pso"):
-        require_keys(cfg, ("m",), context)
-        m = cfg["m"]
-    else:
-        m = cfg.get("m", 1.0)  # unused by the first-order schemes
     return Params(m=m, lam=lam, sigma=sigma, alpha=cfg["alpha"], dt=cfg["dt"],
                   t_end=cfg["T"], n_particles=cfg["N"], dim=cfg["dim"],
                   memory=memory)
@@ -97,7 +92,10 @@ def _params_from(cfg: dict, scheme: str) -> Params:
 def _cmd_run(cfg: dict, args, obj, seed: int):
     require_keys(cfg, ("scheme",), "run")
     scheme = cfg["scheme"]
-    p = _params_from(cfg, scheme)
+    # a first-order run reads no inertia, but a given one must still be valid
+    p = _params_from(cfg, scheme, cfg.get("m"))
+    if scheme.startswith("pso"):
+        require_keys(cfg, ("m",), f"scheme {scheme}")
 
     x0 = initial_positions([seed, 0], p.n_particles, p.dim, cfg["init"])
     rec = run(scheme, p, obj, seed, x0)
@@ -123,9 +121,7 @@ def _cmd_limit_study(cfg: dict, args, obj, seed: int):
         )
     pair = "memory" if scheme == "pso_mem" else "plain"
     ladder = tuple(args.m_ladder) if args.m_ladder else DEFAULT_M_LADDER
-    # the study reads no base inertia, and LimitStudyConfig checks the
-    # ladder itself: any m in (0, 1] only satisfies Params
-    base = _params_from({**cfg, "m": 1.0}, scheme)
+    base = _params_from(cfg, scheme)
     reps = cfg["replicates"]
 
     study = LimitStudyConfig(m_ladder=ladder, replicates=reps, base=base,
@@ -155,7 +151,8 @@ def _cmd_compare(cfg: dict, args, obj, seed: int):
         require_keys(cfg, ("m",), "compare")
         m_values = [cfg["m"]]
 
-    p = _params_from({**cfg, "m": m_values[0]}, "pso")
+    # lockstep checks every rung before the first step
+    p = _params_from(cfg, "pso")
     tables = compare_ladder(p, obj, seed, m_values,
                             snapshot_times=args.snapshot_times, init=cfg["init"])
     rows = [[t, w2, kl, m, seed, table.bins]

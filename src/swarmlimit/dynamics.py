@@ -106,17 +106,23 @@ class MemoryParams:
     beta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Params:
     """Model and scheme constants shared by all schemes.
 
-    The friction ``gamma`` is not a field: it is pinned to ``1 - m`` exactly.
+    The inertia ``m`` belongs to the second-order schemes: ``run`` and
+    ``optimize`` hand it to ``lockstep``, which rejects ``pso`` or
+    ``pso_mem`` without one, and ``compare_distributions`` couples it as its
+    one rung.  The first-order schemes, ``zero_inertia_study`` and
+    ``compare_ladder`` read none, so ``None``, the default, is fine for
+    them; a given ``m`` is checked all the same, finite and in (0, 1].  The
+    friction ``gamma`` is not a field: it is pinned to ``1 - m`` exactly.
     The grid must fit the noise tape: the widest tape a run on it draws (one
     replicate, one channel or two with memory params) is built here, so a
     layout past the tape's 64-bit index fails with the tape's message.
     """
 
-    m: float
+    m: float | None = None
     lam: float
     sigma: float
     alpha: float
@@ -128,14 +134,16 @@ class Params:
 
     def __post_init__(self):
         scalars = [(name, getattr(self, name)) for name in
-                   ("m", "lam", "sigma", "alpha", "dt", "t_end")]
+                   ("m", "lam", "sigma", "alpha", "dt", "t_end")
+                   if name != "m" or self.m is not None]
         if self.memory is not None:
             scalars += [(f"memory.{f.name}", getattr(self.memory, f.name))
                         for f in fields(self.memory)]
         for name, value in scalars:
             if not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        _check_inertia(self.m)
+        if self.m is not None:
+            _check_inertia(self.m)
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not isfinite(self.t_end / self.dt):
@@ -316,7 +324,9 @@ def _initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
     second_order = scheme.startswith("pso")
     if not second_order:
         m = None
-    elif m is None:
+    elif m is None or None in np.ravel(m):
+        # an unset rung, such as compare_distributions' (p.m,) for a Params
+        # without m, is a missing inertia too
         raise ValueError(f"scheme {scheme!r} needs its inertia m")
     else:
         if np.ndim(m) > 1 or np.shape(m) == (0,):

@@ -109,10 +109,11 @@ class NonFiniteValueError(ValueError):
 class LimitStudyConfig:
     """Ladder study setup: everything but the inertia value itself.
 
-    The study's one tape, with ``replicates`` replicates and the channels of
-    its pair, is built here as ``Params`` builds the one-replicate tape, so a
-    layout past the tape's 64-bit index fails with the tape's message before
-    anything runs.
+    The inertias are ``m_ladder``'s, so ``base`` needs no ``m``, and the
+    study reads none it has.  The study's one tape, with ``replicates``
+    replicates and the channels of its pair, is built here as ``Params``
+    builds the one-replicate tape, so a layout past the tape's 64-bit index
+    fails with the tape's message before anything runs.
     """
 
     m_ladder: tuple[float, ...]
@@ -288,16 +289,18 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
     """Couple PSO(m) for every ``m`` in ``m_values`` against one CBO run.
 
     PSO steps as one stack with a slice per ``m``, on CBO's tape and initial
-    cloud; ``p`` supplies every constant but ``m``.  Returns one table per
-    ``m``, in the order of ``m_values``, each bit-equal to
-    ``compare_distributions`` at that ``m``.
-    Requires ``dim == 1`` (the exact order-statistics W2).  ``snapshot_times``
-    defaults to every step; values must be finite, which is checked before
-    any stepping, and are matched to the nearest step, a time past either end
-    to the first or last step.  W2 / KL are computed at every step of the
-    coupled pass on replicate 0, and each table holds the snapshot steps'
-    columns.  ``m_values`` must be a nonempty 1-d sequence, which is checked,
-    after the snapshot times, before any stepping.
+    cloud; ``p`` supplies every constant but ``m``, so it needs no ``m``, and
+    the pass reads none it has.  Returns one table per ``m``, in the order
+    of ``m_values``, each bit-equal to ``compare_distributions`` at that
+    ``m``.  Requires ``dim == 1`` (the exact order-statistics W2).
+    ``snapshot_times`` defaults to every step; values must be finite, which
+    is checked before any stepping, and are matched to the nearest step, a
+    time past either end to the first or last step.  W2 / KL are computed at
+    every step of the coupled pass on replicate 0, and each table holds the
+    snapshot steps' columns.  ``m_values`` must be a nonempty 1-d sequence,
+    which is checked after the snapshot times, and every value must be
+    finite and in (0, 1], which ``lockstep`` checks; both before any
+    stepping.
     """
     if p.dim != 1:
         raise ValueError(f"compare requires dim == 1, got dim = {p.dim}")

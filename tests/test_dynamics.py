@@ -1,5 +1,6 @@
 import copy
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from swarmlimit import (
     Params,
     SwarmState,
     ackley,
+    costs_of,
     initial_positions,
     lockstep,
+    rastrigin,
     run,
+    sphere,
 )
 import swarmlimit.dynamics as dynamics
 from swarmlimit.dynamics import SCHEMES, _consensus_of, _initial_state, _step
@@ -67,6 +71,38 @@ def test_params_validation():
         plain_params(n_particles=0)
     with pytest.raises(ValueError):
         plain_params(alpha=-1.0)
+
+
+def test_params_need_no_inertia_and_check_a_given_one_as_before():
+    # only the second-order schemes read m, so a Params may leave it unset;
+    # a given m meets the same check and message as ever
+    p = Params(lam=1.0, sigma=0.0, alpha=0.0, dt=0.01, t_end=1.0,
+               n_particles=2, dim=1)
+    assert p.m is None and p == plain_params(m=None)
+    for m, message in [(1.5, "inertia m must be in (0, 1], got 1.5"),
+                       (0.0, "inertia m must be in (0, 1], got 0.0"),
+                       (np.nan, "m must be finite, got nan")]:
+        with pytest.raises(ValueError) as excinfo:
+            plain_params(m=m)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("scheme", ["cbo", "cbo_mem"])
+def test_a_first_order_run_gives_the_same_bits_without_an_inertia(scheme):
+    p = memory_params(m=0.2, sigma=0.5, sigma1=0.4, sigma2=0.3, alpha=30.0,
+                      n_particles=20, dim=2, t_end=0.05)
+    x0 = initial_positions([4, 0], 20, 2)
+    got = run(scheme, replace(p, m=None), ackley(2), 4, x0)
+    want = run(scheme, p, ackley(2), 4, x0)
+    assert got.final.m is None
+    assert got.moments.keys() == want.moments.keys()
+    pairs = [(got.times, want.times), (got.consensus, want.consensus),
+             (got.final.x, want.final.x)]
+    pairs += [(got.moments[k], want.moments[k]) for k in want.moments]
+    if scheme == "cbo_mem":
+        pairs.append((got.final.y, want.final.y))
+    for a, b in pairs:
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_step_preconditions(drawn_blocks):
@@ -788,3 +824,75 @@ def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
             pass
     assert (excinfo.value.step, excinfo.value.array) == (1, "x")
     assert not np.all(np.isfinite(ladder.v))
+
+
+@pytest.mark.parametrize("pair", [("cbo", "pso"), ("cbo_mem", "pso_mem")],
+                         ids=["plain", "memory"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("make", [ackley, rastrigin, sphere])
+def test_lockstep_from_the_mirrored_cloud_yields_the_mirrored_path(make, dim,
+                                                                  pair):
+    # an oracle from the model, not from the code's formulas: every shipped
+    # objective is even at shift 0, the consensus weights see the cloud only
+    # through its costs, and the noise enters only as (Xa - X) theta, so on
+    # the same tape the path from -x0 is the negation of the path from x0.
+    # Negation is exact in floating point, so every value agrees exactly;
+    # but the rest velocities are +0.0 in both runs, where the negation has
+    # -0.0, so the test compares values with ==, not bits
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
+                       sigma2=1 / np.sqrt(3), nu=0.5, beta=30.0)
+    p = plain_params(m=None, sigma=1 / np.sqrt(3), alpha=30.0, t_end=0.5,
+                     n_particles=300, dim=dim,
+                     memory=mem if pair[0] == "cbo_mem" else None)
+    obj = make(dim)
+    x0 = np.stack([initial_positions([17, r], 300, dim) for r in range(2)])
+
+    def path(start):
+        return [([a.copy() for s in states for k in ("x", "v", "y")
+                  if (a := getattr(s, k)) is not None],
+                 [point.copy() for point in points])
+                for _, states, points in lockstep(pair, start, p, obj, 17,
+                                                  range(2), (0.2, 0.1))]
+
+    plus, minus = path(x0), path(-x0)
+    assert len(plus) == len(minus) == p.n_steps + 1
+    for (arrays, points), (neg_arrays, neg_points) in zip(plus, minus):
+        for a, b in zip(arrays + points, neg_arrays + neg_points, strict=True):
+            assert np.array_equal(a, -b)
+    # the path moved: the check compared more than the start
+    assert not np.array_equal(plus[-1][0][0], plus[0][0][0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the local best update Y' = Y + nu dt (X' - Y) tanh(beta (E(X') - E(Y))) "
+    "has a negative weight where E(X') < E(Y), so Y moves away from the "
+    "better X'; the literature weight is nonnegative"))
+@pytest.mark.parametrize("scheme", ["cbo_mem", "pso_mem"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_local_best_never_moves_away_from_a_strictly_better_position(scheme,
+                                                                      dim):
+    # a property of the model, whatever the weight's formula: where the new
+    # position is strictly better than the local best, the update pulls the
+    # local best toward it or leaves it, never pushes it off.  In exact
+    # arithmetic |Y' - X'| <= |Y - X'|; the computed distances round, by a
+    # few ulps of the coordinates, which the bound allows and no push of
+    # nu dt tanh(.) |Y - X'| hides
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
+                       sigma2=1 / np.sqrt(3), nu=0.5, beta=30.0)
+    p = plain_params(m=None, alpha=30.0, t_end=0.2, n_particles=200, dim=dim,
+                     memory=mem)
+    obj = ackley(dim)
+    x0 = initial_positions([23, 0], 200, dim)
+    m = 0.2 if scheme == "pso_mem" else None
+    better = 0
+    for n, (s,), _ in lockstep((scheme,), x0, p, obj, 23, 0, m):
+        if n > 0:
+            gained = costs_of(s.x, obj) < costs_of(y_old, obj)
+            before = np.linalg.norm(y_old - s.x, axis=-1)
+            after = np.linalg.norm(s.y - s.x, axis=-1)
+            ulps = 8 * np.finfo(float).eps * (np.abs(y_old).sum(axis=-1)
+                                              + np.abs(s.x).sum(axis=-1))
+            assert np.all(after[gained] <= before[gained] + ulps[gained])
+            better += int(gained.sum())
+        y_old = s.y.copy()
+    assert better > 0

@@ -359,6 +359,53 @@ def test_one_replicate_study_and_compare_ladder_give_the_same_metrics(init):
     assert np.all(res.w2_mean[:, 1:] > 0.0)
 
 
+@pytest.mark.parametrize("pair, dim", [("plain", 1), ("plain", 2),
+                                       ("memory", 1)])
+def test_a_study_and_a_compare_give_the_same_bits_without_an_inertia(pair,
+                                                                     dim):
+    # both take their inertias from their ladder, never from the base Params
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0) if pair == "memory" else None
+    p = study_base(t_end=0.1, n_particles=60, dim=dim, memory=mem)
+    obj = ackley(dim)
+    results = [zero_inertia_study(
+        LimitStudyConfig(m_ladder=(0.2, 0.1), replicates=2, base=base,
+                         scheme_pair=pair), obj, seed=8)
+        for base in (replace(p, m=None), p)]
+    for name in ("sup_gaps", "gap_mean", "slope", "intercept", "w2_mean",
+                 "kl_mean"):
+        got, want = (getattr(res, name) for res in results)
+        if want is None:
+            assert got is None
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if (pair, dim) == ("plain", 1):
+        tables = [compare_ladder(base, obj, 8, (0.8, 0.1), snapshot_times=[0.05])
+                  for base in (replace(p, m=None), p)]
+        for got, want in zip(*tables, strict=True):
+            for name in ("times", "w2", "kl"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.bins == want.bins
+
+
+@pytest.mark.parametrize("scheme", ["pso", "pso_mem"])
+def test_a_second_order_run_without_an_inertia_fails_before_any_draw(
+        scheme, drawn_blocks):
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5,
+                       beta=30.0)
+    p = study_base(m=None, t_end=0.05, n_particles=20, memory=mem)
+    obj = ackley(1)
+    calls = [lambda: run(scheme, p, obj, 3, initial_positions([3, 0], 20, 1)),
+             lambda: optimize(scheme, p, obj, 3)]
+    if scheme == "pso":
+        calls.append(lambda: compare_distributions(p, obj, 3))
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"scheme {scheme!r} needs its inertia m"
+    assert not drawn_blocks
+
+
 def test_compare_ladder_rejects_an_empty_ladder():
     with pytest.raises(ValueError, match=r"nonempty 1-d sequence, got shape \(0,\)"):
         compare_ladder(study_base(n_particles=10, t_end=0.02), ackley(1), 0, [])
