@@ -22,9 +22,11 @@ at the discrete level.  ``_step`` is written in that form: the first-order
 update is the second-order one with the denominator 1 and the positions in
 place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
-``_step`` advances the state it is given, its arrays in place and its time
-with them, and allocates its temporaries once per call.  It checks nothing:
-``lockstep`` is the one way to step, and builds every state it steps.
+A state carries its arrays and inertia but no time: the time of item ``n``
+of a path is ``p.times[n]``, from the grid alone.  ``_step`` advances the
+state it is given, its arrays in place, and allocates its temporaries once
+per call.  It checks nothing: ``lockstep`` is the one way to step, and
+builds every state it steps.
 
 A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
 replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
@@ -157,6 +159,12 @@ class Params:
             raise ValueError("alpha must be >= 0")
         if self.lam < 0.0 or self.sigma < 0.0:
             raise ValueError("lam and sigma must be >= 0")
+        if self.memory is not None:
+            # beta, the tanh weight's sharpness, is left unsigned
+            for name in ("lam1", "lam2", "sigma1", "sigma2", "nu"):
+                value = getattr(self.memory, name)
+                if value < 0.0:
+                    raise ValueError(f"memory.{name} must be >= 0, got {value}")
         NoiseTape(0, 1, self.n_particles, self.n_steps, self.dim,
                   1 if self.memory is None else 2)
 
@@ -165,14 +173,21 @@ class Params:
         # floor of t_end / dt, guarded so 0.3 / 0.1 = 2.99...96 still gives 3
         return int(self.t_end / self.dt + 1e-9)
 
+    @property
+    def times(self) -> np.ndarray:
+        """The ``n_steps + 1`` time points of a path: 0, then the running
+        sum of ``dt``, added in step order; item ``n`` of a path is at
+        ``times[n]``."""
+        return np.cumsum(np.append(0.0, np.full(self.n_steps, self.dt)))
+
 
 @dataclass
 class SwarmState:
     """``(..., N, d)`` positions (and velocities / local bests where the
     scheme has them); ``m`` is a second-order state's inertia, a float or the
-    ``(K, 1, ..., 1)`` column of a stack of K rungs."""
+    ``(K, 1, ..., 1)`` column of a stack of K rungs.  A state has no time:
+    after ``n`` steps it is at ``Params.times[n]``."""
 
-    t: float
     x: np.ndarray
     v: np.ndarray | None = None
     y: np.ndarray | None = None
@@ -230,7 +245,7 @@ def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
     starts ``acc`` from ``(m / denom) V`` in ``V``, so ``V' = acc`` and ``X' =
     X + dt V'``.  The state's ``x``, ``v`` and ``y`` are written in place, as
     no operation reads an entry of them after writing it, which holds only
-    for arrays that share no memory, and ``t`` advances by ``dt``.
+    for arrays that share no memory.
 
     The two broadcasts, of the consensus point over the particles
     (``Xa - X``) and of the local bests' tanh weight over the coordinates,
@@ -270,7 +285,6 @@ def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
                            np.subtract(state.x, state.y, out=term), out=term)
         _along_particles(np.multiply, pull, np.tanh(mem.beta * gap)[..., None], pull)
         np.add(state.y, pull, out=state.y)
-    state.t += p.dt
 
 
 # ``lockstep`` looks the step up here once per pass, so a tracer can wrap it
@@ -296,11 +310,12 @@ def _window_steps(p: Params, R: int) -> int:
 class RunRecord:
     """Per-step diagnostics and the final state of one run.
 
-    Row ``n`` of every array is time ``times[n]``: the initial cloud at
-    ``n = 0``, then one row per step.  ``consensus`` holds the point the next
-    step uses.  ``moments`` maps ``"x"``, and ``"v"`` / ``"y"`` where the
-    scheme carries velocities / local bests, to the (mean |.|^2, mean |.|^4)
-    of that cloud, in this order.
+    Row ``n`` of every array is time ``times[n]``, the grid's
+    ``Params.times``: the initial cloud at ``n = 0``, then one row per step.
+    ``consensus`` holds the point the next step uses.  ``moments`` maps
+    ``"x"``, and ``"v"`` / ``"y"`` where the scheme carries velocities /
+    local bests, to the (mean |.|^2, mean |.|^4) of that cloud, in this
+    order.
     """
 
     times: np.ndarray                      # (n_steps + 1,)
@@ -337,7 +352,7 @@ def _initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
         if np.ndim(m) == 1:
             m = np.asarray(m, dtype=np.float64).reshape((-1,) + (1,) * x0.ndim)
             x0 = np.repeat(x0[None], len(m), axis=0)
-    return SwarmState(t=0.0, x=x0, v=np.zeros_like(x0) if second_order else None,
+    return SwarmState(x=x0, v=np.zeros_like(x0) if second_order else None,
                       y=x0.copy() if scheme.endswith("_mem") else None, m=m)
 
 
@@ -363,18 +378,19 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     and each state's consensus is computed once per step.
     Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states,
     one per scheme in order, first at rest, then after step ``n - 1``, each
-    time with the consensus points the next step uses.  Non-finite states
-    abort with the offending step index.
+    time with the consensus points the next step uses; item ``n`` is at
+    time ``p.times[n]``.  Non-finite states abort with the offending step
+    index.
 
-    ``lockstep`` advances the states with ``_step``: their arrays in place
-    and their time ``t`` by ``dt`` a step, so a yielded state changes at the
-    next step, and a caller copies whatever it wants to keep.  Every check
-    runs once, before any draw: a ``schemes`` that is not a nonempty tuple of
-    names is a ``ValueError``; so are a replicate that is not an integer >=
-    0, which it names, an ``x0`` that is not the cloud of ``p`` and ``r``, an
-    unknown scheme, a second-order scheme without an inertia in (0, 1] of
-    one of those shapes, and a memory scheme under ``p.memory = None``; a
-    non-finite ``x0`` is a ``NonFiniteStateError`` at step -1.
+    ``lockstep`` advances the states' arrays in place with ``_step``, so a
+    yielded state changes at the next step, and a caller copies whatever it
+    wants to keep.  Every check runs once, before any draw: a ``schemes``
+    that is not a nonempty tuple of names is a ``ValueError``; so are a
+    replicate that is not an integer >= 0, which it names, an ``x0`` that is
+    not the cloud of ``p`` and ``r``, an unknown scheme, a second-order
+    scheme without an inertia in (0, 1] of one of those shapes, and a memory
+    scheme under ``p.memory = None``; a non-finite ``x0`` is a
+    ``NonFiniteStateError`` at step -1.
     """
     if not isinstance(schemes, tuple) or not schemes:
         raise ValueError("schemes must be a nonempty tuple of scheme names, "
@@ -430,13 +446,12 @@ def run(scheme: str, p: Params, obj, seed: int, x0: np.ndarray) -> RunRecord:
     consensus is the one the next step uses.  Non-finite states abort with
     the offending step index.
     """
-    times = np.empty(p.n_steps + 1)
+    times = p.times
     cons = np.empty((len(times), p.dim))
     for n, (s,), (point,) in lockstep((scheme,), x0, p, obj, seed, 0, p.m):
         if n == 0:
             moments = {name: np.empty((len(times), 2)) for name in ("x", "v", "y")
                        if getattr(s, name) is not None}
-        times[n] = s.t
         cons[n] = point
         for name, table in moments.items():
             table[n] = empirical_moments(getattr(s, name))

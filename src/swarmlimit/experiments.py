@@ -25,12 +25,13 @@ chunk's states and window are freed before the next chunk allocates its
 own.  ``lockstep`` starts both schemes at rest from one stack of initial
 clouds, replicate ``r`` from cloud ``[seed, r]``, and builds one tape for
 them, so the pair is coupled in its initial data and its noise by
-construction.  The reference does not depend on ``m``, so it is computed
-once per replicate, and each step's ``(R_c, N, d)`` tape block per
-channel, drawn with those of the steps around it in a window of steps,
-serves every rung.  The pass reads the path
-``lockstep`` yields in a ``for`` loop whose body makes two reductions over
-the whole stack.
+construction.  A state carries its arrays and inertia but no time: item
+``n`` of the path is at ``p.times[n]``, and ``compare_ladder``'s tables
+take their times from there.  The reference does not depend on ``m``, so
+it is computed once per replicate, and each step's ``(R_c, N, d)`` tape
+block per channel, drawn with those of the steps around it in a window of
+steps, serves every rung.  The pass reads the path ``lockstep`` yields in
+a ``for`` loop whose body makes two reductions over the whole stack.
 
 Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
 for the memory pair, which adds the local bests' gap) updates the chunk's
@@ -170,13 +171,13 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     ``memory``), replicate ``r`` from cloud ``[seed, r]`` on replicate ``r``
     of the seed's tape.
 
-    Returns ``(times, sup_gap, w2, kl)``: ``times``, the time of every
-    step; ``sup_gap``, the ``(K, R)`` sup over time of each rung's and
-    replicate's paired mean-square gap (positions, plus local bests for the
-    memory pair), ``None`` unless ``gap``; and ``w2`` / ``kl``, the ``(K,
-    n_steps + 1)`` replicate means of the W2 / KL of each rung against its
-    reference position cloud at every step, ``None`` unless the pair is
-    plain and ``p.dim == 1``.
+    Returns ``(sup_gap, w2, kl)``: ``sup_gap``, the ``(K, R)`` sup over
+    time of each rung's and replicate's paired mean-square gap (positions,
+    plus local bests for the memory pair), ``None`` unless ``gap``; and
+    ``w2`` / ``kl``, the ``(K, n_steps + 1)`` replicate means of the W2 / KL
+    of each rung against its reference position cloud at every step, column
+    ``n`` at time ``p.times[n]``, ``None`` unless the pair is plain and
+    ``p.dim == 1``.
 
     The replicates run in consecutive chunks, one ``lockstep`` run each, of
     the most replicates whose K + 1 ``(R_c, N, d)`` position clouds fit
@@ -197,7 +198,6 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     K, N, d = len(m_values), p.n_particles, p.dim
     metrics = d == 1 and not memory
     chunk = max(1, _CHUNK_BYTES // (8 * N * d * (K + 1)))
-    times = np.empty(p.n_steps + 1)
     sup_gap = np.full((K, R), -np.inf) if gap else None
     sums = np.zeros((2, K, p.n_steps + 1)) if metrics else None
     schemes = ("cbo_mem", "pso_mem") if memory else ("cbo", "pso")
@@ -216,7 +216,6 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
         del x0
         sup = sup_gap[:, r0:r0 + R_c] if gap else None
         for n, (ref, ladder), _ in path:
-            times[n] = ladder.t
             if gap:
                 g = paired_msq_gap(ladder.x, ref.x)
                 if memory:
@@ -243,7 +242,7 @@ def _coupled_pass(p: Params, obj, seed: int, R: int, init, m_values,
     # from zeros the fold equals one from replicate 0, as neither metric
     # returns -0.0, and dividing by R = 1 keeps every bit
     w2, kl = sums / R if metrics else (None, None)
-    return times, sup_gap, w2, kl
+    return sup_gap, w2, kl
 
 
 def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
@@ -255,9 +254,9 @@ def zero_inertia_study(cfg: LimitStudyConfig, obj, seed: int) -> StudyResult:
     all the replicates.  The rate is the least-squares slope of
     ``ln(mean gap)`` against ``ln m`` over all ladder points.
     """
-    _, sup_gaps, w2, kl = _coupled_pass(cfg.base, obj, seed, cfg.replicates,
-                                        cfg.init, cfg.m_ladder,
-                                        cfg.scheme_pair == "memory")
+    sup_gaps, w2, kl = _coupled_pass(cfg.base, obj, seed, cfg.replicates,
+                                     cfg.init, cfg.m_ladder,
+                                     cfg.scheme_pair == "memory")
     gap_mean = sup_gaps.mean(axis=1)
     if len(gap_mean) >= 2 and np.all(gap_mean > 0.0):
         log_m = np.log(np.asarray(cfg.m_ladder))
@@ -317,9 +316,9 @@ def compare_ladder(p: Params, obj, seed: int, m_values, snapshot_times=None,
         raise ValueError("m_values must be a nonempty 1-d sequence, got shape "
                          f"{np.shape(m_values)}")
 
-    times, _, w2, kl = _coupled_pass(p, obj, seed, 1, init, m_values, gap=False)
+    _, w2, kl = _coupled_pass(p, obj, seed, 1, init, m_values, gap=False)
     bins = default_bins(p.n_particles)
-    return [CompareTable(times=times[steps], w2=w2_m[steps], kl=kl_m[steps],
+    return [CompareTable(times=p.times[steps], w2=w2_m[steps], kl=kl_m[steps],
                          bins=bins)
             for w2_m, kl_m in zip(w2, kl)]
 

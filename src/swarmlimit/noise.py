@@ -9,10 +9,11 @@ PSO-vs-CBO gap a meaningful coupling estimate instead of Monte Carlo noise.
 The generator is a counter hash (splitmix64 finalizer on the linearized index)
 followed by the inverse normal CDF, so there is no stream state to replay.
 The hash key of linear index ``idx`` is ``seed + (idx + 1) * GOLDEN mod
-2**64``, and the index is affine in ``(r, i, n, k, ch)``, so the keys of a
-block are the ``(particles, dim)`` keys of replicate 0, step 0, channel 1
-plus one scalar per replicate row and step, ``(r P S D C + n D C + ch - 1) *
-GOLDEN mod 2**64`` over the layout's sizes.  A tape builds those keys from its
+2**64``, and the index is linear in ``(r, i, n, k, ch - 1)``, so the keys of
+a block are the ``(particles, dim)`` keys of replicate 0, step 0, channel 1
+plus one scalar per replicate row and step, ``idx(r, 0, n, 0, ch - 1) *
+GOLDEN mod 2**64``: the layout's own linear index of that row, taken by the
+one function that linearizes an index.  A tape builds those keys from its
 layout alone, once, on its first draw: a block is a pure function of ``(tape,
 r, n, ch)``, and a tape keeps nothing that depends on what it drew.  So a
 window of several steps can be drawn in one call, ahead of the steps that
@@ -31,7 +32,6 @@ from scipy.special import ndtri
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -102,8 +102,9 @@ class NoiseTape:
     on that one particle and differ everywhere else, even at step 0, so a
     longer horizon does not extend a shorter one.
 
-    ``theta_block`` adds one scalar per replicate row and step to the keys
-    of replicate 0, step 0, channel 1, which the tape builds from its sizes
+    ``theta_block`` adds one scalar per replicate row and step, the row's
+    linear index ``(r, 0, n, 0, ch - 1)`` times GOLDEN, to the keys of
+    replicate 0, step 0, channel 1, which the tape builds from its sizes
     on its first draw and keeps.  They are a function of the fields, so they
     enter neither ``==``, ``hash`` nor ``repr``; a tape that only validates
     a layout never builds them.
@@ -193,15 +194,11 @@ class NoiseTape:
         for value in steps:
             self._check("n", value, self.steps)
         self._check("ch", ch, self.channels, base=1)
-        # idx(r, i, n, k, ch) = idx(0, i, 0, k, 1) + r P S D C + n D C + ch - 1,
-        # so each row's keys move by that many GOLDEN steps, mod 2**64 as in
-        # the key itself (in Python ints, which NumPy integers would overflow)
-        step = self.dim * self.channels
-        shifts = [[(int(rep) * self.particles * self.steps * step + int(t) * step
-                    + int(ch) - 1) * int(_GOLDEN) & _U64_MASK for rep in rows]
-                  for t in steps]
-        block = _standard_normals(self._base_keys
-                                  + np.array(shifts, dtype=np.uint64)[..., None, None])
+        # the index is linear, idx(r, i, n, k, ch - 1) = idx(0, i, 0, k, 0) +
+        # idx(r, 0, n, 0, ch - 1), so each (step, replicate) row's keys move
+        # by that many GOLDEN steps, mod 2**64 as uint64 arrays wrap
+        shifts = self._linear_index(rows, 0, np.array(steps)[:, None], 0, ch - 1) * _GOLDEN
+        block = _standard_normals(self._base_keys + shifts[..., None, None])
         if not stacked:
             block = block[:, 0]
         return block if window else block[0]

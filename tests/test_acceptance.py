@@ -213,7 +213,7 @@ def test_criterion_6_scheme_oracles():
     p = Params(m=0.5, lam=1.0, sigma=0.0, alpha=0.0, dt=0.01, t_end=1.0,
                n_particles=2, dim=1)
     tape = NoiseTape(0, 1, 2, p.n_steps, 1, channels=2)
-    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
+    state = SwarmState(x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
                        m=p.m)
     out = step_once(state, p, obj, blocks(tape, 0))
     den = mp.mpf("0.5") + mp.mpf("0.5") * mp.mpf("0.01")
@@ -224,7 +224,7 @@ def test_criterion_6_scheme_oracles():
         worst = max(worst, abs(out.x[i, 0] - float(x_exp)) / abs(float(x_exp)))
 
     # Euler-Maruyama two-particle step, sigma = 0
-    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
+    state = SwarmState(x=np.array([[0.0], [1.0]]))
     out = step_once(state, p, obj, blocks(tape, 0))
     for i, x in enumerate((mp.mpf(0), mp.mpf(1))):
         x_exp = x + mp.mpf("0.01") * (mp.mpf("0.5") - x)
@@ -236,7 +236,7 @@ def test_criterion_6_scheme_oracles():
                 memory=MemoryParams(lam1=1.0, lam2=0.0, sigma1=0.0,
                                     sigma2=0.0, nu=0.5, beta=30.0))
     tape = NoiseTape(0, 1, 1, pm.n_steps, 1, channels=2)
-    state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
+    state = SwarmState(x=np.array([[0.0]]), y=np.array([[1.0]]))
     out = step_once(state, pm, obj, blocks(tape, 0))
     assert out.x.shape == out.y.shape == (1, 1)
     x_exp = mp.mpf("0.01")

@@ -445,6 +445,25 @@ def test_cli_non_finite_shift_or_init_exits_2(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
 
 
+@pytest.mark.parametrize("command, config, message", [
+    pytest.param("limit-study", BASE_CFG.replace("scheme = pso", "scheme = cbo"),
+                 "limit-study: scheme must be pso or pso_mem, got 'cbo'",
+                 id="limit-study-cbo"),
+    *(pytest.param("run", MEMORY_CFG.replace(f"{key} = ", f"{key} = -"),
+                   f"memory.{field} must be >= 0, got -{value}", id=f"{key}-negative")
+      for key, field, value in [("lambda1", "lam1", 1.0), ("lambda2", "lam2", 1.0),
+                                ("sigma1", "sigma1", 0.5), ("sigma2", "sigma2", 0.5),
+                                ("nu", "nu", 0.5)]),
+])
+def test_cli_rejected_scheme_or_coefficient_exits_2(tmp_path, capsys, command,
+                                                    config, message):
+    code = main([command, "--config", write_cfg(tmp_path, config),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_compare_rejects_dim_2_naming_compare(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG.replace("dim = 1", "dim = 2"))
     code = main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv")])

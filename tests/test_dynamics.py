@@ -87,6 +87,26 @@ def test_params_need_no_inertia_and_check_a_given_one_as_before():
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("n_steps", [1, 3, 100, 500, 12345])
+@pytest.mark.parametrize("dt", [0.01, 0.1, 1 / 3, 0.0123456789])
+def test_times_are_the_running_sum_of_dt_bit_for_bit(dt, n_steps):
+    # a path's time points are the grid's, byte-equal to a clock that adds
+    # dt once a step
+    p = plain_params(dt=dt, t_end=n_steps * dt)
+    assert p.n_steps == n_steps
+    t, want = 0.0, [0.0]
+    for _ in range(n_steps):
+        t += dt
+        want.append(t)
+    assert p.times.tobytes() == np.array(want).tobytes()
+
+
+def test_times_hold_every_point_of_a_grid_whose_quotient_rounds_down():
+    # 0.3 / 0.1 = 2.99...96, which n_steps still counts as 3 steps
+    p = plain_params(dt=0.1, t_end=0.3)
+    assert len(p.times) == 4 and p.times[-1] == 0.1 + 0.1 + 0.1
+
+
 @pytest.mark.parametrize("scheme", ["cbo", "cbo_mem"])
 def test_a_first_order_run_gives_the_same_bits_without_an_inertia(scheme):
     p = memory_params(m=0.2, sigma=0.5, sigma1=0.4, sigma2=0.3, alpha=30.0,
@@ -144,7 +164,7 @@ def test_lockstep_rejects_schemes_that_are_not_a_nonempty_tuple(schemes,
 def test_pso_singleton_velocity_decays_geometrically():
     p = plain_params(n_particles=1, sigma=0.7, lam=2.0, alpha=30.0)
     tape = tape_for(p)
-    state = SwarmState(t=0.0, x=np.array([[0.4]]), v=np.array([[1.0]]), m=p.m)
+    state = SwarmState(x=np.array([[0.4]]), v=np.array([[1.0]]), m=p.m)
     factor = p.m / (p.m + (1 - p.m) * p.dt)
     obj = ackley(1)
     out = step_once(state, p, obj, blocks(tape, 0))
@@ -157,12 +177,12 @@ def test_pso_frozen_dynamics_is_identity_on_positions():
     p = plain_params(sigma=0.0, lam=0.0)
     tape = tape_for(p)
     x = np.array([[0.1], [0.9]])
-    state = SwarmState(t=0.0, x=x.copy(), v=np.zeros((2, 1)), m=p.m)
+    state = SwarmState(x=x.copy(), v=np.zeros((2, 1)), m=p.m)
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape, 0))
     assert np.array_equal(out.x, x)
     assert np.array_equal(out.v, np.zeros((2, 1)))
-    assert out.t == p.dt
+    assert p.times[1] == p.dt
 
 
 def test_pso_step_matches_hand_oracle():
@@ -173,7 +193,7 @@ def test_pso_step_matches_hand_oracle():
     assert abs(float(mp.mpf("0.01") * v0) - PSO_X_NEW[0]) < 1e-19
 
     p = plain_params()
-    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
+    state = SwarmState(x=np.array([[0.0], [1.0]]), v=np.zeros((2, 1)),
                        m=p.m)
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p), 0))
@@ -183,7 +203,7 @@ def test_pso_step_matches_hand_oracle():
 
 def test_cbo_step_matches_hand_oracle():
     p = plain_params()
-    state = SwarmState(t=0.0, x=np.array([[0.0], [1.0]]))
+    state = SwarmState(x=np.array([[0.0], [1.0]]))
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p), 0))
     assert out.x[:, 0] == pytest.approx(CBO_X_NEW, rel=1e-12)
@@ -193,7 +213,7 @@ def test_cbo_fixed_point_when_collapsed():
     p = plain_params(sigma=0.6, lam=1.0, alpha=30.0, n_particles=5)
     tape = tape_for(p)
     x = np.full((5, 1), 1.25)
-    state = SwarmState(t=0.0, x=x.copy())
+    state = SwarmState(x=x.copy())
     obj = ackley(1)
     for n in range(10):
         state = step_once(state, p, obj, blocks(tape, n))
@@ -203,7 +223,7 @@ def test_cbo_fixed_point_when_collapsed():
 def test_cbo_null_dynamics_is_identity():
     p = plain_params(sigma=0.0, lam=0.0)
     x = np.array([[0.3], [0.7]])
-    state, obj = SwarmState(t=0.0, x=x.copy()), linear_cost()
+    state, obj = SwarmState(x=x.copy()), linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p), 0))
     assert np.array_equal(out.x, x)
 
@@ -222,7 +242,7 @@ def test_memory_local_best_frozen_when_positions_do_not_move():
 def test_memory_nu_zero_freezes_local_bests():
     p = memory_params(nu=0.0, lam1=0.5, lam2=0.5, sigma1=0.3, sigma2=0.3)
     tape = tape_for(p, channels=2)
-    state = SwarmState(t=0.0, x=np.array([[0.1], [0.6]]), v=np.zeros((2, 1)),
+    state = SwarmState(x=np.array([[0.1], [0.6]]), v=np.zeros((2, 1)),
                        y=np.array([[0.0], [1.0]]), m=p.m)
     y0 = state.y.copy()
     obj = linear_cost()
@@ -236,7 +256,7 @@ def test_memory_singleton_reduces_to_combined_drift():
     # zero noise the velocity drift collapses to (lam1 + lam2)(Y - X)
     p = memory_params(lam1=0.7, lam2=0.5, nu=0.25, n_particles=1)
     tape = tape_for(p, channels=2)
-    state = SwarmState(t=0.0, x=np.array([[0.2]]), v=np.array([[0.1]]),
+    state = SwarmState(x=np.array([[0.2]]), v=np.array([[0.1]]),
                        y=np.array([[0.9]]), m=p.m)
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape, 0))
@@ -269,7 +289,7 @@ def test_cbo_memory_step_matches_hand_oracle():
     assert abs(float(yn) - CBOMEM_Y_NEW) < 1e-15
 
     p = memory_params(lam1=1.0, lam2=0.0, nu=0.5, beta=30.0, n_particles=1)
-    state = SwarmState(t=0.0, x=np.array([[0.0]]), y=np.array([[1.0]]))
+    state = SwarmState(x=np.array([[0.0]]), y=np.array([[1.0]]))
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     assert out.x[0, 0] == pytest.approx(CBOMEM_X_NEW, rel=1e-12)
@@ -280,7 +300,7 @@ def test_cbo_memory_fixed_point():
     p = memory_params(lam1=1.0, lam2=1.0, sigma1=0.4, sigma2=0.4, nu=0.5)
     tape = tape_for(p, channels=2)
     x = np.full((2, 1), 0.5)
-    state = SwarmState(t=0.0, x=x.copy(), y=x.copy())
+    state = SwarmState(x=x.copy(), y=x.copy())
     obj = ackley(1)
     for n in range(5):
         state = step_once(state, p, obj, blocks(tape, n))
@@ -294,7 +314,7 @@ def test_cbo_memory_degenerates_to_first_order_drift_on_frozen_y():
     p = memory_params(lam1=0.0, lam2=1.0, nu=0.0, alpha=0.0, n_particles=2)
     x0 = np.array([[0.0], [1.0]])
     y0 = np.array([[0.25], [0.75]])
-    state = SwarmState(t=0.0, x=x0.copy(), y=y0.copy())
+    state = SwarmState(x=x0.copy(), y=y0.copy())
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     ya = 0.5  # plain mean of the frozen local bests at alpha = 0
@@ -559,14 +579,14 @@ def test_lockstep_yields_the_path_from_the_initial_states_on(monkeypatch,
                                       (0.2, 0.1)):
         if n == 0:
             start = states
-        # every item yields the same states, their time advanced with their
-        # arrays by one dt a step
+        # every item yields the same states; the time of item n is the
+        # running sum of n dt
         assert states is start
         assert [pt.shape for pt in points] == [(1,), (2, 1)]
-        assert all(s.t == t for s in states)
+        assert p.times[n] == t
         t += p.dt
     assert n == p.n_steps
-    assert start[0].t == pytest.approx(p.t_end)
+    assert p.times[n] == pytest.approx(p.t_end)
     # the path is lazy: two items are the states at rest and one step, and
     # the path draws at most one window ahead, here of two steps' blocks
     monkeypatch.setattr(dynamics, "_WINDOW_BYTES",
@@ -575,9 +595,9 @@ def test_lockstep_yields_the_path_from_the_initial_states_on(monkeypatch,
     path = lockstep(("cbo", "pso"), x0, p, ackley(1), 3, 0, (0.2, 0.1))
     next(path)
     assert not drawn_blocks
-    _, states, _ = next(path)
+    n, states, _ = next(path)
     assert sorted(drawn_blocks) == [(3, 0, 0, 1), (3, 0, 1, 1)]
-    assert all(s.t == p.dt for s in states)
+    assert p.times[n] == p.dt
 
 
 def _path_arrays(path):
@@ -711,12 +731,14 @@ def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
     names = [name for name in ("x", "v", "y") if getattr(ref, name) is not None]
     tape = NoiseTape(9, 2, p.n_particles, p.n_steps, p.dim,
                      2 if p.memory else 1)
+    t = 0.0
     for n, (s,), _ in lockstep((scheme,), x0, p, ackley(2), 9, r, m):
         if n == 0:
             start = {name: getattr(s, name) for name in names}
         else:
             ref = step_once(ref, p, ackley(2), blocks(tape, n - 1, r))
-        assert s.t == ref.t
+            t += p.dt
+        assert p.times[n] == t
         for name in names:
             got, want = getattr(s, name), getattr(ref, name)
             # every yielded array is the one of item 0, stepped in place
@@ -786,8 +808,9 @@ def _assert_bits(got, want):
 def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, order):
     # _step iterates its broadcasts along the particle axis; the oracle is
     # the plain broadcast form, every operation allocating.  _step advances
-    # the state it is given, its own arrays and its time, returns nothing,
-    # and gives the oracle's bits in any memory order of the state
+    # the state it is given, its own arrays, returns nothing, and gives the
+    # oracle's bits in any memory order of the state; the time one step on
+    # is the grid's
     p, state, tape = _oracle_case(scheme, dim, stacked, order)
     obj = ackley(dim)
     r = range(3) if stacked else 1
@@ -798,7 +821,7 @@ def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, orde
         given = copy.deepcopy(state)
         arrays = {name: getattr(given, name) for name in ("x", "v", "y")}
         assert _step(given, p, obj, theta, cons) is None
-        assert given.t == state.t + p.dt
+        assert p.times[n + 1] == p.times[n] + p.dt
         for name, oracle in zip(("x", "v", "y"), want):
             assert getattr(given, name) is arrays[name]
             if oracle is not None:
@@ -826,6 +849,33 @@ def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
     assert not np.all(np.isfinite(ladder.v))
 
 
+def _assert_mirrored_paths(make, dim, pair, shift):
+    """The path from ``-(x0 + shift)`` under shift ``-shift`` is, value for
+    value, the negation of the path from ``x0 + shift`` under ``shift``."""
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
+                       sigma2=1 / np.sqrt(3), nu=0.5, beta=30.0)
+    p = plain_params(m=None, sigma=1 / np.sqrt(3), alpha=30.0, t_end=0.5,
+                     n_particles=300, dim=dim,
+                     memory=mem if pair[0] == "cbo_mem" else None)
+    x0 = np.stack([initial_positions([17, r], 300, dim) for r in range(2)])
+
+    def path(start, shift):
+        obj = make(dim, shift)
+        return [([a.copy() for s in states for k in ("x", "v", "y")
+                  if (a := getattr(s, k)) is not None],
+                 [point.copy() for point in points])
+                for _, states, points in lockstep(pair, start, p, obj, 17,
+                                                  range(2), (0.2, 0.1))]
+
+    plus, minus = path(x0 + shift, shift), path(-(x0 + shift), -shift)
+    assert len(plus) == len(minus) == p.n_steps + 1
+    for (arrays, points), (neg_arrays, neg_points) in zip(plus, minus):
+        for a, b in zip(arrays + points, neg_arrays + neg_points, strict=True):
+            assert np.array_equal(a, -b)
+    # the path moved: the check compared more than the start
+    assert not np.array_equal(plus[-1][0][0], plus[0][0][0])
+
+
 @pytest.mark.parametrize("pair", [("cbo", "pso"), ("cbo_mem", "pso_mem")],
                          ids=["plain", "memory"])
 @pytest.mark.parametrize("dim", [1, 2])
@@ -839,28 +889,18 @@ def test_lockstep_from_the_mirrored_cloud_yields_the_mirrored_path(make, dim,
     # Negation is exact in floating point, so every value agrees exactly;
     # but the rest velocities are +0.0 in both runs, where the negation has
     # -0.0, so the test compares values with ==, not bits
-    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
-                       sigma2=1 / np.sqrt(3), nu=0.5, beta=30.0)
-    p = plain_params(m=None, sigma=1 / np.sqrt(3), alpha=30.0, t_end=0.5,
-                     n_particles=300, dim=dim,
-                     memory=mem if pair[0] == "cbo_mem" else None)
-    obj = make(dim)
-    x0 = np.stack([initial_positions([17, r], 300, dim) for r in range(2)])
+    _assert_mirrored_paths(make, dim, pair, np.zeros(dim))
 
-    def path(start):
-        return [([a.copy() for s in states for k in ("x", "v", "y")
-                  if (a := getattr(s, k)) is not None],
-                 [point.copy() for point in points])
-                for _, states, points in lockstep(pair, start, p, obj, 17,
-                                                  range(2), (0.2, 0.1))]
 
-    plus, minus = path(x0), path(-x0)
-    assert len(plus) == len(minus) == p.n_steps + 1
-    for (arrays, points), (neg_arrays, neg_points) in zip(plus, minus):
-        for a, b in zip(arrays + points, neg_arrays + neg_points, strict=True):
-            assert np.array_equal(a, -b)
-    # the path moved: the check compared more than the start
-    assert not np.array_equal(plus[-1][0][0], plus[0][0][0])
+@pytest.mark.parametrize("pair", [("cbo", "pso"), ("cbo_mem", "pso_mem")],
+                         ids=["plain", "memory"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("make", [ackley, rastrigin, sphere])
+def test_lockstep_from_the_shifted_mirror_yields_the_mirrored_path(make, dim,
+                                                                  pair):
+    # the objective with shift s is the mirror of the one with shift -s, and
+    # x - s negates exactly, so the mirror holds off the origin too
+    _assert_mirrored_paths(make, dim, pair, np.array((0.7, -1.3)[:dim]))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

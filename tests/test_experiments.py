@@ -46,6 +46,8 @@ def study_base(**kw):
 
 def test_config_validation():
     base = study_base()
+    with pytest.raises(ValueError, match="m_ladder must be nonempty"):
+        LimitStudyConfig(m_ladder=(), replicates=1, base=base)
     with pytest.raises(ValueError, match="strictly decreasing"):
         LimitStudyConfig(m_ladder=(0.1, 0.2), replicates=1, base=base)
     with pytest.raises(ValueError, match=r"\(0, 1/2\]"):
@@ -552,7 +554,7 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
         calls.clear()
         res = _coupled_pass(p, ackley(1), 4, R, ("uniform", -2.0, 3.0), ladder,
                             gap=gap)
-        times, sup_gap, w2, kl = res
+        sup_gap, w2, kl = res
         sizes = [B] * (n_points // B) + ([n_points % B] if n_points % B else [])
         assert len(calls) == -(-n_points // B)
         assert calls == [((K, b * R, N), (b * R, N)) for b in sizes]
@@ -564,7 +566,7 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
 
     first = results[0]
     for res in results[1:]:
-        for name, a, b in zip(("times", "sup_gap", "w2", "kl"), res, first):
+        for name, a, b in zip(("sup_gap", "w2", "kl"), res, first):
             assert np.array_equal(_bits(a), _bits(b)), name
 
 

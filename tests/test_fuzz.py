@@ -83,6 +83,8 @@ def test_params_builds_in_range_or_raises_value_error(scalars, n_particles,
     assert all(math.isfinite(v) for v in (*scalars, *extra))
     assert 0.0 < p.m <= 1.0
     assert p.lam >= 0.0 and p.sigma >= 0.0 and p.alpha >= 0.0
+    mem = p.memory
+    assert mem is None or min(mem.lam1, mem.lam2, mem.sigma1, mem.sigma2, mem.nu) >= 0.0
     assert p.dt > 0.0 and p.t_end >= p.dt
     assert isinstance(p.n_particles, int) and isinstance(p.dim, int)
     assert p.n_particles >= 1 and p.dim >= 1
