@@ -1,7 +1,7 @@
 """Time stepping for the coupled swarm dynamics.
 
 Four schemes over an ``(..., n_particles, dim)`` cloud, all advanced by one
-kernel, ``_step``:
+kernel, ``_step``, and for the memory schemes ``_relax_local_bests``:
 
 * ``pso``      second-order dynamics, semi-implicit in the friction term:
                    V' = [m V + lam dt (Xa - X) + sigma sqrt(dt) (Xa - X) th]
@@ -24,9 +24,11 @@ place of ``(m / denom) V``.  Which arrays a state carries (velocities, local
 bests) selects the branch; a second-order state also carries its inertia.
 A state carries its arrays and inertia but no time: the time of item ``n``
 of a path is ``p.times[n]``, from the grid alone.  ``_step`` advances the
-state it is given, its arrays in place, and allocates its temporaries once
-per call.  It checks nothing: ``lockstep`` is the one way to step, and
-builds every state it steps.
+positions and velocities of the state it is given, in place, allocates its
+temporaries once per call and calls no objective; ``_relax_local_bests``
+then moves the local bests, on the costs of the new positions.  Neither
+checks anything: ``lockstep`` is the one way to step, and builds every
+state it steps.
 
 A state's leading axes stack swarms: ``(R, N, d)`` is one swarm per tape
 replicate, and ``(K, R, N, d)`` stacks K rungs of inertia over them, rung
@@ -37,8 +39,8 @@ elementwise that of a solo ``(N, d)`` run and every reduction stays within
 one slice, so its bits do not depend on what it is stacked with.
 
 ``Xa`` is the softmax consensus of the current positions (of the local bests
-for the memory variants), computed once per step from the pre-step cloud and
-shared by all particles of a slice.  The noise coupling ``(Xa - X) th`` is
+for the memory variants), computed from the pre-step cloud and shared by all
+particles of a slice.  The noise coupling ``(Xa - X) th`` is
 componentwise (anisotropic/diagonal).  With the same seed, replicate and
 grid, ``pso`` and ``cbo`` consume identical noise at matching ``(i, n, k)``,
 which is what makes their pathwise gap measure the small-inertia coupling
@@ -53,8 +55,13 @@ one place.  It advances the states together, drawing each tape block once
 (one ``(R, N, d)`` block for all R replicates, a window of consecutive steps'
 blocks per draw) and handing the same array to every slice of every state,
 and yields the coupled path one time point at a time; a state's arrays are
-the same objects on every item.  A caller reads the path in a ``for`` loop;
-``run`` is that loop over a single unstacked scheme, recording every step.
+the same objects on every item.  The states' clouds are slots of one stack,
+so by the same slice rule one objective call and one consensus call per
+time point cover the whole coupling, the reference and every rung, and a
+memory pair adds one objective call per step on its new positions.  A lone
+state is a stack of its own slots and takes the same path.  A caller reads
+the path in a ``for`` loop; ``run`` is that loop over a single unstacked
+scheme, recording every step.
 
 The module owns the one window rule, ``_window_steps``: a window holds the
 most consecutive steps whose ``(R, N, d)`` rows fit ``_WINDOW_BYTES``
@@ -67,7 +74,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import isfinite, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -213,47 +219,32 @@ class SwarmState:
         return np.linalg.norm(self.v, axis=-1).mean(axis=-1)
 
 
-class Consensus(NamedTuple):
-    """A state's consensus point and the costs of the cloud it weights.
-
-    The cloud is the positions, or the local bests for the memory schemes.
-    """
-
-    point: np.ndarray
-    costs: np.ndarray
-
-
-def _consensus_of(state: SwarmState, p: Params, obj) -> Consensus:
-    """The consensus the next step of ``state`` uses, one point per slice."""
-    cloud = state.x if state.y is None else state.y
-    costs = costs_of(cloud, obj)
-    return Consensus(consensus_point(cloud, costs, p.alpha), costs)
-
-
-def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
-          cons: Consensus) -> None:
-    """Advance ``state`` by one step of the scheme its arrays select, in
-    place: the kernel of ``lockstep``, which checks its inputs.
+def _step(state: SwarmState, p: Params, theta: tuple[np.ndarray, ...],
+          point: np.ndarray) -> None:
+    """Advance the positions and velocities of ``state`` by one step of the
+    scheme its arrays select, in place: the kernel of ``lockstep``, which
+    checks its inputs.
 
     ``theta`` is the step's tape block per channel, from channel 1: ``(N, d)``,
     or ``(R, N, d)`` for a state with a replicate axis, shared by every rung.
     Velocities select the semi-implicit second-order update with the state's
-    inertia and local bests the memory variant, with ``p.memory``.  ``cons``
-    is the pre-step ``_consensus_of(state, p, obj)``.  The update is ``acc +
-    sum_j (c_j / denom) vec_j [theta_j]``, summed left to right: first order
-    accumulates into ``X`` with ``denom = 1``, so ``X' = acc``; second order
-    starts ``acc`` from ``(m / denom) V`` in ``V``, so ``V' = acc`` and ``X' =
-    X + dt V'``.  The state's ``x``, ``v`` and ``y`` are written in place, as
-    no operation reads an entry of them after writing it, which holds only
-    for arrays that share no memory.
+    inertia and local bests the memory variant, with ``p.memory``.  ``point``
+    is the pre-step consensus of the state's cloud, one point per slice.
+    The update is ``acc + sum_j (c_j / denom) vec_j [theta_j]``, summed left
+    to right: first order accumulates into ``X`` with ``denom = 1``, so ``X'
+    = acc``; second order starts ``acc`` from ``(m / denom) V`` in ``V``, so
+    ``V' = acc`` and ``X' = X + dt V'``.  The state's ``x`` and ``v`` are
+    written in place, as no operation reads an entry of them after writing
+    it, which holds only for arrays that share no memory.  The local bests
+    are read, not moved: they relax toward the new positions in
+    ``_relax_local_bests``, once the new positions have their costs.
 
-    The two broadcasts, of the consensus point over the particles
-    (``Xa - X``) and of the local bests' tanh weight over the coordinates,
-    run along the particle axis (``_along_particles``): d inner loops of
+    The broadcast of the consensus point over the particles (``Xa - X``)
+    runs along the particle axis (``_along_particles``): d inner loops of
     length N, not N of length d, with the same elementwise bits.
     """
     sqrt_dt = sqrt(p.dt)
-    to_global = _along_particles(np.subtract, cons.point[..., None, :], state.x,
+    to_global = _along_particles(np.subtract, point[..., None, :], state.x,
                                  np.empty_like(state.x))
     if state.y is None:
         terms = [(p.lam * p.dt, to_global, None),
@@ -278,13 +269,26 @@ def _step(state: SwarmState, p: Params, obj, theta: tuple[np.ndarray, ...],
         np.add(acc, term, out=acc)
     if state.v is not None:
         np.add(state.x, np.multiply(p.dt, acc, out=term), out=state.x)
-    if state.y is not None:
-        # local bests relax toward the new positions, weighted by the cost gap
-        gap = costs_of(state.x, obj) - cons.costs
-        pull = np.multiply(mem.nu * p.dt,
-                           np.subtract(state.x, state.y, out=term), out=term)
-        _along_particles(np.multiply, pull, np.tanh(mem.beta * gap)[..., None], pull)
-        np.add(state.y, pull, out=state.y)
+
+
+def _relax_local_bests(state: SwarmState, p: Params, gap: np.ndarray) -> None:
+    """Relax the local bests of a memory ``state`` toward its new positions,
+    in place, weighted by ``tanh(beta gap)``, where ``gap = E(X') - E(Y)``
+    holds one cost difference per particle: ``Y' = Y + nu dt (X' - Y)
+    tanh(beta gap)``.  The weight broadcasts over the coordinates along the
+    particle axis (``_along_particles``).
+
+    ``lockstep`` relaxes per state, on the state's slice of the stacked
+    costs, not once over the stack: NumPy buffers the broadcast product in
+    about three copies of its operand (97,584 B for a ``(2, 5, 200, 2)``
+    stack of 32,000 B), so over the whole stack it would hold three stacks
+    at once, where per state it holds three of the largest state's.
+    """
+    mem = p.memory
+    pull = np.subtract(state.x, state.y)
+    np.multiply(mem.nu * p.dt, pull, out=pull)
+    _along_particles(np.multiply, pull, np.tanh(mem.beta * gap)[..., None], pull)
+    np.add(state.y, pull, out=state.y)
 
 
 # ``lockstep`` looks the step up here once per pass, so a tracer can wrap it
@@ -324,36 +328,61 @@ class RunRecord:
     final: SwarmState
 
 
-def _initial_state(scheme: str, x0: np.ndarray, m=None) -> SwarmState:
-    """The scheme's state at rest, on its own float64 copy of ``x0``: V0 = 0
-    and Y0 = X0.
+def _initial_states(schemes, x0, m=None):
+    """Every scheme's state at rest from ``x0``, V0 = 0 and Y0 = X0, on views
+    of two float64 stacks allocated here, and the stacks.
 
     ``x0`` is one ``(N, d)`` cloud or an ``(R, N, d)`` stack of one per
     replicate.  A second-order scheme needs its inertia ``m``, finite and in
     (0, 1]: a float gives one swarm, a nonempty 1-d sequence of K inertias a
     rung-major ``(K, *x0.shape)`` stack with ``x0`` in every rung.
+
+    Returns ``(states, clouds, moved, slots)``.  ``clouds`` stacks, in the
+    order of ``schemes``, the cloud each state's consensus weights: the
+    local bests of a memory state, else the positions.  ``moved`` stacks the
+    positions of the memory states, ``None`` without one.  Each stack has a
+    slot of ``x0.shape`` per swarm, filled from ``x0``, and is C-ordered, so
+    every state's arrays are C-ordered views that share no memory with
+    ``x0`` or with another.  ``slots[i]`` indexes state ``i``'s slots in
+    ``clouds`` and in ``moved`` (``None`` for a plain state): an int for
+    one swarm, a slice for a stack of rungs.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
-    x0 = np.array(x0, dtype=np.float64)
-    second_order = scheme.startswith("pso")
-    if not second_order:
-        m = None
-    elif m is None or None in np.ravel(m):
-        # an unset rung, such as compare_distributions' (p.m,) for a Params
-        # without m, is a missing inertia too
-        raise ValueError(f"scheme {scheme!r} needs its inertia m")
-    else:
+    shape = np.shape(x0)
+    inertias = []
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
+        if not scheme.startswith("pso"):
+            inertias.append(None)
+            continue
+        if m is None or None in np.ravel(m):
+            # an unset rung, such as compare_distributions' (p.m,) for a
+            # Params without m, is a missing inertia too
+            raise ValueError(f"scheme {scheme!r} needs its inertia m")
         if np.ndim(m) > 1 or np.shape(m) == (0,):
             raise ValueError("inertia m must be a float or a nonempty 1-d "
                              f"sequence, got shape {np.shape(m)}")
         for value in np.ravel(m):
             _check_inertia(float(value))
-        if np.ndim(m) == 1:
-            m = np.asarray(m, dtype=np.float64).reshape((-1,) + (1,) * x0.ndim)
-            x0 = np.repeat(x0[None], len(m), axis=0)
-    return SwarmState(x=x0, v=np.zeros_like(x0) if second_order else None,
-                      y=x0.copy() if scheme.endswith("_mem") else None, m=m)
+        inertias.append(m if np.ndim(m) == 0 else np.asarray(
+            m, dtype=np.float64).reshape((-1,) + (1,) * len(shape)))
+    widths = [1 if np.ndim(mi) == 0 else len(mi) for mi in inertias]
+    memory = [scheme.endswith("_mem") for scheme in schemes]
+    x0 = np.asarray(x0, dtype=np.float64)
+    clouds = np.repeat(x0[None], sum(widths), axis=0)
+    n_moved = sum(w for w, mem in zip(widths, memory) if mem)
+    moved = np.repeat(x0[None], n_moved, axis=0) if n_moved else None
+    # the next free slot of each stack
+    states, slots, i, j = [], [], 0, 0
+    for mi, w, mem in zip(inertias, widths, memory):
+        a, b = (i, j) if np.ndim(mi) == 0 else (slice(i, i + w), slice(j, j + w))
+        b = b if mem else None
+        x = clouds[a] if b is None else moved[b]
+        states.append(SwarmState(x=x, v=None if mi is None else np.zeros_like(x),
+                                 y=None if b is None else clouds[a], m=mi))
+        slots.append((a, b))
+        i, j = i + w, j + (w if mem else 0)
+    return states, clouds, moved, slots
 
 
 def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
@@ -374,23 +403,36 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     whose ``(R, N, d)`` blocks fit ``_WINDOW_BYTES``, at least 1 and at most
     ``n_steps + 1``, and a window's draw stops at the last step.  Step ``n``
     takes row ``n mod W`` of its window and hands it to every state.  A
-    window is drawn when its first step runs, after the last one is freed,
-    and each state's consensus is computed once per step.
+    window is drawn when its first step runs, after the last one is freed.
+
+    The states' positions and local bests are views of two stacks allocated
+    once per call (``_initial_states``): ``clouds``, the cloud each state's
+    consensus weights (its local bests for a memory scheme, else its
+    positions), and ``moved``, the memory states' positions.  So one
+    objective call and one ``consensus_point`` call over ``clouds`` give
+    every state's consensus at a time point, split per state, and the
+    memory states add one objective call over ``moved`` per step, whose
+    costs relax each memory state's local bests (``_relax_local_bests``).
+    A step runs ``_step`` per state, then that relaxation, then one finite
+    test per stack, then the consensus of the new clouds.  A lone state is
+    a stack of one slot, or of its rungs, and takes the same path.
+
     Yields ``(n, states, points)`` for ``n = 0, ..., n_steps``: the states,
     one per scheme in order, first at rest, then after step ``n - 1``, each
     time with the consensus points the next step uses; item ``n`` is at
-    time ``p.times[n]``.  Non-finite states abort with the offending step
-    index.
+    time ``p.times[n]``.  A non-finite state aborts with the offending step
+    index: the first state in order with a non-finite entry, named as
+    ``SwarmState.check_finite`` names it.
 
-    ``lockstep`` advances the states' arrays in place with ``_step``, so a
-    yielded state changes at the next step, and a caller copies whatever it
-    wants to keep.  Every check runs once, before any draw: a ``schemes``
-    that is not a nonempty tuple of names is a ``ValueError``; so are a
-    replicate that is not an integer >= 0, which it names, an ``x0`` that is
-    not the cloud of ``p`` and ``r``, an unknown scheme, a second-order
-    scheme without an inertia in (0, 1] of one of those shapes, and a memory
-    scheme under ``p.memory = None``; a non-finite ``x0`` is a
-    ``NonFiniteStateError`` at step -1.
+    ``lockstep`` advances the states' arrays in place, so a yielded state
+    changes at the next step, and a caller copies whatever it wants to
+    keep.  Every check runs once, before any draw: a ``schemes`` that is not
+    a nonempty tuple of names is a ``ValueError``; so are a replicate that
+    is not an integer >= 0, which it names, an ``x0`` that is not the cloud
+    of ``p`` and ``r``, an unknown scheme, a second-order scheme without an
+    inertia in (0, 1] of one of those shapes, and a memory scheme under
+    ``p.memory = None``; a non-finite ``x0`` is a ``NonFiniteStateError`` at
+    step -1.
     """
     if not isinstance(schemes, tuple) or not schemes:
         raise ValueError("schemes must be a nonempty tuple of scheme names, "
@@ -404,11 +446,11 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
     if np.shape(x0) != cloud:
         raise ValueError(f"x0 shape {np.shape(x0)} does not match params "
                          f"and replicates {cloud}")
-    states = [_initial_state(scheme, x0, m) for scheme in schemes]
-    # each state holds its own copy, so a caller that passes no other
+    states, clouds, moved, slots = _initial_states(schemes, x0, m)
+    # the stacks hold their own copies, so a caller that passes no other
     # reference frees x0 here
     del x0
-    channels = 2 if any(s.y is not None for s in states) else 1
+    channels = 1 if moved is None else 2
     if channels == 2 and p.memory is None:
         raise ValueError("a memory scheme needs memory params")
     for s in states:
@@ -419,8 +461,9 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
                      channels)
     W = _window_steps(p, len(rows))
     stepper = _STEPPERS["step"]
-    cons = [_consensus_of(s, p, obj) for s in states]
-    yield 0, states, [c.point for c in cons]
+    costs = costs_of(clouds, obj)
+    points = consensus_point(clouds, costs, p.alpha)
+    yield 0, states, [points[a] for a, _ in slots]
     for n in range(p.n_steps):
         j = n % W
         if j == 0:
@@ -429,11 +472,26 @@ def lockstep(schemes, x0: np.ndarray, p: Params, obj, seed: int, r, m=None):
             window = [tape.theta_block(r, range(n, min(n + W, p.n_steps)), ch)
                       for ch in range(1, channels + 1)]
         theta = tuple(w[j] for w in window)
-        for s, c in zip(states, cons):
-            stepper(s, p, obj, theta, c)
-            s.check_finite(n)
-        cons = [_consensus_of(s, p, obj) for s in states]
-        yield n + 1, states, [c.point for c in cons]
+        for s, (a, _) in zip(states, slots):
+            stepper(s, p, theta, points[a])
+        if moved is not None:
+            moved_costs = costs_of(moved, obj)
+            for s, (a, b) in zip(states, slots):
+                if b is not None:
+                    _relax_local_bests(s, p, moved_costs[b] - costs[a])
+            # freed before the next consensus allocates its costs
+            del moved_costs
+        # the stacks hold every x and y; a non-finite v' makes x' = x + dt v'
+        # non-finite at the same entry, which check_finite reads first, so
+        # testing the stacks misses no error, and check_finite, run in state
+        # order, names the entry a test after each state's step would name
+        if not (np.isfinite(clouds).all()
+                and (moved is None or np.isfinite(moved).all())):
+            for s in states:
+                s.check_finite(n)
+        costs = costs_of(clouds, obj)
+        points = consensus_point(clouds, costs, p.alpha)
+        yield n + 1, states, [points[a] for a, _ in slots]
 
 
 def run(scheme: str, p: Params, obj, seed: int, x0: np.ndarray) -> RunRecord:

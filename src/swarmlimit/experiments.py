@@ -30,8 +30,12 @@ construction.  A state carries its arrays and inertia but no time: item
 take their times from there.  The reference does not depend on ``m``, so
 it is computed once per replicate, and each step's ``(R_c, N, d)`` tape
 block per channel, drawn with those of the steps around it in a window of
-steps, serves every rung.  The pass reads the path ``lockstep`` yields in
-a ``for`` loop whose body makes two reductions over the whole stack.
+steps, serves every rung.  ``lockstep`` holds the reference's and the
+rungs' clouds in one stack, so one objective call and one consensus call
+per time point serve the whole coupling, and the memory pair adds one
+objective call per step on the new positions of both states.  The pass
+reads the path ``lockstep`` yields in a ``for`` loop whose body makes two
+reductions over the whole stack.
 
 Every step, for every pair and dimension, one ``paired_msq_gap`` call (two
 for the memory pair, which adds the local bests' gap) updates the chunk's

@@ -129,6 +129,17 @@ def _cos_2pi(z: np.ndarray) -> np.ndarray:
     return np.cos(w, out=w)
 
 
+def _rastrigin_term(z: np.ndarray) -> np.ndarray:
+    """``z * z - 10 cos(2 pi z) + 10`` in two arrays: ``10 cos`` is ``cos *
+    10``, which rounds alike."""
+    a = z * z
+    w = _cos_2pi(z)
+    w *= 10.0
+    a -= w
+    a += 10.0
+    return a
+
+
 def ackley(dim: int, shift=None) -> Objective:
     """Ackley benchmark, minimum 0 at ``shift``.
 
@@ -171,8 +182,7 @@ def rastrigin(dim: int, shift=None) -> Objective:
     x_star = _minimizer(dim, shift)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        return _row_sum(_centered(x, x_star),
-                        lambda t: t * t - 10.0 * np.cos(_TWO_PI * t) + 10.0)
+        return _row_sum(_centered(x, x_star), _rastrigin_term)
 
     return Objective(name="rastrigin", dim=dim, eval=evaluate, minimizer=x_star)
 

@@ -1,10 +1,11 @@
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from swarmlimit import NoiseTape, Objective, lockstep
-from swarmlimit.dynamics import _consensus_of, _step
+from swarmlimit import NoiseTape, Objective, consensus_point, costs_of, lockstep
+from swarmlimit.dynamics import _initial_states, _relax_local_bests, _step
 
 
 def linear_cost(dim: int = 1) -> Objective:
@@ -33,11 +34,38 @@ def blocks(tape, n, r=0):
     return tuple(tape.theta_block(r, n, ch) for ch in range(1, tape.channels + 1))
 
 
+def initial_state(scheme, x0, m=None):
+    """The state of ``scheme`` at rest from ``x0`` that ``lockstep`` starts
+    when it runs ``scheme`` alone."""
+    (state,), _, _, _ = _initial_states((scheme,), x0, m)
+    return state
+
+
+class Consensus(NamedTuple):
+    """A state's consensus point and the costs of the cloud it weights: the
+    positions, or the local bests for the memory schemes."""
+
+    point: np.ndarray
+    costs: np.ndarray
+
+
+def consensus_of(state, p, obj):
+    """The consensus the next step of ``state`` uses, one point per slice,
+    as ``lockstep`` computes it on the state's slice of its stack."""
+    cloud = state.x if state.y is None else state.y
+    costs = costs_of(cloud, obj)
+    return Consensus(consensus_point(cloud, costs, p.alpha), costs)
+
+
 def step_once(state, p, obj, theta):
-    """``state`` after one ``_step`` on ``theta`` and its own pre-step
-    consensus, advanced in place: the kernel ``lockstep`` runs, without
-    ``lockstep``'s checks."""
-    _step(state, p, obj, theta, _consensus_of(state, p, obj))
+    """``state`` after one step on ``theta`` and its own pre-step consensus,
+    advanced in place: the kernels ``lockstep`` runs, without ``lockstep``'s
+    checks.  ``_step`` moves the positions and velocities; a memory state's
+    local bests then relax on the costs of the new positions."""
+    cons = consensus_of(state, p, obj)
+    assert _step(state, p, theta, cons.point) is None
+    if state.y is not None:
+        _relax_local_bests(state, p, costs_of(state.x, obj) - cons.costs)
     return state
 
 

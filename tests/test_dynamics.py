@@ -21,10 +21,17 @@ from swarmlimit import (
     sphere,
 )
 import swarmlimit.dynamics as dynamics
-from swarmlimit.dynamics import SCHEMES, _consensus_of, _initial_state, _step
+from swarmlimit.dynamics import SCHEMES, _step
 
 from certified import step_oracle
-from conftest import blocks, linear_cost, step_once
+from conftest import (
+    blocks,
+    consensus_of,
+    initial_state,
+    linear_cost,
+    step_once,
+    trajectory,
+)
 
 # hand evaluation of the semi-implicit update for particles {0, 1}, V = 0,
 # m = 0.5, dt = 0.01, lam = 1, sigma = 0, alpha = 0 (consensus 0.5):
@@ -231,7 +238,7 @@ def test_cbo_null_dynamics_is_identity():
 def test_memory_local_best_frozen_when_positions_do_not_move():
     p = memory_params(lam1=0.0, lam2=0.0, nu=0.5)
     x0 = np.array([[0.2], [0.8]])
-    state = _initial_state("pso_mem", x0, p.m)
+    state = initial_state("pso_mem", x0, p.m)
     obj = linear_cost()
     out = step_once(state, p, obj, blocks(tape_for(p, channels=2), 0))
     # X' = X, so the cost gap is zero and tanh(0) freezes Y
@@ -272,8 +279,8 @@ def test_memory_step_with_y_equal_x_matches_plain_step():
     pm = memory_params(lam1=0.4, lam2=0.8, nu=0.5, alpha=2.0, n_particles=4)
     pp = plain_params(lam=0.8, alpha=2.0, n_particles=4)
     x0 = np.array([[0.1], [0.4], [0.6], [0.9]])
-    mem_state = _initial_state("pso_mem", x0, pm.m)
-    plain_state = _initial_state("pso", x0, pp.m)
+    mem_state = initial_state("pso_mem", x0, pm.m)
+    plain_state = initial_state("pso", x0, pp.m)
     obj = linear_cost()
     out_mem = step_once(mem_state, pm, obj, blocks(tape_for(pm, channels=2), 0))
     out_plain = step_once(plain_state, pp, obj, blocks(tape_for(pp), 0))
@@ -551,9 +558,9 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m(first, second):
     base = make(alpha=30.0, dt=dt, n_particles=50)
     tape = tape_for(base, seed=17, channels=2 if base.memory else 1)
     x0 = initial_positions([17, 0], 50, 1)
-    cbo_out = _initial_state(first, x0)
-    cons = _consensus_of(cbo_out, base, obj)
-    _step(cbo_out, base, obj, blocks(tape, 0), cons)
+    cbo_out = initial_state(first, x0)
+    cons = consensus_of(cbo_out, base, obj)
+    _step(cbo_out, base, blocks(tape, 0), cons.point)
     increment = np.max(np.abs(cbo_out.x - x0))
     assert increment > 0.0
 
@@ -561,8 +568,8 @@ def test_pso_step_from_rest_approaches_cbo_step_at_rate_m(first, second):
     gaps = []
     for m in m_values:
         p = make(m=m, alpha=30.0, dt=dt, n_particles=50)
-        pso_out = _initial_state(second, x0, m)
-        _step(pso_out, p, obj, blocks(tape, 0), cons)
+        pso_out = initial_state(second, x0, m)
+        _step(pso_out, p, blocks(tape, 0), cons.point)
         gap = np.max(np.abs(pso_out.x - cbo_out.x))
         assert gap <= m * (1 - dt) / dt * increment * (1 + 1e-9)
         gaps.append(gap)
@@ -727,7 +734,7 @@ def test_lockstep_steps_the_states_in_place_bit_for_bit(scheme, stacked):
     if stacked:
         x0 = np.stack([x0, initial_positions([9, 1], p.n_particles, p.dim)])
     m = (0.2, 0.05) if stacked else 0.2
-    ref = _initial_state(scheme, x0, m)
+    ref = initial_state(scheme, x0, m)
     names = [name for name in ("x", "v", "y") if getattr(ref, name) is not None]
     tape = NoiseTape(9, 2, p.n_particles, p.n_steps, p.dim,
                      2 if p.memory else 1)
@@ -784,8 +791,8 @@ def _oracle_case(scheme, dim, stacked, order):
     p = plain_params(m=0.2, sigma=0.5, alpha=30.0, n_particles=9, dim=dim,
                      t_end=0.02, memory=mem if scheme.endswith("_mem") else None)
     x0 = np.stack([initial_positions([5, r], 9, dim) for r in range(3)])
-    state = _initial_state(scheme, x0 if stacked else x0[0],
-                           (0.2, 0.05) if stacked else 0.2)
+    state = initial_state(scheme, x0 if stacked else x0[0],
+                          (0.2, 0.05) if stacked else 0.2)
     rng = np.random.default_rng(dim)
     for name in ("x", "v", "y"):
         arr = getattr(state, name)
@@ -816,11 +823,17 @@ def test_step_equals_the_broadcast_oracle_bit_for_bit(scheme, dim, stacked, orde
     r = range(3) if stacked else 1
     for n in range(2):
         theta = blocks(tape, n, r)
-        cons = _consensus_of(state, p, obj)
+        cons = consensus_of(state, p, obj)
         want = step_oracle(state, p, obj, theta, cons)
         given = copy.deepcopy(state)
         arrays = {name: getattr(given, name) for name in ("x", "v", "y")}
-        assert _step(given, p, obj, theta, cons) is None
+        if given.y is None:
+            assert _step(given, p, theta, cons.point) is None
+        else:
+            # the memory step is lockstep's composition: _step moves x and v,
+            # then the local bests relax on the costs of the new positions;
+            # step_once asserts that _step returns None
+            assert step_once(given, p, obj, theta) is given
         assert p.times[n + 1] == p.times[n] + p.dt
         for name, oracle in zip(("x", "v", "y"), want):
             assert getattr(given, name) is arrays[name]
@@ -847,6 +860,91 @@ def test_a_pso_velocity_blow_up_names_the_first_non_finite_position():
             pass
     assert (excinfo.value.step, excinfo.value.array) == (1, "x")
     assert not np.all(np.isfinite(ladder.v))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_the_first_state_to_blow_up_is_named_whatever_its_place():
+    # the memory state's noise is off, so the plain ladder behind it blows
+    # up first; the states are stepped, then tested in order, and the error
+    # names the first non-finite entry of the first non-finite state, as a
+    # test of each state right after its own step names it
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=0.0, sigma2=0.0, nu=0.5,
+                       beta=30.0)
+    p = plain_params(sigma=1e200, lam=1.0, alpha=0.0, n_particles=4,
+                     t_end=0.05, memory=mem)
+    x0 = np.array([[0.0], [0.5], [1.5], [3.0]])
+    path = lockstep(("cbo_mem", "pso"), np.stack([x0, x0[::-1]]), p,
+                    linear_cost(), 1, range(2), (0.5, 0.1))
+    _, (calm, ladder), _ = next(path)
+    with pytest.raises(NonFiniteStateError, match=re.escape(
+            "non-finite state after step 1: x[0, 0, 0, 0] is -inf")) as excinfo:
+        for _ in path:
+            pass
+    assert (excinfo.value.step, excinfo.value.array) == (1, "x")
+    assert np.all(np.isfinite(calm.x)) and np.all(np.isfinite(calm.y))
+    assert not np.all(np.isfinite(ladder.x))
+
+
+def _stack_of(arrays):
+    """The one C-ordered array that ``arrays`` are consecutive views of, in
+    order and without a gap, or an assertion error."""
+    base = arrays[0].base
+    assert base is not None and base.flags.c_contiguous
+    start = base.__array_interface__["data"][0]
+    for a in arrays:
+        assert a.base is base and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] == start
+        start += a.nbytes
+    assert start == base.__array_interface__["data"][0] + base.nbytes
+    return base
+
+
+@pytest.mark.parametrize("schemes", [("cbo", "pso_mem"),
+                                     ("pso_mem", "cbo", "cbo_mem")],
+                         ids=["cbo-pso_mem", "pso_mem-cbo-cbo_mem"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
+def test_mixed_states_step_as_their_solo_runs_on_views_of_two_stacks(schemes,
+                                                                    stacked):
+    # lockstep holds every state's consensus cloud (its local bests with
+    # memory, else its positions) in one stack and the memory states'
+    # positions in another, and takes the costs and consensus points of all
+    # states from one call over a stack; each state's path is its solo
+    # run's, bit for bit, and each rung of a ladder its solo run's at that
+    # m.  A memory scheme makes the tape two channels wide, and the channel
+    # count is part of every variate's index, so a plain solo run's
+    # one-channel tape holds other variates: the plain schemes run without
+    # noise here (sigma = 0), the memory ones with it
+    mem = MemoryParams(lam1=1.0, lam2=0.5, sigma1=0.4, sigma2=0.3, nu=0.5,
+                       beta=30.0)
+    p = plain_params(m=0.2, sigma=0.0, alpha=30.0, n_particles=7, dim=2,
+                     t_end=0.06, memory=mem)
+    r = range(2) if stacked else 1
+    x0 = np.stack([initial_positions([9, j], 7, 2) for j in range(2)])
+    if not stacked:
+        x0 = x0[1].copy()
+    m = (0.2, 0.05) if stacked else 0.2
+    got = [[] for _ in schemes]
+    for n, states, _ in lockstep(schemes, x0, p, ackley(2), 9, r, m):
+        clouds = [s.x if s.y is None else s.y for s in states]
+        assert _stack_of(clouds).shape == (sum(len(c) if c.ndim > x0.ndim
+                                               else 1 for c in clouds),
+                                           *x0.shape)
+        _stack_of([s.x for s in states if s.y is not None])
+        for path, s in zip(got, states):
+            path.append((s.x.copy(), None if s.y is None else s.y.copy()))
+    assert n == p.n_steps
+    for scheme, path in zip(schemes, got):
+        rungs = m if stacked and scheme.startswith("pso") else (None,)
+        for k, m_k in enumerate(rungs):
+            xs, ys = trajectory(scheme, replace(p, m=m_k or p.m), ackley(2),
+                                9, r, x0)
+            assert len(xs) == len(path)
+            for (x, y), want_x, want_y in zip(path, xs, ys):
+                if m_k is not None:
+                    x, y = x[k], None if y is None else y[k]
+                _assert_bits(x, want_x)
+                if want_y is not None:
+                    _assert_bits(y, want_y)
 
 
 def _assert_mirrored_paths(make, dim, pair, shift):
@@ -901,6 +999,53 @@ def test_lockstep_from_the_shifted_mirror_yields_the_mirrored_path(make, dim,
     # the objective with shift s is the mirror of the one with shift -s, and
     # x - s negates exactly, so the mirror holds off the origin too
     _assert_mirrored_paths(make, dim, pair, np.array((0.7, -1.3)[:dim]))
+
+
+@pytest.mark.parametrize("pair", [("cbo", "pso"), ("cbo_mem", "pso_mem")],
+                         ids=["plain", "memory"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("make", [ackley, rastrigin, sphere])
+def test_lockstep_from_the_shifted_cloud_yields_the_shifted_path(make, dim,
+                                                                 pair):
+    # an oracle from the model: the objective with shift s is the one at
+    # shift 0 moved by s, and every term of a step is a difference of
+    # positions, so on the same tape the path from x0 + s under shift s is
+    # the path from x0 under shift 0, plus s.  That holds up to rounding
+    # only: the shifted run holds its coordinates at |x| + |s|, so each
+    # operation on them, the objective's x - s included, rounds at an ulp
+    # of that size.  The tolerance is the worst case of the largest sum a
+    # step rounds, the consensus average over the N particles: N - 1
+    # additions of values up to max |x| + |s|, so N ulps of it per
+    # coordinate per step, the step's few elementwise operations included,
+    # accumulated over the steps taken
+    mem = MemoryParams(lam1=1.0, lam2=1.0, sigma1=1 / np.sqrt(3),
+                       sigma2=1 / np.sqrt(3), nu=0.5, beta=30.0)
+    N = 300
+    p = plain_params(m=None, sigma=1 / np.sqrt(3), alpha=30.0, t_end=0.5,
+                     n_particles=N, dim=dim,
+                     memory=mem if pair[0] == "cbo_mem" else None)
+    shift = np.array((0.7, -1.3)[:dim])
+    x0 = np.stack([initial_positions([17, r], N, dim) for r in range(2)])
+
+    def path(start, s):
+        # the translated values: positions, local bests, consensus points
+        return [[a.copy() for st in states for k in ("x", "y")
+                 if (a := getattr(st, k)) is not None]
+                + [point.copy() for point in points]
+                for _, states, points in lockstep(pair, start, p, make(dim, s),
+                                                  17, range(2), (0.2, 0.1))]
+
+    base, moved = path(x0, None), path(x0 + shift, shift)
+    assert len(base) == len(moved) == p.n_steps + 1
+    ulp = np.finfo(float).eps / 2
+    scale = 0.0
+    for n, (arrays, shifted) in enumerate(zip(base, moved)):
+        scale = max([scale] + [np.max(np.abs(a)) for a in arrays])
+        tol = (n + 1) * N * ulp * (scale + np.max(np.abs(shift)))
+        for a, b in zip(arrays, shifted, strict=True):
+            assert np.max(np.abs((b - shift) - a)) <= tol
+    # the path moved, by far more than the tolerance
+    assert np.max(np.abs(base[-1][0] - base[0][0])) > 1e3 * tol
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -319,16 +319,16 @@ def test_lockstep_study_matches_run_pairs_and_draws_each_block_once(
     assert len(draws) == base.n_steps * channels
     assert set(draws.values()) == {1}
     assert {key[1] for key in draws} == {range(cfg.replicates)}
-    # two states, the reference and the stack of rungs, and one consensus
-    # per state per time point; the memory pair adds one evaluation of the
-    # new positions per step for the local-best update
-    n_states = 2
-    per_state = base.n_steps + 1 + (base.n_steps if memory else 0)
-    assert len(calls) == n_states * per_state
-    # each call takes every particle of its state on every replicate: R N for
-    # the reference and K R N for the stack of K rungs
-    assert set(calls[::2]) == {cfg.replicates * base.n_particles}
-    assert sum(calls) == cfg.replicates * per_state * base.n_particles \
+    # one objective call per time point for the consensus of both states,
+    # the reference and the stack of rungs, stacked; the memory pair adds
+    # one per step on the new positions of both, for the local-best update
+    n_calls = base.n_steps + 1 + (base.n_steps if memory else 0)
+    assert len(calls) == n_calls
+    # each call takes every particle of both states on every replicate:
+    # (K + 1) R N points, R N of the reference and K R N of the rungs
+    assert set(calls) == {(len(cfg.m_ladder) + 1) * cfg.replicates
+                          * base.n_particles}
+    assert sum(calls) == cfg.replicates * n_calls * base.n_particles \
         * (1 + len(cfg.m_ladder))
 
 

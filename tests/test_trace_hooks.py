@@ -3,6 +3,7 @@ by the names it looks them up under; these checks fail when a rename would
 leave a layer untraced."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import swarmlimit.dynamics as dynamics
 import swarmlimit.experiments as experiments
 from swarmlimit import (
     LimitStudyConfig,
+    MemoryParams,
     Params,
     ackley,
     initial_positions,
@@ -86,3 +88,29 @@ def test_tracer_counts_one_paired_gap_per_time_point_of_a_plain_1d_study():
     with installed(Tracer()) as tracer:
         experiments.zero_inertia_study(STUDY, ackley(1), seed=0)
     assert tracer.calls["metrics.paired_msq_gap"] == STUDY.base.n_steps + 1
+
+
+@pytest.mark.parametrize("pair", ["plain", "memory"])
+def test_a_traced_study_makes_one_objective_and_consensus_call_per_time_point(
+        pair):
+    # the reference and the K rungs share one stack: one objective call and
+    # one consensus call per time point take all (K + 1) R N particles, and
+    # the memory pair adds one objective call per step on the new positions;
+    # the step kernel still runs once per state and step
+    memory = pair == "memory"
+    base = STUDY.base
+    if memory:
+        base = replace(base, lam=0.0, memory=MemoryParams(
+            lam1=1.0, lam2=1.0, sigma1=0.5, sigma2=0.5, nu=0.5, beta=30.0))
+    cfg = LimitStudyConfig(m_ladder=STUDY.m_ladder, replicates=STUDY.replicates,
+                           base=base, scheme_pair=pair)
+    with installed(Tracer()) as tracer:
+        experiments.zero_inertia_study(cfg, ackley(1), seed=0)
+    counters = tracer.counters()
+    n_steps = base.n_steps
+    calls = n_steps + 1 + (n_steps if memory else 0)
+    assert counters["objectives.eval.calls"] == calls
+    assert counters["consensus.consensus_point.calls"] == n_steps + 1
+    assert counters["dynamics.step.calls"] == 2 * n_steps
+    assert counters["objectives.eval.points"] == calls * (
+        len(cfg.m_ladder) + 1) * cfg.replicates * base.n_particles
