@@ -188,8 +188,25 @@ def _parse_floats_arg(raw: str) -> list[float]:
     return values
 
 
+# flags whose comma-separated value may start with "-" ("-1,0.02"), which
+# argparse takes for an option unless it is a single negative number
+_LIST_FLAGS = ("--m-ladder", "--snapshot-times")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a config error instead of exiting."""
+    """Reports a bad command line as a config error instead of exiting, and
+    reads the word after a list flag as its value when it starts with a
+    single "-", as ``--flag=value`` is read."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in _LIST_FLAGS and arg.startswith("-")
+                    and not arg.startswith("--")):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         raise ConfigError(message)

@@ -13,6 +13,17 @@ the coordinates, then the closed form left to right), which
 * ``z = x - x*`` runs along the particle axis (``_centered``), and a
   per-coordinate term is evaluated once on the whole ``(n, dim)`` batch,
   one ufunc call per operation whatever ``dim`` is.
+* At a +0.0 shift (every bit of ``x*`` zero) the batch is ``z`` itself:
+  ``x - 0.0`` is ``x`` for every double, -0.0 and NaN payloads included.
+  So no term may write into ``z``.
+* At ``dim = 1`` Ackley takes ``|z|`` as ``max(z, -z)`` and skips the mean
+  over one coordinate, a divide by 1.0.  ``|z|`` is not ``sqrt(z * z)``
+  bit for bit, but the cost is.  Where ``z * z`` is normal,
+  ``sqrt(fl(z * z))`` is ``|z|``.  Where it is subnormal, zero or infinite
+  the two differ, but ``exp(-0.2 |z|)`` is 1.0 or 0.0 for both.  At
+  ``z = +0.0`` the maximum may be -0.0, and ``exp(-0.0)`` is 1.0.  A NaN
+  keeps its sign and payload, since ``maximum`` returns its first NaN.  So
+  ``|z|`` itself must never leave the evaluator.
 * Up to ``dim = 2`` (``_FOLD_MAX_DIM``) the term's columns are then added as
   written, ``t[:, 0] + t[:, 1]``.  A sum of at most two terms rounds once,
   so it has the bits of any order a NumPy reduction takes.
@@ -94,7 +105,11 @@ def _along_particles(ufunc, a: np.ndarray, b: np.ndarray,
 
 
 def _centered(x: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    """``z = x - x*`` of an ``(n, dim)`` batch, in ``x``'s layout."""
+    """``z = x - x*`` of an ``(n, dim)`` batch, in ``x``'s layout; at a +0.0
+    shift ``x`` itself, which ``x - 0.0`` equals bit for bit (a -0.0 shift
+    still subtracts: it turns a -0.0 coordinate into +0.0)."""
+    if not x_star.view(np.uint64).any():
+        return x
     return _along_particles(np.subtract, x, x_star[None, :],
                             np.empty_like(x, dtype=np.float64))
 
@@ -151,13 +166,18 @@ def ackley(dim: int, shift=None) -> Objective:
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         z = _centered(x, x_star)
-        r = _square_norm(z)
-        np.sqrt(r, out=r)
+        if dim == 1:
+            # |z| with the cost's bits, not sqrt(z * z)'s: see the docstring
+            r = np.maximum(z[:, 0], -z[:, 0])
+        else:
+            r = _square_norm(z)
+            np.sqrt(r, out=r)
         r *= scale
         np.exp(r, out=r)
         r *= -20.0
         c = _row_sum(z, _cos_2pi)
-        c /= dim
+        if dim > 1:
+            c /= dim
         np.exp(c, out=c)
         r -= c
         r += np.e

@@ -520,6 +520,14 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
        f"m_ladder values must lie in (0, 1/2], got {values}")
       for ladder, values in (("2,0.1", "(2.0, 0.1)"),
                              ("nan,0.1", "(nan, 0.1)"))),
+    # a ladder that starts with "-" after a space reaches its own range check
+    *(([command, "--config", "CFG", "--m-ladder", ladder, "--out", "OUT"],
+       message)
+      for command, ladder, message in (
+          ("limit-study", "-0.1,0.2",
+           "m_ladder values must lie in (0, 1/2], got (-0.1, 0.2)"),
+          ("compare", "-0.1", "inertia m must be in (0, 1], got -0.1"),
+          ("compare", "-0.1,0.2", "inertia m must be in (0, 1], got -0.1"))),
 ])
 def test_cli_bad_command_line_exits_2_with_one_line(tmp_path, capsys, argv,
                                                     message):
@@ -544,6 +552,17 @@ def test_cli_bad_list_flag_names_the_flag_and_the_element(tmp_path, capsys,
                                 f"comma-separated numbers, got {bad}"]
     assert "_parse_floats_arg" not in err
     assert not out.exists()
+
+
+def test_cli_list_flag_takes_a_leading_negative_value_after_a_space(tmp_path):
+    # argparse alone reads "-1,0.02" after a space as an unknown option
+    cfg = write_cfg(tmp_path)
+    outs = []
+    for form in (["--snapshot-times=-1,0.02"], ["--snapshot-times", "-1,0.02"]):
+        out = tmp_path / f"{len(form)}.csv"
+        assert main(["compare", "--config", cfg, *form, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("far, near", [("0,1e308", "0,1e10"), ("-1e308", "0")])

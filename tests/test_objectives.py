@@ -108,10 +108,16 @@ def test_sphere_and_rastrigin_minima():
 
 
 # every float class the kernels can meet: signed zeros and infinities, NaNs
-# of both signs, subnormals, and magnitudes whose square over- or underflows
+# of both signs, subnormals, and magnitudes whose square over- or underflows;
+# the last seven are the least |z| whose z * z overflows and the least whose
+# z * z is still normal, then two where z * z is subnormal and one where it
+# is 0: the edges where sqrt(z * z) and |z| part ways
 SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                            5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300,
-                           -1e-300, 0.5])
+                           -1e-300, 0.5,
+                           1.3407807929942597e154, -1.3407807929942597e154,
+                           1.4916681462400413e-154, -1.4916681462400413e-154,
+                           1e-160, -1e-160, 1e-170])
 
 
 def special_batch(shape, seed=0):
@@ -185,6 +191,18 @@ def test_costs_of_a_stack_equals_the_oracle_bit_for_bit(name, dim, shift):
         got = costs_of(stack, obj)
         want = oracle(stack.reshape(-1, dim)).reshape(3, 2, 50)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name,dim,shift", KERNEL_CASES)
+def test_an_objective_never_writes_into_its_batch(name, dim, shift):
+    # at a +0.0 shift the terms get the batch itself as z, so a term that
+    # wrote into z would raise here, and a cost that aliased it would show
+    obj, _ = kernel_case(name, dim, shift)
+    x = special_batch((9, dim), seed=dim)
+    x.setflags(write=False)
+    with np.errstate(all="ignore"):
+        got = obj.eval(x)
+    assert not np.shares_memory(got, x)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ORACLES))
