@@ -198,11 +198,18 @@ class _Parser(argparse.ArgumentParser):
     reads the word after a list flag as its value when it starts with a
     single "-", as ``--flag=value`` is read."""
 
+    def _names_list_flag(self, word: str) -> bool:
+        """Whether ``word`` names one of this parser's ``_LIST_FLAGS``, in
+        full or by a prefix that argparse resolves to it alone."""
+        longs = [o for o in self._option_string_actions if o.startswith("--")]
+        named = [word] if word in longs else [o for o in longs if o.startswith(word)]
+        return len(named) == 1 and named[0] in _LIST_FLAGS
+
     def parse_known_args(self, args=None, namespace=None):
         joined = []
         for arg in sys.argv[1:] if args is None else args:
-            if (joined and joined[-1] in _LIST_FLAGS and arg.startswith("-")
-                    and not arg.startswith("--")):
+            if (joined and arg.startswith("-") and not arg.startswith("--")
+                    and self._names_list_flag(joined[-1])):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)

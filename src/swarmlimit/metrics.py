@@ -15,23 +15,26 @@ by shape only, so an ``(n, 1)`` ``a`` against an ``(n,)`` ``b`` is a stack of
 n one-point clouds.
 
 ``kl_histogram`` bins both clouds of a pair on ``bins`` equal-width bins
-over their joint range, with the edges ``np.linspace(lo, hi, bins + 1)``,
-made for all pairs by one call, and by a second one for the pairs whose
-nonzero range is too small for a nonzero step.  Every bin is closed on the
-left and open on the right, except the last, which is closed on both ends:
-the counts ``np.histogram`` gives on that range.  The counts are read off the sorted
+over their joint range, with the bits of the edges ``np.linspace(lo, hi,
+bins + 1)``, computed for all pairs at once by linspace's own arithmetic,
+and by ``np.linspace`` itself for the pairs whose nonzero range is too small
+for a nonzero step.  Every bin is closed on the left and open on the right,
+except the last, which is closed on both ends: the counts ``np.histogram``
+gives on that range.  The counts are read off the sorted
 samples with ``np.searchsorted``, one call per cloud over the edges of every
 pair it belongs to: a reference cloud of a stack of K is searched once, not K
-times.  Both clouds' insertion points fill one array, which one ``np.diff``
+times.  Both clouds' insertion points fill one array, which one subtraction
 turns into counts and one normalisation into the smoothed masses.
+``kl_histogram`` checks that its samples are finite.
 
 Both 1-d metrics work on sorted samples.  ``_w2_and_kl_sorted`` gives the
 pair ``(wasserstein2_1d, kl_histogram)`` of equal-size samples that a caller
 has sorted itself, with the bits of the two calls: the kernel a coupled pass
-runs on its window of steps.  Means along the particle axis are
-``np.add.reduce(...) / n``, the arithmetic of ``np.mean``.
-Squared norms are ``objectives._square_norm``'s, with the bits of
-``np.einsum``.
+runs on its window of steps.  It checks nothing; the pass relies on
+``lockstep``, which has found every cloud finite before it yields it.
+Means along the particle axis are ``np.add.reduce(...) / n``, the
+arithmetic of ``np.mean``.  Squared norms are ``objectives._square_norm``'s,
+with the bits of ``np.einsum``.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> Non
     """Fill the contiguous ``idx``, shaped like ``edges``, with the insertion
     point of every pair's edges into its sorted sample along the last axis of
     ``sorted_x``, and the top one with the sample size (the top bin is
-    closed), so that ``np.diff`` gives the counts per bin.
+    closed), so that the differences of consecutive points are the counts
+    per bin.
 
     ``sorted_x`` broadcasts against the leading axes of ``edges``; each of its
     samples is searched once, for the edges of every pair it belongs to.
@@ -134,34 +138,45 @@ def _bin_counts(sorted_x: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> Non
 
 
 def _kl_sorted(sa, sb, bins: int):
-    """Histogram KL of every pair of sorted samples along the last axis."""
+    """Histogram KL of every pair of finite sorted samples along the last
+    axis, unchecked."""
     lo = np.minimum(sa[..., 0], sb[..., 0])
     hi = np.maximum(sa[..., -1], sb[..., -1])
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("kl_histogram needs finite samples")
-    # one linspace for all pairs switches its formula for every pair when one
-    # step is 0, so a pair whose step is 0 bins on [0, 1]: a degenerate one
-    # keeps those edges and gives 0, and one whose nonzero range is below
-    # bins times the smallest subnormal gets its own edges from a second call
-    flat = lo == hi
-    zero_step = (hi - lo) / bins == 0.0
-    edges = np.linspace(np.where(zero_step, 0.0, lo),
-                        np.where(zero_step, 1.0, hi), bins + 1, axis=-1)
-    tiny = zero_step & ~flat
-    if tiny.any():
+    step = (hi - lo) / bins
+    start, stop = lo, hi
+    degenerate = not step.all()
+    if degenerate:
+        # one linspace for all pairs switches its formula for every pair when
+        # one step is 0, so a pair whose step is 0 bins on [0, 1]: a flat one
+        # keeps those edges and gives 0, and one whose nonzero range is below
+        # bins times the smallest subnormal gets its own edges from linspace
+        zero_step = step == 0.0
+        flat = lo == hi
+        tiny = zero_step & ~flat
+        start = np.where(zero_step, 0.0, lo)
+        stop = np.where(zero_step, 1.0, hi)
+        step = (stop - start) / bins
+    # np.linspace(start, stop, bins + 1, axis=-1) by its own arithmetic, for
+    # a call in which no step is 0
+    edges = np.arange(bins + 1.0) * step[..., None]
+    edges += start[..., None]
+    edges[..., -1] = stop
+    if degenerate and tiny.any():
         edges[tiny] = np.linspace(lo[tiny], hi[tiny], bins + 1, axis=-1)
     idx = np.empty((2,) + edges.shape, dtype=np.intp)
     _bin_counts(sa, edges, idx[0])
     _bin_counts(sb, edges, idx[1])
-    counts = np.diff(idx, axis=-1)
+    counts = np.subtract(idx[..., 1:], idx[..., :-1])
     # the smoothed masses of both samples, p = mass[0] and q = mass[1]; a
-    # pair's counts sum to its sample size, except for a degenerate pair on
-    # [0, 1], whose KL is 0 whatever its masses
-    sizes = np.reshape([sa.shape[-1], sb.shape[-1]], (2,) + (1,) * edges.ndim)
+    # pair's counts sum to its sample size, except for a flat pair on [0, 1],
+    # whose KL is 0 whatever its masses
+    n_a, n_b = sa.shape[-1], sb.shape[-1]
+    sizes = n_a if n_a == n_b else np.reshape([n_a, n_b], (2,) + (1,) * edges.ndim)
     mass = counts / sizes + KL_SMOOTHING
     mass /= np.add.reduce(mass, axis=-1, keepdims=True)
     p, q = mass
-    return np.where(flat, 0.0, np.add.reduce(p * np.log(p / q), axis=-1))
+    kl = np.add.reduce(p * np.log(p / q), axis=-1)
+    return np.where(flat, 0.0, kl) if degenerate else kl
 
 
 def _check_bins(bins) -> None:
@@ -180,7 +195,12 @@ def kl_histogram(a, b, bins: int):
     """
     xa, xb = _pair(a, b, flat=True, same_n=False)
     _check_bins(bins)
-    return _result(_kl_sorted(np.sort(xa, axis=-1), np.sort(xb, axis=-1), bins))
+    sa, sb = np.sort(xa, axis=-1), np.sort(xb, axis=-1)
+    # a sorted sample starts with any -inf and ends with any NaN or +inf
+    if not (np.isfinite(np.minimum(sa[..., 0], sb[..., 0])).all()
+            and np.isfinite(np.maximum(sa[..., -1], sb[..., -1])).all()):
+        raise ValueError("kl_histogram needs finite samples")
+    return _result(_kl_sorted(sa, sb, bins))
 
 
 def _w2_and_kl_sorted(sa, sb, bins: int):

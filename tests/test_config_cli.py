@@ -528,6 +528,17 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
            "m_ladder values must lie in (0, 1/2], got (-0.1, 0.2)"),
           ("compare", "-0.1", "inertia m must be in (0, 1], got -0.1"),
           ("compare", "-0.1,0.2", "inertia m must be in (0, 1], got -0.1"))),
+    # so does one after a flag abbreviated as argparse allows; "--s" could be
+    # --seed or --snapshot-times, which argparse reports
+    *(([command, "--config", "CFG", flag, value, "--out", "OUT"], message)
+      for command, flag, value, message in (
+          ("limit-study", "--m-lad", "-0.1,0.05",
+           "m_ladder values must lie in (0, 1/2], got (-0.1, 0.05)"),
+          ("compare", "--m-lad", "-0.1,0.05",
+           "inertia m must be in (0, 1], got -0.1"),
+          ("compare", "--m", "-0.1", "inertia m must be in (0, 1], got -0.1"),
+          ("compare", "--s", "-1,0.02",
+           "ambiguous option: --s could match --seed, --snapshot-times"))),
 ])
 def test_cli_bad_command_line_exits_2_with_one_line(tmp_path, capsys, argv,
                                                     message):
@@ -558,11 +569,14 @@ def test_cli_list_flag_takes_a_leading_negative_value_after_a_space(tmp_path):
     # argparse alone reads "-1,0.02" after a space as an unknown option
     cfg = write_cfg(tmp_path)
     outs = []
-    for form in (["--snapshot-times=-1,0.02"], ["--snapshot-times", "-1,0.02"]):
-        out = tmp_path / f"{len(form)}.csv"
+    # in full and by the prefixes argparse resolves to the flag alone
+    for i, form in enumerate((["--snapshot-times=-1,0.02"],
+                              ["--snapshot-times", "-1,0.02"],
+                              ["--snapshot", "-1,0.02"], ["--sn", "-1,0.02"])):
+        out = tmp_path / f"{i}.csv"
         assert main(["compare", "--config", cfg, *form, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[1:] == outs[:1] * 3
 
 
 @pytest.mark.parametrize("far, near", [("0,1e308", "0,1e10"), ("-1e308", "0")])

@@ -8,6 +8,7 @@ import pytest
 from swarmlimit import (
     LimitStudyConfig,
     MemoryParams,
+    NonFiniteStateError,
     Objective,
     Params,
     ackley,
@@ -568,6 +569,31 @@ def test_coupled_pass_window_length_changes_no_bit(monkeypatch, gap, replicates)
     for res in results[1:]:
         for name, a, b in zip(("sup_gap", "w2", "kl"), res, first):
             assert np.array_equal(_bits(a), _bits(b)), name
+
+
+@pytest.mark.parametrize("gap", [True, False], ids=["study", "compare"])
+def test_a_pass_hands_the_w2_kl_kernel_only_finite_windows(monkeypatch, gap):
+    # the kernel does not check its samples: lockstep tests every state
+    # before it yields, so a pass that blows up stops at the step that made
+    # a state non-finite, and the windows of one step before it are finite
+    monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 0)
+    finite = []
+
+    def checked(a, b, bins):
+        finite.append(bool(np.isfinite(a).all() and np.isfinite(b).all()))
+        return _w2_and_kl_sorted(a, b, bins)
+
+    monkeypatch.setattr(experiments, "_w2_and_kl_sorted", checked)
+    p = study_base(sigma=1e200, n_particles=20, t_end=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match=r"^non-finite state "
+                           r"after step \d+: x\[") as excinfo:
+            _coupled_pass(p, ackley(1), 4, 2, ("uniform", -2.0, 3.0),
+                          (0.2, 0.1), gap=gap)
+    step = excinfo.value.step
+    assert str(excinfo.value).startswith(f"non-finite state after step {step}:")
+    # the initial clouds and those after steps 0, ..., step - 1
+    assert step >= 1 and finite == [True] * (step + 1)
 
 
 @pytest.mark.parametrize("pair", ["plain", "memory", "plain-dim2"])

@@ -12,7 +12,7 @@ from swarmlimit import (
     paired_msq_gap,
     wasserstein2_1d,
 )
-from swarmlimit.metrics import _w2_and_kl_sorted
+from swarmlimit.metrics import KL_SMOOTHING, _w2_and_kl_sorted
 from swarmlimit.objectives import _square_norm
 
 from certified import kl_histogram_oracle
@@ -366,6 +366,73 @@ def test_a_pair_of_zero_linspace_step_leaves_the_edges_of_the_others():
     kl = kl_histogram(a, b, bins)
     for j in range(2):
         assert _bits(kl[0, j]) == _bits(kl_histogram(a[0, j], b[j], bins))
+
+
+def _linspace_edges(lo, hi, bins):
+    """The edges of every pair with ends ``lo`` and ``hi`` from one
+    vectorized ``np.linspace`` call, on [0, 1] for a pair whose step is 0,
+    and from a second call for the pairs of step 0 whose range is nonzero:
+    the oracle of the edges that ``kl_histogram`` builds by linspace's own
+    arithmetic."""
+    flat = lo == hi
+    zero_step = (hi - lo) / bins == 0.0
+    edges = np.linspace(np.where(zero_step, 0.0, lo),
+                        np.where(zero_step, 1.0, hi), bins + 1, axis=-1)
+    tiny = zero_step & ~flat
+    if tiny.any():
+        edges[tiny] = np.linspace(lo[tiny], hi[tiny], bins + 1, axis=-1)
+    return edges
+
+
+def _kl_on_edges(x, y, edges):
+    """Smoothed histogram KL of samples ``x`` and ``y`` on explicit edges."""
+    masses = []
+    for s in (np.sort(x), np.sort(y)):
+        idx = s.searchsorted(edges)
+        idx[-1] = len(s)
+        mass = np.diff(idx) / len(s) + KL_SMOOTHING
+        masses.append(mass / np.add.reduce(mass))
+    p, q = masses
+    return np.add.reduce(p * np.log(p / q))
+
+
+@pytest.mark.parametrize("bins", [2, 33, 100])
+def test_kl_edges_keep_the_bits_of_linspace(rng, bins):
+    # b is one point, -0.0, so slice 0 is flat and slice 1, with a range of
+    # one subnormal, has a linspace step of 0; slices 2 and 3 start at lo =
+    # -0.0, where edge 0 is 0.0 + -0.0 = +0.0; slice 4's width overflows to
+    # inf, which makes edge 0 0 * inf = NaN.  Slices 2, 3 and 5 to 7 hold
+    # every interior edge of their range and the float just below it, so an
+    # edge off by one ulp would move a count.
+    n = 3 * bins
+    b = np.full(n, -0.0)
+    stack = np.zeros((8, n))
+    stack[1, ::2] = 5e-324
+    stack[4, :2] = -1e308, 1e308
+    assert (5e-324 / bins == 0.0) and 1e308 - -1e308 == np.inf
+    ranges = {2: (-0.0, rng.uniform(0.5, 3.0)), 3: (-0.0, 2.0)}
+    for k, scale in zip((5, 6, 7), (1e-3, 1.0, 1e3)):
+        ranges[k] = -scale * rng.uniform(0.1, 3.0), scale * rng.uniform(0.1, 3.0)
+    for k, (lo, hi) in ranges.items():
+        edges = np.linspace(lo, hi, bins + 1)
+        stack[k] = np.concatenate([edges, np.nextafter(edges[1:-1], -np.inf),
+                                   rng.uniform(lo, hi, n - 2 * bins)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the whole stack, and the normal slices alone, where no step is 0
+        for a in (stack, stack[2:]):
+            lo = np.minimum(a.min(axis=-1), b.min())
+            hi = np.maximum(a.max(axis=-1), b.max())
+            edges = _linspace_edges(lo, hi, bins)
+            assert _bits(edges[-6, 0]) == _bits(0.0) and np.isnan(edges[-4, 0])
+            want = [0.0 if lo[k] == hi[k] else _kl_on_edges(a[k], b, edges[k])
+                    for k in range(len(a))]
+            assert np.array_equal(_bits(kl_histogram(a, b, bins)), _bits(want))
+        # each pair alone, where one linspace call makes its edges
+        for k in range(1, len(stack)):
+            lo = min(stack[k].min(), -0.0)
+            hi = max(stack[k].max(), -0.0)
+            want = _kl_on_edges(stack[k], b, np.linspace(lo, hi, bins + 1))
+            assert _bits(kl_histogram(stack[k], b, bins)) == _bits(want)
 
 
 def _kernel_cases(rng, k, r, n):
